@@ -52,6 +52,7 @@ from .propagator import (
     assemble_propagator,
     ep_limit_params,
     evolution_operator,
+    evolve_grid,
     evolve_state,
     first_pole,
     matrix_exp_oracle,
@@ -84,7 +85,7 @@ __all__ = [
     # propagator
     "WeiNormanParams", "PropagatorMatrix", "wei_norman_params",
     "ep_limit_params", "assemble_propagator", "matrix_exp_oracle",
-    "ode_oracle", "evolution_operator", "evolve_state", "first_pole",
+    "ode_oracle", "evolution_operator", "evolve_grid", "evolve_state", "first_pole",
     # observables
     "InputState", "IntensityValue", "EvolutionTrace", "OrderFit",
     "PeriodicityResult", "make_input", "intensity", "occupations",

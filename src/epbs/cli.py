@@ -404,7 +404,8 @@ def _csv_bytes(header: list[str], rows) -> bytes:
 
 
 def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    # NaN and infinities are not JSON; a non-finite value fails the run instead
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def _trace_report(trace) -> dict:

@@ -2,9 +2,8 @@
 
 Validation mistakes (bad photon counts, dimension mismatches, malformed
 grids) raise plain ``ValueError``; the classes below mark conditions that
-arise *during* a structurally valid computation and that callers may want
-to catch and reroute (e.g. switching propagator paths near a factorization
-pole).
+arise *during* a structurally valid computation; the command-line runner
+reports any of them as a failed run (exit code 2) with its message.
 """
 
 
@@ -17,14 +16,14 @@ class PoleProximityError(SimulationError):
 
     The product form of the evolution operator is singular where the
     auxiliary function w(z) vanishes (only possible below the loss
-    threshold).  The evolution operator itself is entire in z, so callers
-    should evaluate pole-adjacent points with the matrix-exponential path.
+    threshold).  The evolution operator itself is entire in z and
+    ``evolution_operator`` evaluates it there without the factorization.
     """
 
     def __init__(self, z: float, w_abs: float, threshold: float):
         super().__init__(
             f"factored propagator is singular near z={z!r}: |w(z)|={w_abs:.3e} "
-            f"< {threshold:.1e}; use the matrix-exponential path at this z"
+            f"< {threshold:.1e}; use evolution_operator at this z"
         )
         self.z = z
         self.w_abs = w_abs
@@ -64,4 +63,7 @@ class IntensityUnderflowError(SimulationError):
 
 
 class OverflowGuardError(SimulationError):
-    """A propagator evaluation would exceed double-precision range."""
+    """A propagator or state evaluation left double-precision range.
+
+    Raised instead of returning any non-finite number.
+    """

@@ -8,11 +8,14 @@ surviving weight over the N+1 basis states.
 
 I(z) decays like exp(-N*Gamma*z) times slow structure, far below the double
 range for interesting parameter windows, so all intensity bookkeeping runs
-in log space off the factored propagator: its scalar prefactor carries the
-decay exactly and the remaining core stays representable.  Occupations are
-scale-free and need the core only, but they stop being physically
-meaningful once the post-selection weight underflows entirely, which is
-reported as an error rather than a silent 0/0.
+in log space.  Every entry point evaluates whole z arrays at once through
+the symmetric-power engine (``propagator.evolve_grid``), which updates the
+input state without forming the propagator and carries the decay and the
+scale of the single-photon propagator as logarithms; single points are a
+batch of one.  Occupations are scale-free and stay exact arbitrarily deep
+in the tail, but they stop being physically meaningful once the
+post-selection weight underflows entirely, which is reported as an error
+rather than a silent 0/0 unless the caller opts out.
 
 Three diagnostics quantify what the dynamics encode: a log-log slope fit of
 exp(N*Gamma*z) * I(z), which approaches 2N at the critical loss; period
@@ -28,11 +31,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import IntensityUnderflowError
-from .fock_core import BeamsplitterParams, OperatorSet, build_operators
-from .propagator import PropagatorMatrix, evolution_operator
+from .fock_core import BeamsplitterParams, OperatorSet
+from .propagator import METHOD, evolve_grid
 from .spectral import classify_regime, delta_lambda
 
 __all__ = [
@@ -60,6 +62,8 @@ INTENSITY_FLOOR_LOG = math.log(1e-300)
 
 # Steady-state criterion: occupations at z and z + 1/kappa agree to this.
 STEADY_THRESHOLD = 1e-6
+# Scan steps evaluated per batch by steady_state_onset.
+_ONSET_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -110,13 +114,21 @@ class IntensityValue(NamedTuple):
     log_value: float
 
 
-def _log_intensity(g: PropagatorMatrix, amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
-    """Evolved core vector and log I(z) without forming the decayed matrix."""
-    v = g.core @ amplitudes
-    vnorm = float(np.linalg.norm(v))
-    if vnorm == 0.0:
-        return v, -math.inf
-    return v, 2.0 * g.prefactor_exponent.real + 2.0 * math.log(vnorm)
+def _evolve(
+    state0: InputState, params: BeamsplitterParams, z: np.ndarray, enforce_floor: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """log I and occupations at each z.
+
+    With ``enforce_floor`` the first z, in the order given, whose
+    post-selection weight is below the floor raises
+    ``IntensityUnderflowError``.
+    """
+    log_i, occ = evolve_grid(params, state0.amplitudes, z)
+    if enforce_floor:
+        below = np.flatnonzero(log_i < INTENSITY_FLOOR_LOG)
+        if below.size:
+            raise IntensityUnderflowError(float(z[below[0]]), float(log_i[below[0]]))
+    return log_i, occ
 
 
 def intensity(
@@ -129,12 +141,9 @@ def intensity(
 
     The log value is exact even where the probability itself underflows
     (e.g. deep in the algebraic tail at the critical loss); the plain value
-    then reads 0.0.
+    then reads 0.0.  ``ops`` is accepted for compatibility and not needed.
     """
-    if ops is None:
-        ops = build_operators(params.n_photons)
-    g = evolution_operator(params, z, ops)
-    _, log_i = _log_intensity(g, state0.amplitudes)
+    log_i = float(evolve_grid(params, state0.amplitudes, [z])[0][0])
     value = math.exp(log_i) if log_i > -745.0 else 0.0
     return IntensityValue(value=value, log_value=log_i)
 
@@ -150,19 +159,12 @@ def occupations(
 
     Raises ``IntensityUnderflowError`` once the post-selection weight falls
     below the representable floor.  The normalized ratio itself stays exact
-    arbitrarily deep in the tail (the decay prefactor cancels in the
-    factored form), so diagnostics that legitimately probe past the floor,
-    like steady-state detection at the critical loss, pass
-    ``enforce_floor=False``.
+    arbitrarily deep in the tail (the decay is carried as a logarithm), so
+    diagnostics that legitimately probe past the floor, like steady-state
+    detection at the critical loss, pass ``enforce_floor=False``.  ``ops``
+    is accepted for compatibility and not needed.
     """
-    if ops is None:
-        ops = build_operators(params.n_photons)
-    g = evolution_operator(params, z, ops)
-    v, log_i = _log_intensity(g, state0.amplitudes)
-    if enforce_floor and log_i < INTENSITY_FLOOR_LOG:
-        raise IntensityUnderflowError(z, log_i)
-    p = np.abs(v) ** 2
-    return p / p.sum()
+    return _evolve(state0, params, np.array([float(z)]), enforce_floor)[1][0]
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ class EvolutionTrace:
     intensity: np.ndarray
     log_intensity: np.ndarray
     occupations: np.ndarray | None  # shape (len(z_grid), N+1)
-    methods: tuple[str, ...]  # propagator path used at each z
+    methods: tuple[str, ...]  # propagator path used at each z (one engine)
     params: BeamsplitterParams
     input_state: InputState
 
@@ -187,10 +189,11 @@ def trace_evolution(
 ) -> EvolutionTrace:
     """Evaluate intensity (and optionally occupations) along a z grid.
 
-    The grid must be non-negative and ascending.  The propagator path is
-    chosen point by point by the switching policy.  Pass
-    ``with_occupations=False`` for deep-tail intensity work where the
-    post-selection weight underflows.
+    The grid must be non-negative and ascending and is evaluated in one
+    batch.  With occupations, the first z whose post-selection weight is
+    below the floor raises ``IntensityUnderflowError``; pass
+    ``with_occupations=False`` for deep-tail intensity work.  ``ops`` is
+    accepted for compatibility and not needed.
     """
     grid = np.asarray(z_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -201,32 +204,15 @@ def trace_evolution(
         raise ValueError(
             f"input state dimension {state0.dim} != N+1 = {params.n_photons + 1}"
         )
-    if ops is None:
-        ops = build_operators(params.n_photons)
-
-    n_z = grid.size
-    log_i = np.empty(n_z)
-    occ = np.empty((n_z, params.n_photons + 1)) if with_occupations else None
-    methods = []
-    for k, z in enumerate(grid):
-        g = evolution_operator(params, float(z), ops)
-        methods.append(g.method)
-        v, li = _log_intensity(g, state0.amplitudes)
-        log_i[k] = li
-        if with_occupations:
-            if li < INTENSITY_FLOOR_LOG:
-                raise IntensityUnderflowError(float(z), li)
-            p = np.abs(v) ** 2
-            occ[k] = p / p.sum()
-
+    log_i, occ = _evolve(state0, params, grid, with_occupations)
     with np.errstate(under="ignore"):
         inten = np.where(log_i > -745.0, np.exp(np.minimum(log_i, 0.0)), 0.0)
     return EvolutionTrace(
         z_grid=grid,
         intensity=inten,
         log_intensity=log_i,
-        occupations=occ,
-        methods=tuple(methods),
+        occupations=occ if with_occupations else None,
+        methods=(METHOD,) * grid.size,
         params=params,
         input_state=state0,
     )
@@ -297,6 +283,8 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     Requires gamma < 2*kappa, occupations in the trace, a uniform grid and
     a span of at least two analytic periods.
     """
+    from scipy.optimize import minimize_scalar
+
     params = trace.params
     if classify_regime(params.kappa, params.gamma) != "unbroken":
         raise ValueError("periodicity requires gamma < 2*kappa (real level spacing)")
@@ -343,17 +331,13 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     # true period drives the mismatch to roundoff while sub-harmonic bumps
     # bottom out orders of magnitude higher, so accept the first that
     # essentially vanishes (the fundamental precedes its multiples)
-    ops = build_operators(params.n_photons)
     probe_span = peaks[0] * dz
     probes = z[0] + np.linspace(0.0, 0.9, 6) * probe_span
-    base = [occupations(trace.input_state, params, float(s), ops) for s in probes]
+    base = _evolve(trace.input_state, params, probes, True)[1]
 
     def mismatch(t: float) -> float:
-        tot = 0.0
-        for s, p0 in zip(probes, base):
-            p1 = occupations(trace.input_state, params, float(s + t), ops)
-            tot += float(np.sum((p1 - p0) ** 2))
-        return tot
+        shifted = _evolve(trace.input_state, params, probes + t, True)[1]
+        return float(np.sum((shifted - base) ** 2))
 
     for k in peaks:
         c_m, c_0, c_p = corr[k - 1], corr[k], corr[k + 1]
@@ -400,8 +384,11 @@ def steady_state_onset(
     At the critical loss the profile converges only algebraically (the
     propagator is polynomial in z there), so tight thresholds are reached at
     large z where the surviving intensity underflows; the scan therefore
-    evaluates the normalized profile directly from the factored core, which
-    remains exact in that regime.
+    reads the normalized profile past the floor, where it remains exact.
+    The scan steps z = 0, dz, 2*dz, ... (accumulated one addition at a time)
+    are evaluated in batches of ``_ONSET_CHUNK`` and the scan stops at the
+    first batch that holds a hit.  ``ops`` is accepted for compatibility
+    and not needed.
     """
     if dz is None:
         dz = 0.5 / params.kappa
@@ -409,13 +396,16 @@ def steady_state_onset(
         gap = 1.0 / params.kappa
     if dz <= 0 or gap <= 0 or z_max < 0:
         raise ValueError("dz and gap must be positive, z_max non-negative")
-    if ops is None:
-        ops = build_operators(params.n_photons)
     z = 0.0
     while z <= z_max:
-        here = occupations(state0, params, z, ops, enforce_floor=False)
-        ahead = occupations(state0, params, z + gap, ops, enforce_floor=False)
-        if np.abs(here - ahead).max() < threshold:
-            return z
-        z += dz
+        steps = []
+        while z <= z_max and len(steps) < _ONSET_CHUNK:
+            steps.append(z)
+            z += dz
+        here = np.array(steps)
+        occ = evolve_grid(params, state0.amplitudes, np.concatenate([here, here + gap]))[1]
+        drift = np.abs(occ[: here.size] - occ[here.size :]).max(axis=1)
+        hits = np.flatnonzero(drift < threshold)
+        if hits.size:
+            return steps[hits[0]]
     return None

@@ -1,35 +1,33 @@
-"""Closed-form and numerical evolution operators G(z) = exp(-i*H_N*z).
+"""Evolution operators G(z) = exp(-i*H_N*z): one exact engine and the factorization.
 
-The operator factorizes into an ordered product over the subspace algebra,
+The dynamics are linear in the mode operators, so G_N(z) is the spin-N/2
+symmetric power Sym^N(g1) of the 2x2 single-photon propagator (Schwinger's
+oscillator model of angular momentum),
 
-    G(z) = e^{-i(omega0 - i*Gamma/2) N z}
-           * e^{-i f_+(z) J_+} * e^{-i f_z(z) J_z} * e^{-i f_-(z) J_-},
+    g1(z) = e^{-i(omega0 - i*Gamma/2) z} [[u, v], [v, t]],
+    u, t = c +/- (Gamma/2) s,    v = -i*kappa*s,
 
-where the scalar coefficient functions obey the coupled system
+with c = cos(theta), s = sin(theta)/(Delta_lambda/2), theta = z*Delta_lambda/2
+(cosh and sinh above the loss threshold, exactly c = 1 and s = z at the
+critical loss); the core [[u, v], [v, t]] has unit determinant.  A state
+on |m) = |N-m>_a |m>_b is the polynomial P(x, y) = sum_m c_m sqrt(C(N, m))
+x^(N-m) y^m, and G_N maps it to P(u x + v y, v x + t y) times the scalar
+prefactor.  ``evolve_grid`` composes that polynomial homogeneous-Horner
+style, O(N^2) per z and vectorised over whole z grids, without forming G_N;
+``evolution_operator`` builds the matrix from the same algebra.  g1 is
+entire in z, so there are no poles, switching thresholds or fallbacks, and
+its scale is kept in log space with the decay -Gamma*N*z, so nothing
+overflows.
 
-    f_+' = kappa (1 + f_+^2) - Gamma f_+,
-    f_z' = -i Gamma + 2 i kappa f_+,
-    f_-' = kappa e^{-i f_z},
-
-with f_+(0) = f_z(0) = f_-(0) = 0, and are known in closed form.  With
-theta = z*Delta_lambda/2 the solutions reduce to the branch-free pair
-
-    w(z) = cos(theta) + (Gamma/Delta_lambda) sin(theta),
-    f_+(z) = f_-(z) = q(z)/w(z),     q(z) = 2*kappa*sin(theta)/Delta_lambda,
-    f_z(z) = -2i ln w(z),
-
-which stay real for real or purely imaginary Delta_lambda (hyperbolic
-functions take over above the loss threshold) and have their only true
-singularities at the zeros of w.  At the critical loss Delta_lambda -> 0
-the limits are q = kappa*z, w = 1 + kappa*z, f_+/- = kappa*z/(1+kappa*z).
-
-Because J_z eigenvalues step by one, the middle factor is the diagonal of
-*integer* powers w^(N-2m); no complex logarithm is ever exponentiated, so
-the assembly is free of branch cuts even when w(z) winds through negative
-values.  Four evaluation paths are provided and cross-validated: the
-closed-form product, its critical-loss limit, dense scaling-and-squaring
-matrix exponentials, and direct numerical integration of the coefficient
-system.
+The paper's closed form factorizes the same operator as
+e^{-i(omega0 - i*Gamma/2) N z} e^{-i f_+ J_+} e^{-i f_z J_z} e^{-i f_- J_-}
+with f_+ = f_- = q/w, f_z = -2i ln w, q = kappa*s and w = u (q = kappa*z,
+w = 1 + kappa*z at the critical loss); it is singular at the zeros of w,
+which exist only below threshold.  ``wei_norman_params``,
+``ep_limit_params`` and ``assemble_propagator`` evaluate it as the
+reproduced result; with dense matrix exponentials (``matrix_exp_oracle``)
+and direct integration of the coefficient system (``ode_oracle``) they
+cross-check the engine in the tests.
 """
 
 from __future__ import annotations
@@ -37,24 +35,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm as _scipy_expm
 
-from .errors import (
-    OverflowGuardError,
-    PoleProximityError,
-    RiccatiBlowupError,
-)
-from .fock_core import (
-    BeamsplitterParams,
-    HamiltonianMatrix,
-    OperatorSet,
-    build_hamiltonian,
-    build_operators,
-)
+from .errors import OverflowGuardError, PoleProximityError, RiccatiBlowupError
+from .fock_core import BeamsplitterParams, HamiltonianMatrix, OperatorSet
 
 __all__ = [
     "WeiNormanParams",
@@ -65,24 +50,26 @@ __all__ = [
     "matrix_exp_oracle",
     "ode_oracle",
     "evolution_operator",
+    "evolve_grid",
     "evolve_state",
     "first_pole",
+    "METHOD",
     "EP_SWITCH_THRESHOLD",
     "POLE_TOLERANCE",
     "EXPM_NORM_BOUND",
 ]
 
-# |Delta_lambda|*z below which the critical-loss limit formulas are used.
+# Label of the single evaluation path, reported with every operator and trace.
+METHOD = "symmetric_power"
+# z points per block of the batched state update; the working set is a few
+# arrays of _BLOCK x (N+1) complex numbers.
+_BLOCK = 512
+# |Delta_lambda|*z below which wei_norman_params defers to ep_limit_params.
 EP_SWITCH_THRESHOLD = 1e-6
 # |w(z)| below which the factored form is rejected as pole-adjacent.
 POLE_TOLERANCE = 1e-6
-# Documented bound on ||H||_1 * z for the matrix-exponential path.
+# Documented bound on ||H||_1 * z for the matrix-exponential oracle.
 EXPM_NORM_BOUND = 1e5
-# Below the trigger the entrywise cancellation of the single-shot product
-# (which grows like a power of 1/|w| towards a zero of w) costs accuracy, so
-# the evaluation is split across two pole-far distances instead.
-W_SPLIT_TRIGGER = 0.75
-W_SPLIT_FLOOR = 0.55
 
 
 @dataclass(frozen=True)
@@ -217,10 +204,10 @@ def ep_limit_params(params: BeamsplitterParams, z: float) -> WeiNormanParams:
 class PropagatorMatrix:
     """G(z) split as exp(prefactor_exponent) * core.
 
-    ``core`` is the product of the three algebra factors (scalar prefactor
-    removed); it has unit determinant and stays representable long after the
-    full matrix has decayed below the double-precision floor, which is what
-    makes log-space intensities possible.  ``matrix`` reassembles the full
+    ``core`` is the operator with the scalar prefactor removed; it has unit
+    determinant and stays representable long after the full matrix has
+    decayed below the double-precision floor, which is what makes log-space
+    intensities possible.  ``matrix`` reassembles the full
     operator and may underflow to zero entries for very large Gamma*N*z.
     """
 
@@ -237,65 +224,14 @@ class PropagatorMatrix:
         return self.core.shape[0]
 
 
-@lru_cache(maxsize=64)
-def _assembly_table(n: int):
-    """Precompute the entrywise polynomial expansion of the factored product.
-
-    Writing f = q/w, the (i, j) entry of the three-factor product collapses
-    to w^(N-i-j) * (-i)^(i+j) * sum_l (-1)^l c_ijl q^(i+j-2l) with constant
-    coefficients c_ijl; grouping powers of w per entry removes the
-    (1/w)^N cancellation the literal factor-by-factor product suffers near
-    the zeros of w.
-    """
-    dim = n + 1
-    # ladder products A[k] = <k| J_+^k |0> ; A[i]/A[l] = <i| J_+^(i-l) |l>
-    amps = np.sqrt((np.arange(n) + 1.0) * (n - np.arange(n)))
-    ladder = np.concatenate([[1.0], np.cumprod(amps)])
-    fact = np.array([math.factorial(k) for k in range(dim)], dtype=float)
-
-    entry_idx, coefs, q_exps = [], [], []
-    for i in range(dim):
-        for j in range(dim):
-            for l in range(min(i, j) + 1):
-                c = ladder[i] * ladder[j] / (ladder[l] ** 2 * fact[i - l] * fact[j - l])
-                entry_idx.append(i * dim + j)
-                coefs.append(c if l % 2 == 0 else -c)
-                q_exps.append(i + j - 2 * l)
-
-    entry_idx = np.asarray(entry_idx, dtype=np.intp)
-    seg_starts = np.flatnonzero(np.r_[1, np.diff(entry_idx)])
-    ij = np.arange(dim * dim)
-    i_plus_j = ij // dim + ij % dim
-    phase = np.array([1.0, -1.0j, -1.0, 1.0j])[i_plus_j % 4]
-    return (
-        np.asarray(coefs, dtype=float),
-        np.asarray(q_exps, dtype=np.intp),
-        seg_starts,
-        n - i_plus_j,  # exponent of w per entry
-        phase,
-    )
-
-
-def _integer_powers(base: complex, lo: int, hi: int) -> np.ndarray:
-    """base**k for k = lo .. hi as a lookup array (index k - lo)."""
-    pows = np.empty(hi - lo + 1, dtype=complex)
-    pows[-lo] = 1.0
-    for k in range(1, hi + 1):
-        pows[k - lo] = pows[k - 1 - lo] * base
-    inv = 1.0 / base
-    for k in range(-1, lo - 1, -1):
-        pows[k - lo] = pows[k + 1 - lo] * inv
-    return pows
-
-
 def assemble_propagator(wn: WeiNormanParams, ops: OperatorSet) -> PropagatorMatrix:
     """Evaluate the factored propagator from its scalar coefficients.
 
-    The raising/lowering exponentials terminate after N+1 nilpotent terms
-    and the diagonal factor holds integer powers w^(N-2m); the three factors
-    are contracted entrywise as polynomials in q = f_+ * w (see
-    ``_assembly_table``).  Raises on dimension mismatch and when powers of w
-    or q would overflow the double range.
+    On one photon the three factors are the 2x2 matrices [[1, 0], [-i f_+, 1]],
+    diag(w, 1/w) and [[1, -i f_-], [0, 1]]; the symmetric power of their
+    product [[u, v], [w, t]] is e^{-i f_+ J_+} w^{N-2 J_z} e^{-i f_- J_-}.
+    Raises on dimension mismatch, at w = 0 and when the result leaves the
+    double range.
     """
     n = ops.number_op_scalar
     if wn.n_photons != n:
@@ -303,27 +239,11 @@ def assemble_propagator(wn: WeiNormanParams, ops: OperatorSet) -> PropagatorMatr
             f"coefficients were built for N={wn.n_photons} but the operator "
             f"set represents N={n}"
         )
-
-    w = complex(wn.w)
-    q = wn.f_plus * w
+    w, f_p, f_m = complex(wn.w), wn.f_plus, wn.f_minus
     if abs(w) < 1e-300:
         raise PoleProximityError(wn.z, abs(w), 1e-300)
-    log_w = abs(math.log(abs(w))) if w != 0 else math.inf
-    log_q = math.log(max(abs(q), 1.0))
-    if n * log_w > 700.0 or 2 * n * log_q > 700.0:
-        raise OverflowGuardError(
-            f"propagator assembly overflows double precision at z={wn.z!r} "
-            f"(N*|ln|w|| = {n * log_w:.3g}, 2N*ln|q| = {2 * n * log_q:.3g})"
-        )
-
-    coefs, q_exps, seg_starts, w_exps, phase = _assembly_table(n)
-    q_pows = _integer_powers(q, 0, 2 * n) if q != 0 else np.array(
-        [1.0 + 0j] + [0j] * (2 * n)
-    )
-    w_pows = _integer_powers(w, -n, n)
-
-    poly = np.add.reduceat(coefs * q_pows[q_exps], seg_starts)
-    core = (phase * w_pows[w_exps + n] * poly).reshape(n + 1, n + 1)
+    entries = (w, -1j * f_m * w, -1j * f_p * w, 1.0 / w - f_p * f_m * w)
+    core = _sym_matrix(n, entries, 0.0, wn.z)
     return PropagatorMatrix(
         core=core, prefactor_exponent=complex(wn.prefactor_exponent), method=wn.source
     )
@@ -337,6 +257,8 @@ def matrix_exp_oracle(h: HamiltonianMatrix, z: float) -> PropagatorMatrix:
     ||H||_1 * z beyond ``EXPM_NORM_BOUND``, past which squaring cost and
     roundoff make the result untrustworthy.
     """
+    from scipy.linalg import expm
+
     if z < 0:
         raise ValueError(f"z must be >= 0, got {z}")
     a = np.asarray(h.matrix)
@@ -347,7 +269,7 @@ def matrix_exp_oracle(h: HamiltonianMatrix, z: float) -> PropagatorMatrix:
             f"{EXPM_NORM_BOUND:.1e}"
         )
     return PropagatorMatrix(
-        core=_scipy_expm(-1j * a * z), prefactor_exponent=0j, method="matrix_exp"
+        core=expm(-1j * a * z), prefactor_exponent=0j, method="matrix_exp"
     )
 
 
@@ -362,12 +284,16 @@ def ode_oracle(
 ) -> list[WeiNormanParams]:
     """Integrate the coefficient system numerically along an ascending grid.
 
-    Uses an adaptive 8th-order Runge-Kutta scheme on the complex system; the
+    The system is f_+' = kappa (1 + f_+^2) - Gamma f_+,
+    f_z' = -i Gamma + 2 i kappa f_+, f_-' = kappa e^{-i f_z}, all zero at
+    z = 0.  Uses an adaptive 8th-order Runge-Kutta scheme on it; the
     tolerances keep the oracle ~100x tighter than the comparisons it backs.
     The grid must start at 0.  If f_+ blows up inside the requested range
     (the same poles as the closed form), ``RiccatiBlowupError`` reports the
     estimated blow-up location.
     """
+    from scipy.integrate import solve_ivp
+
     grid = np.asarray(z_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("z grid must be a non-empty 1-D sequence")
@@ -424,76 +350,149 @@ def ode_oracle(
     return out
 
 
+def _g1_core(kappa: float, gamma: float, z: np.ndarray):
+    """Entries (u, v, t) of g1's core [[u, v], [v, t]] over an array of z.
+
+    Returns them with a log scale: the core is exp(log_scale) times
+    [[u, v], [v, t]].  Above threshold the common growth e^x of cosh and
+    sinh (x = z*|Delta_lambda|/2) goes into the log scale, so no entry
+    overflows.
+    """
+    dl2 = 4.0 * kappa * kappa - gamma * gamma
+    log_scale = np.zeros_like(z)
+    if dl2 > 0:
+        half = 0.5 * math.sqrt(dl2)
+        c, s = np.cos(half * z), np.sin(half * z) / half
+    elif dl2 < 0:
+        half = 0.5 * math.sqrt(-dl2)
+        log_scale = half * z
+        c = 0.5 * (1.0 + np.exp(-2.0 * log_scale))
+        s = -0.5 * np.expm1(-2.0 * log_scale) / half
+    else:
+        c, s = np.ones_like(z), z
+    return c + 0.5 * gamma * s, -1j * kappa * s, c - 0.5 * gamma * s, log_scale
+
+
+def _sym_power(u, v, w, t, amplitudes: np.ndarray):
+    """Sym^N of [[u, v], [w, t]] applied to states, up to a scale per row.
+
+    The entries hold one value per row of the result (or one for all rows);
+    ``amplitudes`` holds one state per row (or one for all rows).  Each
+    state is the polynomial P(x, y) = sum_m a_m x^(N-m) y^m with
+    a_m = c_m sqrt(C(N, m)); its image P(X, Y), X = u x + w y,
+    Y = v x + t y, is composed homogeneous-Horner style,
+    T_k = T_(k-1) X + a_k Y^k, carrying Y^k only up to the last non-zero
+    a_k: O(N^2) per row.  The 2x2 is first normalised so that its larger
+    column has unit norm.  Returns (psi, log_scale) with the image equal to
+    exp(N * log_scale) * psi on the orthonormal basis.
+    """
+    norm = np.maximum(np.hypot(abs(u), abs(w)), np.hypot(abs(v), abs(t)))
+    u, v, w, t = (np.asarray(e / norm)[:, None] for e in (u, v, w, t))
+    n = amplitudes.shape[-1] - 1
+    log_fact = [math.lgamma(k + 1.0) for k in range(n + 1)]
+    roots = np.exp(0.5 * (log_fact[n] - np.add(log_fact, log_fact[::-1])))  # sqrt(C(N, m))
+    coeffs = amplitudes * roots
+    rows = max(u.shape[0], coeffs.shape[0])
+    poly = np.zeros((rows, n + 1), dtype=complex)
+    poly[:, 0] = coeffs[:, 0]
+    y_pow = np.zeros((rows, n + 1), dtype=complex)
+    y_pow[:, 0] = 1.0
+    last = np.flatnonzero(np.any(coeffs != 0, axis=0)).max(initial=0)
+    for k in range(1, n + 1):
+        shifted = poly[:, :k] * w
+        poly[:, :k] *= u
+        poly[:, 1 : k + 1] += shifted
+        if k <= last:
+            shifted = y_pow[:, :k] * t
+            y_pow[:, :k] *= v
+            y_pow[:, 1 : k + 1] += shifted
+            poly[:, : k + 1] += coeffs[:, k : k + 1] * y_pow[:, : k + 1]
+    return poly / roots, np.log(norm)
+
+
+def _sym_matrix(n: int, entries, log_scale: float, z: float) -> np.ndarray:
+    """exp(N * log_scale) * Sym^N([[u, v], [w, t]]) as a matrix, entries (u, v, w, t).
+
+    Column k is the image of |k), i.e. the coefficients of X^(N-k) Y^k.
+    Raises ``OverflowGuardError`` when the matrix leaves the double range.
+    """
+    u, v, w, t = (np.atleast_1d(e) for e in entries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        images, log_norm = _sym_power(u, v, w, t, np.eye(n + 1, dtype=complex))
+        core = images.T * np.exp(n * (log_scale + log_norm[0]))
+    if not np.isfinite(core).all():
+        raise OverflowGuardError(
+            f"N-photon propagator leaves double-precision range at z={z!r} (N={n})"
+        )
+    return core
+
+
+def evolve_grid(
+    params: BeamsplitterParams, amplitudes, z_grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """log I(z) and occupations P(m; z) of G(z) applied to a state, over a z array.
+
+    log I is ln ||G(z) psi||^2 for the amplitudes as given; P is the
+    normalized |(m|G(z) psi>|^2, which stays exact after I itself has
+    underflowed.  G is never formed.  The z values may come in any order;
+    they are worked through in blocks, so the working set stays a few
+    block x (N+1) arrays.  Raises ``OverflowGuardError`` if any value is
+    not finite.
+    """
+    n = params.n_photons
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.shape != (n + 1,):
+        raise ValueError(f"state has shape {amps.shape}, expected ({n + 1},)")
+    z = np.asarray(z_grid, dtype=float)
+    if z.ndim != 1 or np.any(z < 0):
+        raise ValueError("z must be a 1-D array of distances >= 0")
+    log_i = np.empty(z.size)
+    occ = np.empty((z.size, n + 1))
+    for lo in range(0, z.size, _BLOCK):
+        zb = z[lo : lo + _BLOCK]
+        u, v, t, log_scale = _g1_core(params.kappa, params.gamma, zb)
+        # out-of-range intermediates surface as non-finite values, caught below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            psi, log_norm = _sym_power(u, v, v, t, amps[None, :])
+            weights = psi.real**2 + psi.imag**2
+            total = weights.sum(axis=1)
+            li = np.log(total) + n * (2.0 * (log_scale + log_norm) - params.gamma * zb)
+            pb = weights / total[:, None]
+        bad = np.flatnonzero(~(np.isfinite(li) & np.isfinite(pb).all(axis=1)))
+        if bad.size:
+            raise OverflowGuardError(
+                f"state update leaves double-precision range at "
+                f"z={float(zb[bad[0]])!r} (N={n}, log I = {li[bad[0]]})"
+            )
+        log_i[lo : lo + zb.size] = li
+        occ[lo : lo + zb.size] = pb
+    return log_i, occ
+
+
 def evolution_operator(
     params: BeamsplitterParams,
     z: float,
     ops: OperatorSet | None = None,
-    pole_tol: float = POLE_TOLERANCE,
 ) -> PropagatorMatrix:
-    """G(z) through the path-switching policy.
+    """G(z) = exp(prefactor_exponent) * core, the core being Sym^N of g1's core.
 
-    Closed-form product wherever it is regular and its critical-loss limit
-    when |Delta_lambda|*z is below the switch threshold.  Near the zeros of
-    w (only possible below threshold) a single product evaluation loses
-    accuracy, so the operator is formed as G(z1) G(z2) with both halves
-    pole-far -- an exact semigroup identity that keeps the closed form in
-    charge; the matrix exponential remains as the last-resort fallback (the
-    operator itself is entire, only the factorization is singular).
+    The core has unit determinant; column k is the image of |k), built from
+    the coefficients of X^(N-k) Y^k.  ``ops`` is optional and only checked
+    against N.  Raises ``OverflowGuardError`` when the core itself leaves
+    the double range (the log intensities of ``evolve_grid`` never do).
     """
-    if ops is None:
-        ops = build_operators(params.n_photons)
-    kappa, gamma = params.kappa, params.gamma
-    dl2 = 4.0 * kappa * kappa - gamma * gamma
-    u = math.sqrt(abs(dl2)) * z
-    if u < EP_SWITCH_THRESHOLD:
-        return assemble_propagator(ep_limit_params(params, z), ops)
-
-    if dl2 > 0:
-        # w = sqrt(1+g^2) cos(theta - phi): zeros at theta - phi = pi/2 mod pi
-        d = math.sqrt(dl2)
-        g = gamma / d
-        theta = 0.5 * z * d
-        phi = math.atan(g)
-        scale = math.hypot(1.0, g)
-        if scale * abs(math.cos(theta - phi)) < W_SPLIT_TRIGGER:
-            split = _split_point(theta, phi, scale)
-            if split is not None:
-                z1 = 2.0 * split / d
-                g1 = assemble_propagator(wei_norman_params(params, z1, pole_tol), ops)
-                g2 = assemble_propagator(wei_norman_params(params, z - z1, pole_tol), ops)
-                return PropagatorMatrix(
-                    core=g1.core @ g2.core,
-                    prefactor_exponent=g1.prefactor_exponent + g2.prefactor_exponent,
-                    method="wei_norman",
-                )
-            return matrix_exp_oracle(build_hamiltonian(params), z)
-
-    try:
-        wn = wei_norman_params(params, z, pole_tol=pole_tol)
-    except PoleProximityError:
-        return matrix_exp_oracle(build_hamiltonian(params), z)
-    return assemble_propagator(wn, ops)
-
-
-def _split_point(theta: float, phi: float, scale: float) -> float | None:
-    """theta1 in (0, theta) putting both halves away from the zeros of w.
-
-    Candidates around the midpoint shifted by twelfths of the pole lattice
-    period pi are scanned for the largest min |w| of the two halves.
-    """
-    best_theta1, best_score = None, 0.0
-    for k in range(-6, 7):
-        theta1 = 0.5 * theta + k * (math.pi / 12.0)
-        if not 0.02 * theta <= theta1 <= 0.98 * theta:
-            continue
-        score = scale * min(
-            abs(math.cos(theta1 - phi)), abs(math.cos(theta - theta1 - phi))
+    if z < 0:
+        raise ValueError(f"z must be >= 0, got {z}")
+    n = params.n_photons
+    if ops is not None and ops.number_op_scalar != n:
+        raise ValueError(
+            f"operator set represents N={ops.number_op_scalar} but params have N={n}"
         )
-        if score > best_score:
-            best_theta1, best_score = theta1, score
-    if best_score < W_SPLIT_FLOOR:
-        return None
-    return best_theta1
+    u, v, t, log_scale = _g1_core(params.kappa, params.gamma, np.array([float(z)]))
+    core = _sym_matrix(n, (u, v, v, t), float(log_scale[0]), z)
+    return PropagatorMatrix(
+        core=core, prefactor_exponent=_prefactor_exponent(params, z), method=METHOD
+    )
 
 
 def evolve_state(

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import EigensolverError
 from .fock_core import BeamsplitterParams, HamiltonianMatrix
@@ -125,6 +124,8 @@ def pairing_distance(a: np.ndarray, b: np.ndarray) -> float:
     parts are degenerate up to roundoff, so oracle comparisons match the two
     sets through a minimal-cost assignment instead.
     """
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:

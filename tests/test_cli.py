@@ -1,11 +1,16 @@
 import hashlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from epbs.cli import GridSpec, main, run, validate
+import epbs
+from epbs.cli import GridSpec, _json_bytes, main, run, validate
 
 
 def base_config(scenario, out_dir, **extra):
@@ -302,3 +307,35 @@ def test_main_reads_stdin_and_applies_out_flag(tmp_path, monkeypatch, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert report["gamma"] == 2.0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the oracles and period detection, imported on use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(epbs.__file__)))
+    code = (
+        "import sys, epbs.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.linalg') "
+        "if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_json_output_is_strict():
+    assert json.loads(_json_bytes({"x": 1.5})) == {"x": 1.5}
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _json_bytes({"x": bad})
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_result_exits_2_without_writing(tmp_path, capsys):
+    # a NaN amplitude is valid JSON to Python's parser; the engine refuses it
+    out = tmp_path / "out"
+    doc = base_config("custom-evolve", out, z_grid={"start": 0.0, "stop": 1.0, "count": 3},
+                      input_state={"kind": "custom", "amplitudes": [1.0, math.nan, 0, 0, 1.0]})
+    assert main(["custom-evolve", "--config", write_config(tmp_path, doc)]) == 2
+    assert "double-precision range" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,6 +7,7 @@ import pytest
 from epbs.errors import IntensityUnderflowError
 from epbs.fock_core import BeamsplitterParams, build_hamiltonian, build_operators
 from epbs.observables import (
+    STEADY_THRESHOLD,
     fit_ep_order,
     intensity,
     make_input,
@@ -319,6 +320,27 @@ def test_periodicity_nonunit_kappa():
     assert res.period_detected == pytest.approx(t_exact, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "kind,n,kappa,gamma,periods,expected",
+    [
+        ("all_in_a", 5, 1.0, 0.0, None, 3.141592652996599),
+        ("noon", 5, 1.0, 0.0, None, 1.5707963268587923),
+        ("noon", 5, 1.0, 0.5, 3, 3.2446229408574183),
+        ("noon", 8, 1.0, 0.5, 3, 3.2446229408436986),
+        ("noon", 5, 0.5, 0.25, 3, 6.489245881714837),
+    ],
+)
+def test_periodicity_unchanged_by_batched_probes(kind, n, kappa, gamma, periods, expected):
+    # periods detected by the former point-by-point probe evaluation on the
+    # inputs of the periodicity tests above and of acceptance criterion 7
+    p = BeamsplitterParams(1.0, kappa, gamma, n)
+    stop = 8.0 if periods is None else periods * 2.0 * math.pi / math.sqrt(
+        4.0 * kappa**2 - gamma**2
+    )
+    tr = trace_evolution(make_input(kind, n), p, np.linspace(0.0, stop, 400))
+    assert abs(periodicity_check(tr).period_detected - expected) <= 1e-12
+
+
 def test_periodicity_preconditions():
     s = make_input("noon", 4)
     tr = trace_evolution(s, params(2.0, 4), np.linspace(0.0, 10.0, 100))
@@ -387,6 +409,37 @@ def test_steady_state_onset_not_reached():
     p = params(2.0, 5)
     s = make_input("noon", 5)
     assert steady_state_onset(s, p, z_max=10.0) is None
+
+
+def scalar_onset(state, p, z_max, dz=None):
+    """The point-by-point scan the batched steady_state_onset must reproduce."""
+    dz = 0.5 / p.kappa if dz is None else dz
+    gap = 1.0 / p.kappa
+    z = 0.0
+    while z <= z_max:
+        here = occupations(state, p, z, enforce_floor=False)
+        ahead = occupations(state, p, z + gap, enforce_floor=False)
+        if np.abs(here - ahead).max() < STEADY_THRESHOLD:
+            return z
+        z += dz
+    return None
+
+
+@pytest.mark.parametrize(
+    "gamma,z_max,dz",
+    [(2.0, 900.0, 1.0), (2.4, 900.0, 1.0), (2.0, 900.0, None), (2.4, 40.0, None),
+     (2.4, 40.0, 0.1), (2.0, 10.0, 0.1)],
+)
+def test_steady_state_onset_matches_scalar_scan(gamma, z_max, dz):
+    # same z sequence (accumulated dz, not a binary fraction for 0.1), same
+    # answer to the bit, including None when the criterion is never met
+    p = params(gamma, 5)
+    s = make_input("noon", 5)
+    got = steady_state_onset(s, p, z_max=z_max, dz=dz)
+    want = scalar_onset(s, p, z_max, dz)
+    assert got == want
+    if (gamma, dz) in ((2.0, 1.0), (2.4, 1.0)):
+        assert got == {2.0: 685.0, 2.4: 10.0}[gamma]
 
 
 def test_steady_state_onset_validation():

@@ -10,6 +10,7 @@ from epbs.errors import (
 )
 from epbs.fock_core import BeamsplitterParams, build_hamiltonian, build_operators
 from epbs.propagator import (
+    METHOD,
     assemble_propagator,
     ep_limit_params,
     evolution_operator,
@@ -270,23 +271,24 @@ def test_ode_params_assemble_into_propagator():
 
 
 # ---------------------------------------------------------------------------
-# switching policy and state evolution
+# symmetric-power engine and state evolution
 
 
 def test_evolution_operator_method_selection():
+    # one engine in every regime, with no switching between paths
     ops = build_operators(4)
-    assert evolution_operator(params(2.0, 4), 1.0, ops).method == "ep_limit"
-    assert evolution_operator(params(1.0, 4), 1.0, ops).method == "wei_norman"
-    assert evolution_operator(params(3.0, 4), 1.0, ops).method == "wei_norman"
-    # z = 0 is served exactly by the limit path regardless of gamma
+    for gamma in (1.0, 2.0, 3.0):
+        assert evolution_operator(params(gamma, 4), 1.0, ops).method == METHOD
+    assert METHOD == "symmetric_power"
+    # z = 0 is served exactly regardless of gamma
     g0 = evolution_operator(params(0.7, 4), 0.0, ops)
-    assert g0.method == "ep_limit"
+    assert g0.method == METHOD
     assert np.abs(g0.matrix - np.eye(5)).max() == 0.0
 
 
 def test_evolution_operator_accurate_at_factorization_pole():
-    # the factored form is singular at kappa*z = pi/2 for gamma = 0, but the
-    # switching policy must still produce the exact swap there
+    # the factored form is singular at kappa*z = pi/2 for gamma = 0; the
+    # symmetric-power engine has no poles and gives the exact swap there
     p = params(0.0, 1, omega0=0.0)
     g = evolution_operator(p, math.pi / 2, build_operators(1))
     np.testing.assert_allclose(g.matrix, [[0.0, -1.0j], [-1.0j, 0.0]], atol=1e-12)
@@ -301,8 +303,6 @@ def test_path_equivalence_sampled(n, ratio):
     h = build_hamiltonian(p)
     for z in np.linspace(0.0, 5.0, 21):
         g = evolution_operator(p, float(z), ops)
-        if g.method == "matrix_exp":
-            continue
         assert np.abs(g.matrix - matrix_exp_oracle(h, float(z)).matrix).max() < 1e-10
 
 
@@ -315,8 +315,6 @@ def test_path_equivalence_nonunit_rates(kappa, omega0):
         h = build_hamiltonian(p)
         for z in (0.0, 0.3 / kappa, 1.9 / kappa, 4.2 / kappa):
             g = evolution_operator(p, z, ops)
-            if g.method == "matrix_exp":
-                continue
             assert np.abs(g.matrix - matrix_exp_oracle(h, z).matrix).max() < 1e-10
 
 
