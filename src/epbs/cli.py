@@ -155,6 +155,8 @@ def _check_grid(raw, where: str, errors: list[str], positive_start=False) -> Gri
         v = raw.get(key)
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             errors.append(f"{where}.{key}: must be a number")
+        elif not math.isfinite(v):
+            errors.append(f"{where}.{key}: must be finite, got {v}")
         else:
             spec[key] = float(v)
     count = raw.get("count")
@@ -193,6 +195,8 @@ def _check_params(raw, errors: list[str]) -> BeamsplitterParams | None:
         v = raw.get(key)
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             errors.append(f"params.{key}: must be a number")
+        elif not math.isfinite(v):
+            errors.append(f"params.{key}: must be finite, got {v}")
         else:
             vals[key] = float(v)
     n = raw.get("n_photons")

@@ -12,12 +12,14 @@ with c = cos(theta), s = sin(theta)/(Delta_lambda/2), theta = z*Delta_lambda/2
 critical loss); the core [[u, v], [v, t]] has unit determinant.  A state
 on |m) = |N-m>_a |m>_b is the polynomial P(x, y) = sum_m c_m sqrt(C(N, m))
 x^(N-m) y^m, and G_N maps it to P(u x + v y, v x + t y) times the scalar
-prefactor.  ``evolve_grid`` composes that polynomial homogeneous-Horner
-style, O(N^2) per z and vectorised over whole z grids, without forming G_N;
+prefactor.  ``evolve_grid`` applies that map over whole z grids without
+forming G_N.  A state on |0) and |N) only (``all_in_a``, ``all_in_b``,
+``noon``) maps to a_0 X^N + a_N Y^N, two binomial expansions: O(N) per z.
+Any other state is composed homogeneous-Horner style: O(N^2) per z.
 ``evolution_operator`` builds the matrix from the same algebra.  g1 is
-entire in z, so there are no poles, switching thresholds or fallbacks, and
-its scale is kept in log space with the decay -Gamma*N*z, so nothing
-overflows.
+entire in z, so there are no poles, switching thresholds or fallbacks.  Its
+scale is kept in log space with the decay -Gamma*N*z, each binomial power
+scaled by its own column norm, so nothing overflows.
 
 The paper's closed form factorizes the same operator as
 e^{-i(omega0 - i*Gamma/2) N z} e^{-i f_+ J_+} e^{-i f_z J_z} e^{-i f_- J_-}
@@ -373,24 +375,53 @@ def _g1_core(kappa: float, gamma: float, z: np.ndarray):
     return c + 0.5 * gamma * s, -1j * kappa * s, c - 0.5 * gamma * s, log_scale
 
 
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^k for k = 0..n as running products, one row per entry of x."""
+    out = np.empty((x.shape[0], n + 1), dtype=complex)
+    out[:, 0] = 1.0
+    out[:, 1:] = x[:, None]
+    return np.cumprod(out, axis=1)
+
+
 def _sym_power(u, v, w, t, amplitudes: np.ndarray):
     """Sym^N of [[u, v], [w, t]] applied to states, up to a scale per row.
 
     The entries hold one value per row of the result (or one for all rows);
     ``amplitudes`` holds one state per row (or one for all rows).  Each
     state is the polynomial P(x, y) = sum_m a_m x^(N-m) y^m with
-    a_m = c_m sqrt(C(N, m)); its image P(X, Y), X = u x + w y,
-    Y = v x + t y, is composed homogeneous-Horner style,
+    a_m = c_m sqrt(C(N, m)); its image is P(X, Y), X = u x + w y,
+    Y = v x + t y.  Returns (psi, log_scale) with the image equal to
+    exp(N * log_scale) * psi on the orthonormal basis, one log_scale per
+    row.
+
+    When no row has amplitude on the interior |1) ... |N-1), the image is
+    a_0 X^N + a_N Y^N, two binomial expansions built from running powers:
+    O(N) per row.  Each power is scaled by its own column norm, which is
+    exactly the norm of its image, and the row keeps the larger exponent
+    of the columns it uses, so light in either column stays in range.
+    Otherwise the image is composed homogeneous-Horner style,
     T_k = T_(k-1) X + a_k Y^k, carrying Y^k only up to the last non-zero
-    a_k: O(N^2) per row.  The 2x2 is first normalised so that its larger
-    column has unit norm.  Returns (psi, log_scale) with the image equal to
-    exp(N * log_scale) * psi on the orthonormal basis.
+    a_k: O(N^2) per row, with the 2x2 normalised so that its larger column
+    has unit norm.
     """
-    norm = np.maximum(np.hypot(abs(u), abs(w)), np.hypot(abs(v), abs(t)))
-    u, v, w, t = (np.asarray(e / norm)[:, None] for e in (u, v, w, t))
+    col_x, col_y = np.hypot(abs(u), abs(w)), np.hypot(abs(v), abs(t))
     n = amplitudes.shape[-1] - 1
     log_fact = [math.lgamma(k + 1.0) for k in range(n + 1)]
     roots = np.exp(0.5 * (log_fact[n] - np.add(log_fact, log_fact[::-1])))  # sqrt(C(N, m))
+    if not amplitudes[:, 1:n].any():
+        a_x, a_y = amplitudes[:, 0], amplitudes[:, n]
+        log_x, log_y = np.log(col_x), np.log(col_y)
+        log_scale = np.maximum(
+            np.where(a_x != 0, log_x, -np.inf), np.where(a_y != 0, log_y, -np.inf)
+        )
+        psi = np.zeros((max(col_x.size, a_x.size), n + 1), dtype=complex)
+        for a, p, q, col, log_col in ((a_x, u, w, col_x, log_x), (a_y, v, t, col_y, log_y)):
+            if a.any():
+                weight = a * np.exp(n * (log_col - log_scale))
+                psi += weight[:, None] * _powers(p / col, n)[:, ::-1] * _powers(q / col, n)
+        return psi * roots, log_scale
+    norm = np.maximum(col_x, col_y)
+    u, v, w, t = (np.asarray(e / norm)[:, None] for e in (u, v, w, t))
     coeffs = amplitudes * roots
     rows = max(u.shape[0], coeffs.shape[0])
     poly = np.zeros((rows, n + 1), dtype=complex)
@@ -419,7 +450,7 @@ def _sym_matrix(n: int, entries, log_scale: float, z: float) -> np.ndarray:
     u, v, w, t = (np.atleast_1d(e) for e in entries)
     with np.errstate(over="ignore", invalid="ignore"):
         images, log_norm = _sym_power(u, v, w, t, np.eye(n + 1, dtype=complex))
-        core = images.T * np.exp(n * (log_scale + log_norm[0]))
+        core = images.T * np.exp(n * (log_scale + log_norm))  # column k takes image k's scale
     if not np.isfinite(core).all():
         raise OverflowGuardError(
             f"N-photon propagator leaves double-precision range at z={z!r} (N={n})"
@@ -436,16 +467,17 @@ def evolve_grid(
     normalized |(m|G(z) psi>|^2, which stays exact after I itself has
     underflowed.  G is never formed.  The z values may come in any order;
     they are worked through in blocks, so the working set stays a few
-    block x (N+1) arrays.  Raises ``OverflowGuardError`` if any value is
-    not finite.
+    block x (N+1) arrays.  Raises ``ValueError`` for a negative or
+    non-finite z and ``OverflowGuardError`` if any computed value is not
+    finite.
     """
     n = params.n_photons
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.shape != (n + 1,):
         raise ValueError(f"state has shape {amps.shape}, expected ({n + 1},)")
     z = np.asarray(z_grid, dtype=float)
-    if z.ndim != 1 or np.any(z < 0):
-        raise ValueError("z must be a 1-D array of distances >= 0")
+    if z.ndim != 1 or not np.all(np.isfinite(z) & (z >= 0)):
+        raise ValueError("z must be a 1-D array of finite distances >= 0")
     log_i = np.empty(z.size)
     occ = np.empty((z.size, n + 1))
     for lo in range(0, z.size, _BLOCK):

@@ -339,3 +339,22 @@ def test_non_finite_result_exits_2_without_writing(tmp_path, capsys):
     assert main(["custom-evolve", "--config", write_config(tmp_path, doc)]) == 2
     assert "double-precision range" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where, value", [
+    ("params.kappa", math.nan),
+    ("params.gamma", math.inf),
+    ("params.omega0", -math.inf),
+    ("z_grid.stop", math.inf),
+    ("z_grid.stop", math.nan),
+    ("z_grid.start", math.nan),
+])
+def test_non_finite_config_numbers_exit_1(tmp_path, capsys, where, value):
+    # json.loads accepts NaN and Infinity; validation must refuse them
+    out = tmp_path / "out"
+    doc = base_config("intensity-decay", out, z_grid={"start": 0.0, "stop": 1.0, "count": 3})
+    section, key = where.split(".")
+    doc[section][key] = value
+    assert main(["intensity-decay", "--config", write_config(tmp_path, doc)]) == 1
+    assert f"{where}: must be finite" in capsys.readouterr().err
+    assert not out.exists()

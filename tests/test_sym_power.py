@@ -5,7 +5,11 @@ exact-precision polynomial algebra (40 digits), independently of the
 library's float64 kernel; it is the oracle for N > 20, where dense matrix
 exponentials stop being trustworthy.  The cases pin defects of the former
 path-switching propagator: a wrong split product below threshold at N=40,
-NaN for N >= 86 and an overflow guard firing on a regular trace.
+NaN for N >= 86 and an overflow guard firing on a regular trace.  States
+on |0) and |N) take the engine's O(N) binomial form; they are checked
+against the reference and against the operator's columns, which are still
+composed by the Horner loop, and at large N against the single-column
+closed form.
 """
 
 import math
@@ -17,7 +21,7 @@ import pytest
 from epbs.errors import IntensityUnderflowError, OverflowGuardError
 from epbs.fock_core import BeamsplitterParams
 from epbs.observables import INTENSITY_FLOOR_LOG, make_input, occupations, trace_evolution
-from epbs.propagator import evolution_operator, evolve_grid
+from epbs.propagator import _g1_core, evolution_operator, evolve_grid
 
 DPS = 40
 
@@ -160,9 +164,51 @@ def test_grid_values_equal_single_point_values():
         np.testing.assert_allclose(occ_k[0], occ[k], rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 2.4])
+@pytest.mark.parametrize("n", [1, 2, 10, 40])
+@pytest.mark.parametrize("kind", ["all_in_a", "all_in_b", "noon"])
+def test_edge_supported_states_match_both_references(kind, n, gamma):
+    # kappa*z <= 24 keeps the N=40 operator core inside double range at 2.4 kappa
+    p = params(gamma, n)
+    amps = make_input(kind, n).amplitudes
+    grid = np.array([0.0, 0.4, 3.3, 11.7, 24.0])
+    log_i, occ = evolve_grid(p, amps, grid)
+    for k, z in enumerate(grid):
+        ref_li, ref_p = exact_evolve(p, amps, z)
+        assert abs(log_i[k] - ref_li) <= 1e-10
+        assert np.abs(occ[k] - ref_p).max() <= 1e-10
+        g = evolution_operator(p, z)
+        # g.matrix @ amps with the prefactor and the peak magnitude taken out,
+        # since the matrix underflows and squares of the core overflow here
+        psi = g.core @ amps
+        peak = np.abs(psi).max()
+        weights = np.abs(psi / peak) ** 2
+        op_li = math.log(weights.sum()) + 2.0 * (math.log(peak) + g.prefactor_exponent.real)
+        assert log_i[k] == pytest.approx(op_li, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(occ[k], weights / weights.sum(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [2.0, 2.4])
+@pytest.mark.parametrize("n", [600, 1000])
+def test_all_in_b_at_large_n_matches_single_column_form(n, gamma):
+    # with one scale for both columns the lossy column underflowed and the
+    # update raised OverflowGuardError near kappa*z = 0.3-0.6
+    p = params(gamma, n)
+    grid = np.linspace(0.0, 10.0, 201)
+    log_i, occ = evolve_grid(p, make_input("all_in_b", n).amplitudes, grid)
+    _u, v, t, log_scale = _g1_core(p.kappa, p.gamma, grid)
+    closed = n * np.log(abs(v) ** 2 + abs(t) ** 2) + 2 * n * log_scale - gamma * n * grid
+    np.testing.assert_allclose(log_i, closed, rtol=0, atol=1e-10)
+    assert np.isfinite(occ).all()
+
+
 def test_non_finite_values_raise():
     with pytest.raises(OverflowGuardError, match="double-precision range"):
         evolve_grid(params(1.0, 3), [1.0, math.nan, 0.0, 0.0], [0.0, 1.0])
+    # a non-finite distance is the caller's error, not the engine's
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite distances"):
+            evolve_grid(params(1.0, 3), make_input("noon", 3).amplitudes, [0.0, bad])
     # far above threshold the core itself overflows; log intensities do not
     p = params(3.0, 10)
     with pytest.raises(OverflowGuardError):
