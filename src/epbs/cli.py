@@ -252,6 +252,9 @@ def _check_input(raw, scenario: str, n_photons: int | None, errors: list[str]) -
             if not (ok_scalar or ok_pair):
                 errors.append(f"input_state.amplitudes[{i}]: must be a number or [re, im]")
                 return None
+            if not all(math.isfinite(x) for x in (a if ok_pair else (a,))):
+                errors.append(f"input_state.amplitudes[{i}]: must be finite")
+                return None
         if n_photons is not None and len(amps) != n_photons + 1:
             errors.append(
                 f"input_state.amplitudes: length {len(amps)} != n_photons+1 = {n_photons + 1}"

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IntensityUnderflowError
-from .fock_core import BeamsplitterParams, OperatorSet
+from .fock_core import BeamsplitterParams
 from .propagator import METHOD, evolve_grid
 from .spectral import classify_regime, delta_lambda
 
@@ -64,6 +64,8 @@ INTENSITY_FLOOR_LOG = math.log(1e-300)
 STEADY_THRESHOLD = 1e-6
 # Scan steps evaluated per batch by steady_state_onset.
 _ONSET_CHUNK = 256
+# Cap on the parabolic refinement steps per periodicity candidate.
+_REFINE_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -135,13 +137,12 @@ def intensity(
     state0: InputState,
     params: BeamsplitterParams,
     z: float,
-    ops: OperatorSet | None = None,
 ) -> IntensityValue:
     """Post-selection probability at distance z, with its natural log.
 
     The log value is exact even where the probability itself underflows
     (e.g. deep in the algebraic tail at the critical loss); the plain value
-    then reads 0.0.  ``ops`` is accepted for compatibility and not needed.
+    then reads 0.0.
     """
     log_i = float(evolve_grid(params, state0.amplitudes, [z])[0][0])
     value = math.exp(log_i) if log_i > -745.0 else 0.0
@@ -152,7 +153,6 @@ def occupations(
     state0: InputState,
     params: BeamsplitterParams,
     z: float,
-    ops: OperatorSet | None = None,
     enforce_floor: bool = True,
 ) -> np.ndarray:
     """Normalized occupation vector P(m; z); sums to one.
@@ -161,8 +161,7 @@ def occupations(
     below the representable floor.  The normalized ratio itself stays exact
     arbitrarily deep in the tail (the decay is carried as a logarithm), so
     diagnostics that legitimately probe past the floor, like steady-state
-    detection at the critical loss, pass ``enforce_floor=False``.  ``ops``
-    is accepted for compatibility and not needed.
+    detection at the critical loss, pass ``enforce_floor=False``.
     """
     return _evolve(state0, params, np.array([float(z)]), enforce_floor)[1][0]
 
@@ -185,15 +184,13 @@ def trace_evolution(
     params: BeamsplitterParams,
     z_grid,
     with_occupations: bool = True,
-    ops: OperatorSet | None = None,
 ) -> EvolutionTrace:
     """Evaluate intensity (and optionally occupations) along a z grid.
 
     The grid must be non-negative and ascending and is evaluated in one
     batch.  With occupations, the first z whose post-selection weight is
     below the floor raises ``IntensityUnderflowError``; pass
-    ``with_occupations=False`` for deep-tail intensity work.  ``ops`` is
-    accepted for compatibility and not needed.
+    ``with_occupations=False`` for deep-tail intensity work.
     """
     grid = np.asarray(z_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -270,9 +267,13 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     """Detect the oscillation period of the occupations below threshold.
 
     The mean-centered occupation series are autocorrelated (averaged over
-    m), candidate lag peaks are sharpened by quadratic interpolation, and
-    the first candidate whose profile mismatch P(m; z + T) vs P(m; z) can be
-    driven to roundoff is polished to full precision.  Below threshold the
+    m) and candidate lag peaks are sharpened by quadratic interpolation.
+    Each candidate T is refined on the profile mismatch, the summed squares
+    of P(m; z + T) - P(m; z) at six probe z, which near a period is an exact
+    parabola with its zero there: parabolic vertex steps, each from one
+    batched evaluation at T - h, T and T + h, kept within two grid steps of
+    the candidate.  The first candidate that settles with a mismatch below
+    1e-16 is reported, to a few 1e-15 relative.  Below threshold the
     occupations are exactly periodic with 2*pi/Delta_lambda because the
     spectrum is an equidistant real ladder on top of a common decay; the
     reported deviation is measured against that value.  Inputs with extra
@@ -283,8 +284,6 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     Requires gamma < 2*kappa, occupations in the trace, a uniform grid and
     a span of at least two analytic periods.
     """
-    from scipy.optimize import minimize_scalar
-
     params = trace.params
     if classify_regime(params.kappa, params.gamma) != "unbroken":
         raise ValueError("periodicity requires gamma < 2*kappa (real level spacing)")
@@ -327,7 +326,7 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     if peaks.size == 0:
         raise ValueError("no interior autocorrelation peak found")
 
-    # polish candidates by direct profile matching on the exact dynamics; a
+    # refine candidates by direct profile matching on the exact dynamics; a
     # true period drives the mismatch to roundoff while sub-harmonic bumps
     # bottom out orders of magnitude higher, so accept the first that
     # essentially vanishes (the fundamental precedes its multiples)
@@ -335,33 +334,33 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     probes = z[0] + np.linspace(0.0, 0.9, 6) * probe_span
     base = _evolve(trace.input_state, params, probes, True)[1]
 
-    def mismatch(t: float) -> float:
-        shifted = _evolve(trace.input_state, params, probes + t, True)[1]
-        return float(np.sum((shifted - base) ** 2))
+    def mismatch(t: float, h: float) -> np.ndarray:
+        """Profile mismatch at t - h, t and t + h, from one batched evaluation."""
+        shifted = np.concatenate([probes + (t - h), probes + t, probes + (t + h)])
+        occ = _evolve(trace.input_state, params, shifted, True)[1]
+        return ((occ.reshape(3, *base.shape) - base) ** 2).sum(axis=(1, 2))
 
     for k in peaks:
         c_m, c_0, c_p = corr[k - 1], corr[k], corr[k + 1]
         denom = c_m - 2.0 * c_0 + c_p
         k_hat = k + (0.5 * (c_m - c_p) / denom if denom != 0 else 0.0)
         t_coarse = k_hat * dz
-        res = minimize_scalar(
-            mismatch,
-            bounds=(t_coarse - 2.0 * dz, t_coarse + 2.0 * dz),
-            method="bounded",
-            options={"xatol": 1e-12 * t_coarse},
-        )
-        # the bounded minimizer cannot resolve x below ~sqrt(eps)*|x|; one
-        # parabolic vertex step on the locally quadratic mismatch finishes
-        # the localization to roundoff
-        t0, h = float(res.x), 1e-5 * t_coarse
-        f_m, f_0, f_p = mismatch(t0 - h), mismatch(t0), mismatch(t0 + h)
-        denom = f_m - 2.0 * f_0 + f_p
-        if denom > 0:
-            t0 += 0.5 * h * (f_m - f_p) / denom
-        if mismatch(t0) < 1e-16:
-            return PeriodicityResult(
-                period_detected=t0, deviation=abs(t0 - t_analytic)
-            )
+        lo, hi = t_coarse - 2.0 * dz, t_coarse + 2.0 * dz
+        # the bracket h shrinks with the step but stays wide enough for the
+        # mismatch at T +- h to stand above its roundoff floor
+        t, h = t_coarse, dz
+        for _ in range(_REFINE_STEPS):
+            f_m, f_0, f_p = mismatch(t, h)
+            denom = f_m - 2.0 * f_0 + f_p
+            step = 0.5 * h * (f_m - f_p) / denom if denom > 0 else 0.0
+            step = min(max(t + step, lo), hi) - t
+            if abs(step) < 1e-15 * t:
+                break
+            t, h = t + step, max(abs(step), 1e-9 * t)
+        else:
+            continue  # not settled: no period located to full precision
+        if f_0 < 1e-16:
+            return PeriodicityResult(period_detected=t, deviation=abs(t - t_analytic))
     raise ValueError("no candidate lag matches the occupation profile periodically")
 
 
@@ -372,7 +371,6 @@ def steady_state_onset(
     dz: float | None = None,
     threshold: float = STEADY_THRESHOLD,
     gap: float | None = None,
-    ops: OperatorSet | None = None,
 ) -> float | None:
     """First z (scanned in steps of dz up to z_max) with a frozen profile.
 
@@ -387,8 +385,7 @@ def steady_state_onset(
     reads the normalized profile past the floor, where it remains exact.
     The scan steps z = 0, dz, 2*dz, ... (accumulated one addition at a time)
     are evaluated in batches of ``_ONSET_CHUNK`` and the scan stops at the
-    first batch that holds a hit.  ``ops`` is accepted for compatibility
-    and not needed.
+    first batch that holds a hit.
     """
     if dz is None:
         dz = 0.5 / params.kappa

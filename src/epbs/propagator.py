@@ -511,10 +511,11 @@ def evolution_operator(
     The core has unit determinant; column k is the image of |k), built from
     the coefficients of X^(N-k) Y^k.  ``ops`` is optional and only checked
     against N.  Raises ``OverflowGuardError`` when the core itself leaves
-    the double range (the log intensities of ``evolve_grid`` never do).
+    the double range (the log intensities of ``evolve_grid`` never do), and
+    ``ValueError`` for a negative or non-finite z.
     """
-    if z < 0:
-        raise ValueError(f"z must be >= 0, got {z}")
+    if not 0 <= z < math.inf:
+        raise ValueError(f"z must be a finite distance >= 0, got {z}")
     n = params.n_photons
     if ops is not None and ops.number_op_scalar != n:
         raise ValueError(

@@ -309,18 +309,27 @@ def test_main_reads_stdin_and_applies_out_flag(tmp_path, monkeypatch, capsys):
     assert report["gamma"] == 2.0
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the oracles and period detection, imported on use
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # scipy serves only the oracles, imported on use: neither the import nor
+    # a below-threshold run, which detects the period, loads it
     src = os.path.dirname(os.path.dirname(os.path.abspath(epbs.__file__)))
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path, base_config(
+        "occupation-dynamics", out_dir, z_grid={"start": 0.0, "stop": 30.0, "count": 400}))
     code = (
         "import sys, epbs.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.linalg') "
-        "if m in sys.modules])"
+        "loaded = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "print(loaded()); "
+        f"code = epbs.cli.main(['occupation-dynamics', '--config', {config!r}]); "
+        "print(code, loaded())"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()  # the run also reports what it wrote
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["period_detected"] == pytest.approx(2.0 * math.pi / math.sqrt(3.0), rel=1e-12)
 
 
 def test_json_output_is_strict():
@@ -330,14 +339,25 @@ def test_json_output_is_strict():
             _json_bytes({"x": bad})
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_result_exits_2_without_writing(tmp_path, capsys):
-    # a NaN amplitude is valid JSON to Python's parser; the engine refuses it
+    # a valid config the engine cannot represent: the binomial weights
+    # sqrt(C(N, m)) overflow for N >= 2060
+    out = tmp_path / "out"
+    doc = base_config("intensity-decay", out, z_grid={"start": 0.0, "stop": 1.0, "count": 3})
+    doc["params"]["n_photons"] = 2100
+    assert main(["intensity-decay", "--config", write_config(tmp_path, doc)]) == 2
+    assert "double-precision range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, [0.0, -math.inf]])
+def test_non_finite_amplitudes_exit_1(tmp_path, capsys, amplitude):
+    # json.loads accepts NaN and Infinity in a custom state too
     out = tmp_path / "out"
     doc = base_config("custom-evolve", out, z_grid={"start": 0.0, "stop": 1.0, "count": 3},
-                      input_state={"kind": "custom", "amplitudes": [1.0, math.nan, 0, 0, 1.0]})
-    assert main(["custom-evolve", "--config", write_config(tmp_path, doc)]) == 2
-    assert "double-precision range" in capsys.readouterr().err
+                      input_state={"kind": "custom", "amplitudes": [1.0, amplitude, 0, 0, 1.0]})
+    assert main(["custom-evolve", "--config", write_config(tmp_path, doc)]) == 1
+    assert "input_state.amplitudes[1]: must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -323,22 +323,31 @@ def test_periodicity_nonunit_kappa():
 @pytest.mark.parametrize(
     "kind,n,kappa,gamma,periods,expected",
     [
-        ("all_in_a", 5, 1.0, 0.0, None, 3.141592652996599),
-        ("noon", 5, 1.0, 0.0, None, 1.5707963268587923),
-        ("noon", 5, 1.0, 0.5, 3, 3.2446229408574183),
-        ("noon", 8, 1.0, 0.5, 3, 3.2446229408436986),
-        ("noon", 5, 0.5, 0.25, 3, 6.489245881714837),
+        ("all_in_a", 5, 1.0, 0.0, None, math.pi),
+        ("noon", 5, 1.0, 0.0, None, math.pi / 2),  # half-turn symmetry, see above
+        ("noon", 5, 1.0, 0.5, 3, 2.0 * math.pi / math.sqrt(3.75)),
+        ("noon", 8, 1.0, 0.5, 3, 2.0 * math.pi / math.sqrt(3.75)),
+        ("noon", 5, 0.5, 0.25, 3, 2.0 * math.pi / math.sqrt(0.9375)),
     ],
 )
 def test_periodicity_unchanged_by_batched_probes(kind, n, kappa, gamma, periods, expected):
-    # periods detected by the former point-by-point probe evaluation on the
-    # inputs of the periodicity tests above and of acceptance criterion 7
+    # the inputs of the periodicity tests above and of acceptance criterion
+    # 7; the refinement lands on the exact fundamental to roundoff
     p = BeamsplitterParams(1.0, kappa, gamma, n)
     stop = 8.0 if periods is None else periods * 2.0 * math.pi / math.sqrt(
         4.0 * kappa**2 - gamma**2
     )
     tr = trace_evolution(make_input(kind, n), p, np.linspace(0.0, stop, 400))
     assert abs(periodicity_check(tr).period_detected - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("n,start,stop", [(10, 0.012, 30.0), (40, 0.0004, 10.0)])
+def test_periodicity_on_shifted_grid(n, start, stop):
+    # grids that do not start at z = 0 put the coarse autocorrelation peak
+    # off the period; the refinement must still reach it to roundoff
+    tr = trace_evolution(make_input("noon", n), params(1.0, n), np.linspace(start, stop, 2000))
+    t_exact = 2.0 * math.pi / math.sqrt(3.0)
+    assert periodicity_check(tr).period_detected == pytest.approx(t_exact, rel=1e-12, abs=0)
 
 
 def test_periodicity_preconditions():

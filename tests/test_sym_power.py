@@ -209,6 +209,8 @@ def test_non_finite_values_raise():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite distances"):
             evolve_grid(params(1.0, 3), make_input("noon", 3).amplitudes, [0.0, bad])
+        with pytest.raises(ValueError, match="finite distance"):
+            evolution_operator(params(1.0, 3), bad)
     # far above threshold the core itself overflows; log intensities do not
     p = params(3.0, 10)
     with pytest.raises(OverflowGuardError):
