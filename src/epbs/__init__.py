@@ -3,10 +3,10 @@
 Restricting the two-mode beamsplitter to its N-photon subspace turns it
 into an (N+1)-site non-Hermitian chain whose spectrum collapses, at the
 critical loss 2*kappa, into an exceptional point of order N+1.  This
-package builds the subspace operators, evaluates exact spectra and
-closed-form propagators, cross-checks them against independent numerical
-oracles, and computes the post-selected observables (intensity and
-normalized occupations) those dynamics imprint.
+package builds the subspace operators, evaluates exact spectra, the exact
+N-photon propagator and its closed-form Wei-Norman factorization, and
+computes the post-selected observables (intensity and normalized
+occupations) those dynamics imprint.  The runtime needs only numpy.
 """
 
 __version__ = "0.1.0"
@@ -16,7 +16,6 @@ from .errors import (
     IntensityUnderflowError,
     OverflowGuardError,
     PoleProximityError,
-    RiccatiBlowupError,
     SimulationError,
 )
 from .fock_core import (
@@ -55,8 +54,6 @@ from .propagator import (
     evolve_grid,
     evolve_state,
     first_pole,
-    matrix_exp_oracle,
-    ode_oracle,
     wei_norman_params,
 )
 from .spectral import (
@@ -69,7 +66,6 @@ from .spectral import (
     delta_lambda,
     eigenvalue_flow,
     numeric_spectrum,
-    pairing_distance,
 )
 
 __all__ = [
@@ -81,17 +77,16 @@ __all__ = [
     # spectral
     "Spectrum", "EpCertificate", "EigenvalueFlow", "analytic_spectrum",
     "numeric_spectrum", "eigenvalue_flow", "certify_ep", "delta_lambda",
-    "classify_regime", "pairing_distance",
+    "classify_regime",
     # propagator
     "WeiNormanParams", "PropagatorMatrix", "wei_norman_params",
-    "ep_limit_params", "assemble_propagator", "matrix_exp_oracle",
-    "ode_oracle", "evolution_operator", "evolve_grid", "evolve_state", "first_pole",
+    "ep_limit_params", "assemble_propagator", "evolution_operator",
+    "evolve_grid", "evolve_state", "first_pole",
     # observables
     "InputState", "IntensityValue", "EvolutionTrace", "OrderFit",
     "PeriodicityResult", "make_input", "intensity", "occupations",
     "trace_evolution", "fit_ep_order", "periodicity_check",
     "steady_state_onset",
     # errors
-    "SimulationError", "PoleProximityError", "RiccatiBlowupError",
-    "EigensolverError", "IntensityUnderflowError", "OverflowGuardError",
+    "SimulationError", "PoleProximityError", "EigensolverError", "IntensityUnderflowError", "OverflowGuardError",
 ]

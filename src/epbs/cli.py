@@ -146,19 +146,34 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # validation
 
+def _finite_real(v, where: str, errors: list[str], what: str = "a number") -> float | None:
+    """``v`` as a float, or None after recording why it is not a finite real.
+
+    json.loads accepts NaN and Infinity, and gives integers of any size,
+    which beyond the double range do not convert to a float.
+    """
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        errors.append(f"{where}: must be {what}")
+        return None
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        errors.append(f"{where}: must be finite")
+        return None
+    return x
+
+
 def _check_grid(raw, where: str, errors: list[str], positive_start=False) -> GridSpec | None:
     if not isinstance(raw, dict):
         errors.append(f"{where}: must be an object with start/stop/count")
         return None
     spec = {}
     for key in ("start", "stop"):
-        v = raw.get(key)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            errors.append(f"{where}.{key}: must be a number")
-        elif not math.isfinite(v):
-            errors.append(f"{where}.{key}: must be finite, got {v}")
-        else:
-            spec[key] = float(v)
+        v = _finite_real(raw.get(key), f"{where}.{key}", errors)
+        if v is not None:
+            spec[key] = v
     count = raw.get("count")
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         errors.append(f"{where}.count: must be an integer >= 1")
@@ -192,13 +207,9 @@ def _check_params(raw, errors: list[str]) -> BeamsplitterParams | None:
         return None
     vals = {}
     for key in ("omega0", "kappa", "gamma"):
-        v = raw.get(key)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            errors.append(f"params.{key}: must be a number")
-        elif not math.isfinite(v):
-            errors.append(f"params.{key}: must be finite, got {v}")
-        else:
-            vals[key] = float(v)
+        v = _finite_real(raw.get(key), f"params.{key}", errors)
+        if v is not None:
+            vals[key] = v
     n = raw.get("n_photons")
     if not isinstance(n, int) or isinstance(n, bool):
         errors.append("params.n_photons: must be an integer")
@@ -244,16 +255,10 @@ def _check_input(raw, scenario: str, n_photons: int | None, errors: list[str]) -
             errors.append("input_state.amplitudes: must be a non-empty list")
             return None
         for i, a in enumerate(amps):
-            ok_scalar = isinstance(a, (int, float)) and not isinstance(a, bool)
-            ok_pair = (
-                isinstance(a, list) and len(a) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in a)
-            )
-            if not (ok_scalar or ok_pair):
-                errors.append(f"input_state.amplitudes[{i}]: must be a number or [re, im]")
-                return None
-            if not all(math.isfinite(x) for x in (a if ok_pair else (a,))):
-                errors.append(f"input_state.amplitudes[{i}]: must be finite")
+            parts = a if isinstance(a, list) and len(a) == 2 else [a]
+            where = f"input_state.amplitudes[{i}]"
+            if any(_finite_real(x, where, errors, "a number or [re, im]") is None
+                   for x in parts):
                 return None
         if n_photons is not None and len(amps) != n_photons + 1:
             errors.append(

@@ -30,18 +30,6 @@ class PoleProximityError(SimulationError):
         self.threshold = threshold
 
 
-class RiccatiBlowupError(SimulationError):
-    """The f+ Riccati equation blew up inside the requested z range."""
-
-    def __init__(self, z_blowup: float, z_requested: float):
-        super().__init__(
-            f"f+ diverges near z={z_blowup:.6g} (first factorization pole); "
-            f"cannot integrate the coefficient functions out to z={z_requested:.6g}"
-        )
-        self.z_blowup = z_blowup
-        self.z_requested = z_requested
-
-
 class EigensolverError(SimulationError):
     """The dense nonsymmetric eigensolver failed to converge."""
 

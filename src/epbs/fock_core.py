@@ -120,11 +120,6 @@ class OperatorSet:
     j_minus: np.ndarray
     number_op_scalar: int
 
-    @property
-    def ladder_amplitudes(self) -> np.ndarray:
-        """Raising amplitudes <m+1|J+|m> = sqrt((m+1)(N-m)), m = 0 .. N-1."""
-        return np.diagonal(self.j_plus, offset=-1).real
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)

@@ -271,7 +271,8 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     Each candidate T is refined on the profile mismatch, the summed squares
     of P(m; z + T) - P(m; z) at six probe z, which near a period is an exact
     parabola with its zero there: parabolic vertex steps, each from one
-    batched evaluation at T - h, T and T + h, kept within two grid steps of
+    batched evaluation at T - h, T and T + h, kept within the half-width at
+    half maximum of the correlation peak (at least two grid steps) around
     the candidate.  The first candidate that settles with a mismatch below
     1e-16 is reported, to a few 1e-15 relative.  Below threshold the
     occupations are exactly periodic with 2*pi/Delta_lambda because the
@@ -343,9 +344,15 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     for k in peaks:
         c_m, c_0, c_p = corr[k - 1], corr[k], corr[k + 1]
         denom = c_m - 2.0 * c_0 + c_p
-        k_hat = k + (0.5 * (c_m - c_p) / denom if denom != 0 else 0.0)
+        k_hat, reach = float(k), 2.0
+        if denom < 0:
+            # vertex and half-width at half maximum of the parabola through
+            # the three samples; the decay can bias the peak off the period
+            # by more than two grid steps
+            k_hat += 0.5 * (c_m - c_p) / denom
+            reach = max(reach, math.sqrt(c_0 / -denom))
         t_coarse = k_hat * dz
-        lo, hi = t_coarse - 2.0 * dz, t_coarse + 2.0 * dz
+        lo, hi = t_coarse - reach * dz, t_coarse + reach * dz
         # the bracket h shrinks with the step but stays wide enough for the
         # mismatch at T +- h to stand above its roundoff floor
         t, h = t_coarse, dz
@@ -369,15 +376,13 @@ def steady_state_onset(
     params: BeamsplitterParams,
     z_max: float,
     dz: float | None = None,
-    threshold: float = STEADY_THRESHOLD,
-    gap: float | None = None,
 ) -> float | None:
     """First z (scanned in steps of dz up to z_max) with a frozen profile.
 
-    Steady is declared at z once max_m |P(m; z) - P(m; z + gap)| drops below
-    ``threshold``; the comparison gap defaults to 1/kappa and the scan step
-    to 0.5/kappa, which is also the resolution of the answer.  Returns
-    ``None`` when the criterion is never met.
+    Steady is declared at z once max_m |P(m; z) - P(m; z + 1/kappa)| drops
+    below ``STEADY_THRESHOLD``; the scan step defaults to 0.5/kappa, which
+    is also the resolution of the answer.  Returns ``None`` when the
+    criterion is never met.
 
     At the critical loss the profile converges only algebraically (the
     propagator is polynomial in z there), so tight thresholds are reached at
@@ -389,10 +394,9 @@ def steady_state_onset(
     """
     if dz is None:
         dz = 0.5 / params.kappa
-    if gap is None:
-        gap = 1.0 / params.kappa
-    if dz <= 0 or gap <= 0 or z_max < 0:
-        raise ValueError("dz and gap must be positive, z_max non-negative")
+    if dz <= 0 or z_max < 0:
+        raise ValueError("dz must be positive, z_max non-negative")
+    gap = 1.0 / params.kappa
     z = 0.0
     while z <= z_max:
         steps = []
@@ -402,7 +406,7 @@ def steady_state_onset(
         here = np.array(steps)
         occ = evolve_grid(params, state0.amplitudes, np.concatenate([here, here + gap]))[1]
         drift = np.abs(occ[: here.size] - occ[here.size :]).max(axis=1)
-        hits = np.flatnonzero(drift < threshold)
+        hits = np.flatnonzero(drift < STEADY_THRESHOLD)
         if hits.size:
             return steps[hits[0]]
     return None

@@ -27,9 +27,9 @@ with f_+ = f_- = q/w, f_z = -2i ln w, q = kappa*s and w = u (q = kappa*z,
 w = 1 + kappa*z at the critical loss); it is singular at the zeros of w,
 which exist only below threshold.  ``wei_norman_params``,
 ``ep_limit_params`` and ``assemble_propagator`` evaluate it as the
-reproduced result; with dense matrix exponentials (``matrix_exp_oracle``)
-and direct integration of the coefficient system (``ode_oracle``) they
-cross-check the engine in the tests.
+reproduced result.  The tests check it against literal factor products,
+dense matrix exponentials and direct integration of the coefficient
+system (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverflowGuardError, PoleProximityError, RiccatiBlowupError
-from .fock_core import BeamsplitterParams, HamiltonianMatrix, OperatorSet
+from .errors import OverflowGuardError, PoleProximityError
+from .fock_core import BeamsplitterParams
 
 __all__ = [
     "WeiNormanParams",
@@ -49,8 +49,6 @@ __all__ = [
     "wei_norman_params",
     "ep_limit_params",
     "assemble_propagator",
-    "matrix_exp_oracle",
-    "ode_oracle",
     "evolution_operator",
     "evolve_grid",
     "evolve_state",
@@ -58,7 +56,6 @@ __all__ = [
     "METHOD",
     "EP_SWITCH_THRESHOLD",
     "POLE_TOLERANCE",
-    "EXPM_NORM_BOUND",
 ]
 
 # Label of the single evaluation path, reported with every operator and trace.
@@ -70,8 +67,6 @@ _BLOCK = 512
 EP_SWITCH_THRESHOLD = 1e-6
 # |w(z)| below which the factored form is rejected as pole-adjacent.
 POLE_TOLERANCE = 1e-6
-# Documented bound on ||H||_1 * z for the matrix-exponential oracle.
-EXPM_NORM_BOUND = 1e5
 
 
 @dataclass(frozen=True)
@@ -124,14 +119,12 @@ def _prefactor_exponent(params: BeamsplitterParams, z: float) -> complex:
     return -1j * (params.omega0 - 0.5j * params.gamma) * params.n_photons * z
 
 
-def wei_norman_params(
-    params: BeamsplitterParams, z: float, pole_tol: float = POLE_TOLERANCE
-) -> WeiNormanParams:
+def wei_norman_params(params: BeamsplitterParams, z: float) -> WeiNormanParams:
     """Closed-form coefficient functions at distance z.
 
     Raises ``ValueError`` for z < 0 or when |Delta_lambda|*z is inside the
     critical-loss switch window (use ``ep_limit_params`` there), and
-    ``PoleProximityError`` when |w(z)| < ``pole_tol``.
+    ``PoleProximityError`` when |w(z)| < ``POLE_TOLERANCE``.
     """
     if z < 0:
         raise ValueError(f"z must be >= 0, got {z}")
@@ -165,8 +158,8 @@ def wei_norman_params(
         s = math.sinh(x) / d
         w = math.cosh(x) + gamma * s
 
-    if abs(w) < pole_tol:
-        raise PoleProximityError(z, abs(w), pole_tol)
+    if abs(w) < POLE_TOLERANCE:
+        raise PoleProximityError(z, abs(w), POLE_TOLERANCE)
 
     f = 2.0 * kappa * s / w
     return WeiNormanParams(
@@ -226,21 +219,16 @@ class PropagatorMatrix:
         return self.core.shape[0]
 
 
-def assemble_propagator(wn: WeiNormanParams, ops: OperatorSet) -> PropagatorMatrix:
+def assemble_propagator(wn: WeiNormanParams) -> PropagatorMatrix:
     """Evaluate the factored propagator from its scalar coefficients.
 
     On one photon the three factors are the 2x2 matrices [[1, 0], [-i f_+, 1]],
     diag(w, 1/w) and [[1, -i f_-], [0, 1]]; the symmetric power of their
-    product [[u, v], [w, t]] is e^{-i f_+ J_+} w^{N-2 J_z} e^{-i f_- J_-}.
-    Raises on dimension mismatch, at w = 0 and when the result leaves the
-    double range.
+    product [[u, v], [w, t]] is e^{-i f_+ J_+} w^{N-2 J_z} e^{-i f_- J_-},
+    with N = ``wn.n_photons``.  Raises at w = 0 and when the result leaves
+    the double range.
     """
-    n = ops.number_op_scalar
-    if wn.n_photons != n:
-        raise ValueError(
-            f"coefficients were built for N={wn.n_photons} but the operator "
-            f"set represents N={n}"
-        )
+    n = wn.n_photons
     w, f_p, f_m = complex(wn.w), wn.f_plus, wn.f_minus
     if abs(w) < 1e-300:
         raise PoleProximityError(wn.z, abs(w), 1e-300)
@@ -249,107 +237,6 @@ def assemble_propagator(wn: WeiNormanParams, ops: OperatorSet) -> PropagatorMatr
     return PropagatorMatrix(
         core=core, prefactor_exponent=complex(wn.prefactor_exponent), method=wn.source
     )
-
-
-def matrix_exp_oracle(h: HamiltonianMatrix, z: float) -> PropagatorMatrix:
-    """exp(-i*H*z) by dense scaling-and-squaring (Pade kernel).
-
-    Independent of the factored path; never diagonalizes, so it remains
-    well-defined on the defective matrix at the critical loss.  Rejects
-    ||H||_1 * z beyond ``EXPM_NORM_BOUND``, past which squaring cost and
-    roundoff make the result untrustworthy.
-    """
-    from scipy.linalg import expm
-
-    if z < 0:
-        raise ValueError(f"z must be >= 0, got {z}")
-    a = np.asarray(h.matrix)
-    scale = float(np.linalg.norm(a, 1)) * z
-    if scale > EXPM_NORM_BOUND:
-        raise OverflowGuardError(
-            f"||H||_1 * z = {scale:.3g} exceeds the matrix-exponential bound "
-            f"{EXPM_NORM_BOUND:.1e}"
-        )
-    return PropagatorMatrix(
-        core=expm(-1j * a * z), prefactor_exponent=0j, method="matrix_exp"
-    )
-
-
-_BLOWUP_LIMIT = 1e6
-
-
-def ode_oracle(
-    params: BeamsplitterParams,
-    z_grid,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> list[WeiNormanParams]:
-    """Integrate the coefficient system numerically along an ascending grid.
-
-    The system is f_+' = kappa (1 + f_+^2) - Gamma f_+,
-    f_z' = -i Gamma + 2 i kappa f_+, f_-' = kappa e^{-i f_z}, all zero at
-    z = 0.  Uses an adaptive 8th-order Runge-Kutta scheme on it; the
-    tolerances keep the oracle ~100x tighter than the comparisons it backs.
-    The grid must start at 0.  If f_+ blows up inside the requested range
-    (the same poles as the closed form), ``RiccatiBlowupError`` reports the
-    estimated blow-up location.
-    """
-    from scipy.integrate import solve_ivp
-
-    grid = np.asarray(z_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("z grid must be a non-empty 1-D sequence")
-    if grid[0] != 0.0:
-        raise ValueError(f"z grid must start at 0, got {grid[0]}")
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("z grid must be ascending")
-
-    kappa, gamma = params.kappa, params.gamma
-
-    def rhs(_z, y):
-        f_p, f_z, _f_m = y
-        return [
-            kappa * (1.0 + f_p * f_p) - gamma * f_p,
-            -1j * gamma + 2j * kappa * f_p,
-            kappa * np.exp(-1j * f_z),
-        ]
-
-    def blowup(_z, y):
-        return abs(y[0]) - _BLOWUP_LIMIT
-
-    blowup.terminal = True
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(grid[-1])),
-        np.zeros(3, dtype=complex),
-        method="DOP853",
-        t_eval=grid,
-        rtol=rtol,
-        atol=atol,
-        events=blowup,
-    )
-    if sol.status == 1:  # terminated by the blow-up event
-        raise RiccatiBlowupError(float(sol.t_events[0][0]), float(grid[-1]))
-    if not sol.success:
-        raise RiccatiBlowupError(float(sol.t[-1]) if sol.t.size else 0.0, float(grid[-1]))
-
-    out = []
-    for k, z in enumerate(grid):
-        f_p, f_z, f_m = sol.y[:, k]
-        out.append(
-            WeiNormanParams(
-                z=float(z),
-                f_plus=float(f_p.real),
-                f_minus=float(f_m.real),
-                f_z=complex(f_z),
-                prefactor_exponent=_prefactor_exponent(params, float(z)),
-                w=cmath.exp(0.5j * f_z),
-                n_photons=params.n_photons,
-                source="ode",
-            )
-        )
-    return out
 
 
 def _g1_core(kappa: float, gamma: float, z: np.ndarray):
@@ -501,26 +388,18 @@ def evolve_grid(
     return log_i, occ
 
 
-def evolution_operator(
-    params: BeamsplitterParams,
-    z: float,
-    ops: OperatorSet | None = None,
-) -> PropagatorMatrix:
+def evolution_operator(params: BeamsplitterParams, z: float) -> PropagatorMatrix:
     """G(z) = exp(prefactor_exponent) * core, the core being Sym^N of g1's core.
 
     The core has unit determinant; column k is the image of |k), built from
-    the coefficients of X^(N-k) Y^k.  ``ops`` is optional and only checked
-    against N.  Raises ``OverflowGuardError`` when the core itself leaves
-    the double range (the log intensities of ``evolve_grid`` never do), and
-    ``ValueError`` for a negative or non-finite z.
+    the coefficients of X^(N-k) Y^k.  Raises ``OverflowGuardError`` when the
+    core itself leaves the double range (the log intensities of
+    ``evolve_grid`` never do), and ``ValueError`` for a negative or
+    non-finite z.
     """
     if not 0 <= z < math.inf:
         raise ValueError(f"z must be a finite distance >= 0, got {z}")
     n = params.n_photons
-    if ops is not None and ops.number_op_scalar != n:
-        raise ValueError(
-            f"operator set represents N={ops.number_op_scalar} but params have N={n}"
-        )
     u, v, t, log_scale = _g1_core(params.kappa, params.gamma, np.array([float(z)]))
     core = _sym_matrix(n, (u, v, v, t), float(log_scale[0]), z)
     return PropagatorMatrix(
@@ -528,19 +407,16 @@ def evolution_operator(
     )
 
 
-def evolve_state(
-    state: np.ndarray, g: PropagatorMatrix, check_normalized: bool = True
-) -> np.ndarray:
+def evolve_state(state: np.ndarray, g: PropagatorMatrix) -> np.ndarray:
     """Apply G(z) to a state vector without renormalizing.
 
     The squared norm of the result is the post-selection probability.  The
-    input must be unit-normalized to 1e-10 unless the check is disabled.
+    input must be unit-normalized to 1e-10.
     """
     state = np.asarray(state, dtype=complex)
     if state.shape != (g.dim,):
         raise ValueError(f"state has shape {state.shape}, expected ({g.dim},)")
-    if check_normalized:
-        norm = np.linalg.norm(state)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"input state is not normalized: ||psi|| = {norm!r}")
+    norm = np.linalg.norm(state)
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"input state is not normalized: ||psi|| = {norm!r}")
     return g.matrix @ state

@@ -37,7 +37,6 @@ __all__ = [
     "numeric_spectrum",
     "eigenvalue_flow",
     "certify_ep",
-    "pairing_distance",
     "REGIME_TOLERANCE",
     "NILPOTENCY_TOLERANCE",
     "SUPPORT_TOLERANCE",
@@ -60,10 +59,14 @@ def delta_lambda(kappa: float, gamma: float) -> complex:
     return complex(np.sqrt(complex(4.0 * kappa * kappa - gamma * gamma)))
 
 
-def classify_regime(kappa: float, gamma: float, tol: float = REGIME_TOLERANCE) -> str:
-    """Classify the loss regime: 'unbroken', 'exceptional' or 'broken'."""
+def classify_regime(kappa: float, gamma: float) -> str:
+    """Classify the loss regime: 'unbroken', 'exceptional' or 'broken'.
+
+    'exceptional' covers a relative half-width ``REGIME_TOLERANCE`` around
+    gamma = 2*kappa.
+    """
     gc = 2.0 * kappa
-    if abs(gamma - gc) / gc < tol:
+    if abs(gamma - gc) / gc < REGIME_TOLERANCE:
         return "exceptional"
     return "unbroken" if gamma < gc else "broken"
 
@@ -117,24 +120,6 @@ def numeric_spectrum(h: HamiltonianMatrix) -> np.ndarray:
     return vals[order]
 
 
-def pairing_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max |a_i - b_j| under the optimal one-to-one pairing of two spectra.
-
-    Sorting complex eigenvalues lexicographically is unstable when real
-    parts are degenerate up to roundoff, so oracle comparisons match the two
-    sets through a minimal-cost assignment instead.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"spectra have different sizes: {a.shape} vs {b.shape}")
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
-
-
 @dataclass(frozen=True)
 class EigenvalueFlow:
     """Analytic spectra on a grid of loss values, ready for plotting."""
@@ -182,16 +167,13 @@ class EpCertificate:
     passed: bool
 
 
-def certify_ep(
-    h: HamiltonianMatrix,
-    zero_tol: float = NILPOTENCY_TOLERANCE,
-    support_tol: float = SUPPORT_TOLERANCE,
-) -> EpCertificate:
+def certify_ep(h: HamiltonianMatrix) -> EpCertificate:
     """Test nilpotency of index N+1 for M = H - (omega0 - i*kappa)*N*Id.
 
     The certificate passes exactly when the normalized norm of M^(N+1) falls
-    below ``zero_tol`` while that of M^N stays above ``support_tol``.  Built
-    for matrices at gamma = 2*kappa; off-critical input simply fails.
+    below ``NILPOTENCY_TOLERANCE`` while that of M^N stays above
+    ``SUPPORT_TOLERANCE``.  Built for matrices at gamma = 2*kappa;
+    off-critical input simply fails.
     """
     p = h.params
     n = p.n_photons
@@ -208,7 +190,7 @@ def certify_ep(
         ratios.append(float(cur_norm / (prev_norm * norm_m)) if prev_norm > 0 else 0.0)
         prev_norm = cur_norm
 
-    passed = ratios[n] < zero_tol and ratios[n - 1] > support_tol
+    passed = ratios[n] < NILPOTENCY_TOLERANCE and ratios[n - 1] > SUPPORT_TOLERANCE
     return EpCertificate(
         order=n + 1,
         shift=complex(shift),

@@ -13,6 +13,10 @@ import epbs
 from epbs.cli import GridSpec, _json_bytes, main, run, validate
 
 
+# the directory holding the package, for subprocesses that import it
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(epbs.__file__)))
+
+
 def base_config(scenario, out_dir, **extra):
     doc = {
         "scenario": scenario,
@@ -310,9 +314,8 @@ def test_main_reads_stdin_and_applies_out_flag(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # scipy serves only the oracles, imported on use: neither the import nor
-    # a below-threshold run, which detects the period, loads it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(epbs.__file__)))
+    # the package needs no scipy: neither the import nor a below-threshold
+    # run, which detects the period, loads it
     out_dir = tmp_path / "out"
     config = write_config(tmp_path, base_config(
         "occupation-dynamics", out_dir, z_grid={"start": 0.0, "stop": 30.0, "count": 400}))
@@ -323,7 +326,7 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         f"code = epbs.cli.main(['occupation-dynamics', '--config', {config!r}]); "
         "print(code, loaded())"
     )
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     lines = out.stdout.splitlines()  # the run also reports what it wrote
@@ -377,4 +380,35 @@ def test_non_finite_config_numbers_exit_1(tmp_path, capsys, where, value):
     doc[section][key] = value
     assert main(["intensity-decay", "--config", write_config(tmp_path, doc)]) == 1
     assert f"{where}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_HUGE = 10**400  # a JSON integer beyond the double range
+
+
+@pytest.mark.parametrize("where, amplitude", [
+    ("params.kappa", None),
+    ("z_grid.stop", None),
+    ("input_state.amplitudes[1]", _HUGE),
+    ("input_state.amplitudes[1]", [0, -_HUGE]),
+], ids=["params.kappa", "z_grid.stop", "amplitude", "amplitude-pair"])
+def test_huge_integers_exit_1(tmp_path, where, amplitude):
+    # json.loads gives such integers exactly; they must not reach float()
+    # unguarded, which raises OverflowError
+    out = tmp_path / "out"
+    doc = base_config("custom-evolve", out, z_grid={"start": 0.0, "stop": 1.0, "count": 3},
+                      input_state={"kind": "custom", "amplitudes": [1.0, 0.0, 0, 0, 1.0]})
+    if amplitude is None:
+        section, key = where.split(".")
+        doc[section][key] = _HUGE
+    else:
+        doc["input_state"]["amplitudes"][1] = amplitude
+    proc = subprocess.run(
+        [sys.executable, "-m", "epbs.cli", "custom-evolve", "--config",
+         write_config(tmp_path, doc)],
+        env=dict(os.environ, PYTHONPATH=SRC_DIR), capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert f"config error: {where}: must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not out.exists()

@@ -16,7 +16,7 @@ from epbs.observables import (
     steady_state_onset,
     trace_evolution,
 )
-from epbs.propagator import matrix_exp_oracle
+from oracles import matrix_exp_oracle
 
 
 def params(gamma, n, omega0=1.0, kappa=1.0):
@@ -341,12 +341,18 @@ def test_periodicity_unchanged_by_batched_probes(kind, n, kappa, gamma, periods,
     assert abs(periodicity_check(tr).period_detected - expected) <= 1e-12
 
 
-@pytest.mark.parametrize("n,start,stop", [(10, 0.012, 30.0), (40, 0.0004, 10.0)])
-def test_periodicity_on_shifted_grid(n, start, stop):
-    # grids that do not start at z = 0 put the coarse autocorrelation peak
-    # off the period; the refinement must still reach it to roundoff
-    tr = trace_evolution(make_input("noon", n), params(1.0, n), np.linspace(start, stop, 2000))
-    t_exact = 2.0 * math.pi / math.sqrt(3.0)
+@pytest.mark.parametrize(
+    "n,start,stop,gamma",
+    [(10, 0.012, 30.0, 1.0), (40, 0.0004, 10.0, 1.0), (5, 0.0, 30.0, 1.9)],
+    ids=["10-0.012-30.0", "40-0.0004-10.0", "5-0.0-30.0-1.9"],
+)
+def test_periodicity_on_shifted_grid(n, start, stop, gamma):
+    # grids that do not start at z = 0, and the decay close to the critical
+    # loss, put the coarse autocorrelation peak off the period (2.4 grid
+    # steps for N = 5 at 0.95 gamma_c); the refinement must still reach it
+    # to roundoff
+    tr = trace_evolution(make_input("noon", n), params(gamma, n), np.linspace(start, stop, 2000))
+    t_exact = 2.0 * math.pi / math.sqrt(4.0 - gamma**2)
     assert periodicity_check(tr).period_detected == pytest.approx(t_exact, rel=1e-12, abs=0)
 
 

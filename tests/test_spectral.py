@@ -9,8 +9,8 @@ from epbs.spectral import (
     delta_lambda,
     eigenvalue_flow,
     numeric_spectrum,
-    pairing_distance,
 )
+from oracles import pairing_distance
 
 
 def params(gamma, n, omega0=1.0, kappa=1.0):
