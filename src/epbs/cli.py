@@ -35,6 +35,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -165,7 +166,7 @@ def _finite_real(v, where: str, errors: list[str], what: str = "a number") -> fl
     return x
 
 
-def _check_grid(raw, where: str, errors: list[str], positive_start=False) -> GridSpec | None:
+def _check_grid(raw, where: str, errors: list[str]) -> GridSpec | None:
     if not isinstance(raw, dict):
         errors.append(f"{where}: must be an object with start/stop/count")
         return None
@@ -195,7 +196,7 @@ def _check_grid(raw, where: str, errors: list[str], positive_start=False) -> Gri
     if spec["spacing"] == "log" and spec["start"] <= 0:
         errors.append(f"{where}.start: log spacing requires start > 0")
         return None
-    if positive_start and spec["start"] < 0:
+    if spec["start"] < 0:
         errors.append(f"{where}.start: must be >= 0")
         return None
     return GridSpec(**spec)
@@ -357,9 +358,9 @@ def validate(
     # in one pass, even when the scenario itself is missing or wrong
     z_grid = gamma_grid = None
     if "gamma_grid" in doc:
-        gamma_grid = _check_grid(doc["gamma_grid"], "gamma_grid", errors, positive_start=True)
+        gamma_grid = _check_grid(doc["gamma_grid"], "gamma_grid", errors)
     if "z_grid" in doc:
-        z_grid = _check_grid(doc["z_grid"], "z_grid", errors, positive_start=True)
+        z_grid = _check_grid(doc["z_grid"], "z_grid", errors)
 
     if cfg_scenario == "spectrum-flow" and "gamma_grid" not in doc:
         errors.append("gamma_grid: required for scenario spectrum-flow")
@@ -420,8 +421,10 @@ def _json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
-def _trace_report(trace) -> dict:
+def _trace_report(scenario: str, trace) -> dict:
     return {
+        "scenario": scenario,
+        "input": trace.input_state.label,
         "z_min": float(trace.z_grid[0]),
         "z_max": float(trace.z_grid[-1]),
         "final_intensity": float(trace.intensity[-1]),
@@ -431,9 +434,9 @@ def _trace_report(trace) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scenarios: each returns {filename: bytes}
+# scenarios: each returns {filename: function making its bytes}; ``run`` applies the flags
 
-def _run_spectrum_flow(cfg: RunConfig) -> dict[str, bytes]:
+def _run_spectrum_flow(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
     p = cfg.params
     flow = eigenvalue_flow(p.omega0, p.kappa, p.n_photons, cfg.gamma_grid.to_array())
     rows = []
@@ -441,34 +444,31 @@ def _run_spectrum_flow(cfg: RunConfig) -> dict[str, bytes]:
     for g, lams in zip(flow.gammas, flow.eigenvalues):
         for r, lam in zip(r_values, lams):
             rows.append((float(g), float(r), float(lam.real), float(lam.imag)))
-    out = {}
-    if cfg.output.csv:
-        out["spectrum_flow.csv"] = _csv_bytes(["gamma", "r", "re_lambda", "im_lambda"], rows)
-    if cfg.output.json:
-        out["report.json"] = _json_bytes(
+    re_series = [(flow.gammas, flow.eigenvalues[:, k].real) for k in range(p.n_photons + 1)]
+    im_series = [(flow.gammas, flow.eigenvalues[:, k].imag) for k in range(p.n_photons + 1)]
+    return {
+        "spectrum_flow.csv": lambda: _csv_bytes(["gamma", "r", "re_lambda", "im_lambda"], rows),
+        "report.json": lambda: _json_bytes(
             {
                 "scenario": cfg.scenario,
                 "gamma_critical": p.gamma_critical,
                 "n_photons": p.n_photons,
                 "rows": len(rows),
             }
-        )
-    if cfg.output.svg:
-        re_series = [(flow.gammas, flow.eigenvalues[:, k].real) for k in range(p.n_photons + 1)]
-        im_series = [(flow.gammas, flow.eigenvalues[:, k].imag) for k in range(p.n_photons + 1)]
-        out["spectrum_flow_re.svg"] = line_plot(re_series, "gamma", "Re lambda").encode()
-        out["spectrum_flow_im.svg"] = line_plot(im_series, "gamma", "Im lambda").encode()
-    return out
+        ),
+        "spectrum_flow_re.svg": lambda: line_plot(re_series, "gamma", "Re lambda").encode(),
+        "spectrum_flow_im.svg": lambda: line_plot(im_series, "gamma", "Im lambda").encode(),
+    }
 
 
-def _run_ep_certify(cfg: RunConfig) -> dict[str, bytes]:
+def _run_ep_certify(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
     cert = certify_ep(build_hamiltonian(cfg.params))
-    out = {}
-    if cfg.output.csv:
-        rows = [(k + 1, float(v)) for k, v in enumerate(cert.nilpotency_ratios)]
-        out["nilpotency_ratios.csv"] = _csv_bytes(["k", "normalized_norm_ratio"], rows)
-    if cfg.output.json:
-        out["report.json"] = _json_bytes(
+    ratios = cert.nilpotency_ratios
+    return {
+        "nilpotency_ratios.csv": lambda: _csv_bytes(
+            ["k", "normalized_norm_ratio"], [(k + 1, float(v)) for k, v in enumerate(ratios)]
+        ),
+        "report.json": lambda: _json_bytes(
             {
                 "scenario": cfg.scenario,
                 "order": cert.order,
@@ -477,16 +477,14 @@ def _run_ep_certify(cfg: RunConfig) -> dict[str, bytes]:
                 "gamma": cert.gamma,
                 "gamma_critical": cfg.params.gamma_critical,
                 "regime": classify_regime(cfg.params.kappa, cfg.params.gamma),
-                "nilpotency_ratios": list(cert.nilpotency_ratios),
+                "nilpotency_ratios": list(ratios),
                 "passed": cert.passed,
             }
-        )
-    if cfg.output.svg:
-        ks = np.arange(1, len(cert.nilpotency_ratios) + 1)
-        out["nilpotency_ratios.svg"] = line_plot(
-            [(ks, np.asarray(cert.nilpotency_ratios))], "k", "normalized ||M^k||"
-        ).encode()
-    return out
+        ),
+        "nilpotency_ratios.svg": lambda: line_plot(
+            [(np.arange(1, len(ratios) + 1), np.asarray(ratios))], "k", "normalized ||M^k||"
+        ).encode(),
+    }
 
 
 def _intensity_csv(trace) -> bytes:
@@ -497,50 +495,40 @@ def _intensity_csv(trace) -> bytes:
     return _csv_bytes(["z", "intensity", "log_intensity"], rows)
 
 
-def _run_intensity_decay(cfg: RunConfig) -> dict[str, bytes]:
+def _run_intensity_decay(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
     state = cfg.input_state.to_state(cfg.params.n_photons)
     trace = trace_evolution(state, cfg.params, cfg.z_grid.to_array(), with_occupations=False)
-    out = {}
-    if cfg.output.csv:
-        out["intensity.csv"] = _intensity_csv(trace)
-    if cfg.output.json:
-        out["report.json"] = _json_bytes(
-            {"scenario": cfg.scenario, "input": state.label, **_trace_report(trace)}
-        )
-    if cfg.output.svg:
-        out["intensity.svg"] = line_plot(
+    return {
+        "intensity.csv": lambda: _intensity_csv(trace),
+        "report.json": lambda: _json_bytes(_trace_report(cfg.scenario, trace)),
+        "intensity.svg": lambda: line_plot(
             [(trace.z_grid, trace.log_intensity)], "z", "log I(z)"
-        ).encode()
-    return out
+        ).encode(),
+    }
 
 
-def _run_order_fit(cfg: RunConfig) -> dict[str, bytes]:
+def _run_order_fit(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
     state = cfg.input_state.to_state(cfg.params.n_photons)
     trace = trace_evolution(state, cfg.params, cfg.z_grid.to_array(), with_occupations=False)
     fit = fit_ep_order(trace)
-    out = {}
-    if cfg.output.csv:
-        out["intensity.csv"] = _intensity_csv(trace)
-    if cfg.output.json:
-        out["report.json"] = _json_bytes(
+    n, gamma = cfg.params.n_photons, cfg.params.gamma
+    return {
+        "intensity.csv": lambda: _intensity_csv(trace),
+        "report.json": lambda: _json_bytes(
             {
-                "scenario": cfg.scenario,
-                "input": state.label,
                 "expected_slope": fit.expected_slope,
                 "fitted_slope": fit.fitted_slope,
                 "window_z_min": fit.window[0],
                 "window_z_max": fit.window[1],
                 "residual_rms": fit.residual,
-                **_trace_report(trace),
+                **_trace_report(cfg.scenario, trace),
             }
-        )
-    if cfg.output.svg:
-        n, gamma = cfg.params.n_photons, cfg.params.gamma
-        rescaled = trace.log_intensity + n * gamma * trace.z_grid
-        out["order_fit.svg"] = line_plot(
-            [(np.log(trace.z_grid), rescaled)], "ln z", "ln[exp(N Gamma z) I]"
-        ).encode()
-    return out
+        ),
+        "order_fit.svg": lambda: line_plot(
+            [(np.log(trace.z_grid), trace.log_intensity + n * gamma * trace.z_grid)],
+            "ln z", "ln[exp(N Gamma z) I]",
+        ).encode(),
+    }
 
 
 def _occupations_csv(trace) -> bytes:
@@ -551,11 +539,17 @@ def _occupations_csv(trace) -> bytes:
     return _csv_bytes(["z", "m", "p"], rows)
 
 
-def _run_occupation_dynamics(cfg: RunConfig) -> dict[str, bytes]:
+def _occupations_svg(trace) -> bytes:
+    return heatmap(
+        trace.occupations.T, float(trace.z_grid[0]), float(trace.z_grid[-1]), "z", "m"
+    ).encode()
+
+
+def _run_occupation_dynamics(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
     p = cfg.params
     state = cfg.input_state.to_state(p.n_photons)
     trace = trace_evolution(state, p, cfg.z_grid.to_array())
-    report: dict = {"scenario": cfg.scenario, "input": state.label, **_trace_report(trace)}
+    report = _trace_report(cfg.scenario, trace)
     if classify_regime(p.kappa, p.gamma) == "unbroken":
         try:
             period = periodicity_check(trace)
@@ -571,42 +565,33 @@ def _run_occupation_dynamics(cfg: RunConfig) -> dict[str, bytes]:
             idx = int(np.searchsorted(trace.z_grid, onset))
             idx = min(idx, len(trace.z_grid) - 1)
             report["steady_argmax_m"] = int(np.argmax(trace.occupations[idx]))
-    out = {}
-    if cfg.output.csv:
-        out["occupations.csv"] = _occupations_csv(trace)
-        out["intensity.csv"] = _intensity_csv(trace)
-    if cfg.output.json:
-        out["report.json"] = _json_bytes(report)
-    if cfg.output.svg:
-        out["occupations.svg"] = heatmap(
-            trace.occupations.T, float(trace.z_grid[0]), float(trace.z_grid[-1]), "z", "m"
-        ).encode()
-    return out
+    return {
+        "occupations.csv": lambda: _occupations_csv(trace),
+        "intensity.csv": lambda: _intensity_csv(trace),
+        "report.json": lambda: _json_bytes(report),
+        "occupations.svg": lambda: _occupations_svg(trace),
+    }
 
 
-def _run_custom_evolve(cfg: RunConfig) -> dict[str, bytes]:
+def _trace_csv(trace) -> bytes:
+    n = trace.params.n_photons
+    header = ["z", "intensity", "log_intensity"] + [f"p{m}" for m in range(n + 1)]
+    columns = zip(trace.z_grid, trace.intensity, trace.log_intensity, trace.occupations)
+    rows = [
+        (float(z), float(i), float(li)) + tuple(float(v) for v in occ) for z, i, li, occ in columns
+    ]
+    return _csv_bytes(header, rows)
+
+
+def _run_custom_evolve(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
     p = cfg.params
     state = cfg.input_state.to_state(p.n_photons)
     trace = trace_evolution(state, p, cfg.z_grid.to_array())
-    out = {}
-    if cfg.output.csv:
-        header = ["z", "intensity", "log_intensity"] + [f"p{m}" for m in range(p.n_photons + 1)]
-        rows = []
-        for k, z in enumerate(trace.z_grid):
-            rows.append(
-                (float(z), float(trace.intensity[k]), float(trace.log_intensity[k]))
-                + tuple(float(v) for v in trace.occupations[k])
-            )
-        out["trace.csv"] = _csv_bytes(header, rows)
-    if cfg.output.json:
-        out["report.json"] = _json_bytes(
-            {"scenario": cfg.scenario, "input": state.label, **_trace_report(trace)}
-        )
-    if cfg.output.svg:
-        out["occupations.svg"] = heatmap(
-            trace.occupations.T, float(trace.z_grid[0]), float(trace.z_grid[-1]), "z", "m"
-        ).encode()
-    return out
+    return {
+        "trace.csv": lambda: _trace_csv(trace),
+        "report.json": lambda: _json_bytes(_trace_report(cfg.scenario, trace)),
+        "occupations.svg": lambda: _occupations_svg(trace),
+    }
 
 
 _RUNNERS = {
@@ -622,13 +607,15 @@ _RUNNERS = {
 def run(config: RunConfig) -> RunManifest:
     """Execute a validated config: compute, write outputs, write manifest."""
     started = time.perf_counter()
-    files = _RUNNERS[config.scenario](config)
+    makers = _RUNNERS[config.scenario](config)
+    flags = asdict(config.output)
+    # keep a file when the flag its extension names is on; build all before writing any
+    files = {name: makers[name]() for name in sorted(makers) if flags[name.rpartition(".")[2]]}
     out_dir = config.output.directory
     os.makedirs(out_dir, exist_ok=True)
 
     entries = []
-    for name in sorted(files):
-        data = files[name]
+    for name, data in files.items():
         path = os.path.join(out_dir, name)
         with open(path, "wb") as fh:
             fh.write(data)
@@ -643,15 +630,8 @@ def run(config: RunConfig) -> RunManifest:
         wall_time_s=time.perf_counter() - started,
         outputs=tuple(entries),
     )
-    manifest_doc = {
-        "tool": "epbs",
-        "version": manifest.version,
-        "config": manifest.config,
-        "wall_time_s": manifest.wall_time_s,
-        "outputs": list(manifest.outputs),
-    }
     with open(os.path.join(out_dir, "manifest.json"), "wb") as fh:
-        fh.write(_json_bytes(manifest_doc))
+        fh.write(_json_bytes({"tool": "epbs", **asdict(manifest)}))
     return manifest
 
 

@@ -225,21 +225,16 @@ class OrderFit:
     residual: float
 
 
-def fit_ep_order(
-    trace: EvolutionTrace, window_kz: tuple[float, float] = (10.0, 100.0)
-) -> OrderFit:
+def fit_ep_order(trace: EvolutionTrace) -> OrderFit:
     """Extract the algebraic-growth exponent from a critical-loss trace.
 
     At the critical loss the rescaled intensity exp(N*Gamma*z)*I(z) grows
     like z^(2N), so the fitted slope reads off twice the photon number (one
-    power per coalesced mode pair).  The window is in units of kappa*z and
-    must start at >= 10 (the asymptotic regime) and span at least a decade.
+    power per coalesced mode pair).  The fit window is kappa*z in [10, 100]
+    (the asymptotic regime) and must hold at least a decade of the trace.
     """
-    lo, hi = window_kz
-    if lo < 10.0:
-        raise ValueError(f"fit window must start at kappa*z >= 10, got {lo}")
-    kappa = trace.params.kappa
-    sel = (trace.z_grid * kappa >= lo) & (trace.z_grid * kappa <= hi)
+    kz = trace.z_grid * trace.params.kappa
+    sel = (kz >= 10.0) & (kz <= 100.0)
     z = trace.z_grid[sel]
     if z.size < 3 or math.log10(z[-1] / z[0]) < 1.0:
         raise ValueError(
@@ -293,15 +288,15 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     t_analytic = 2.0 * math.pi / delta_lambda(params.kappa, params.gamma).real
 
     z = trace.z_grid
-    steps = np.diff(z)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("periodicity detection needs a uniform z grid")
-    dz = float(steps[0])
     if z[-1] - z[0] < 2.0 * t_analytic:
         raise ValueError(
             f"grid spans {z[-1] - z[0]:.3g} but must cover >= 2 periods "
             f"(2T = {2 * t_analytic:.3g})"
         )
+    steps = np.diff(z)
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("periodicity detection needs a uniform z grid")
+    dz = float(steps[0])
 
     sig = trace.occupations - trace.occupations.mean(axis=0)
     if np.abs(sig).max() < 1e-12:

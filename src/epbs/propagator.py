@@ -25,11 +25,13 @@ The paper's closed form factorizes the same operator as
 e^{-i(omega0 - i*Gamma/2) N z} e^{-i f_+ J_+} e^{-i f_z J_z} e^{-i f_- J_-}
 with f_+ = f_- = q/w, f_z = -2i ln w, q = kappa*s and w = u (q = kappa*z,
 w = 1 + kappa*z at the critical loss); it is singular at the zeros of w,
-which exist only below threshold.  ``wei_norman_params``,
-``ep_limit_params`` and ``assemble_propagator`` evaluate it as the
-reproduced result.  The tests check it against literal factor products,
-dense matrix exponentials and direct integration of the coefficient
-system (``tests/oracles.py``).
+which exist only below threshold.  ``wei_norman_params`` reads w and q
+off the engine's g1 core, so one evaluation serves every regime, the
+critical loss included; ``ep_limit_params`` is the paper's critical-loss
+form and ``assemble_propagator`` multiplies the factors out.  They are
+the reproduced result.  The tests check them against each other, literal
+factor products, dense matrix exponentials and direct integration of the
+coefficient system (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "evolve_state",
     "first_pole",
     "METHOD",
-    "EP_SWITCH_THRESHOLD",
     "POLE_TOLERANCE",
 ]
 
@@ -63,8 +64,6 @@ METHOD = "symmetric_power"
 # z points per block of the batched state update; the working set is a few
 # arrays of _BLOCK x (N+1) complex numbers.
 _BLOCK = 512
-# |Delta_lambda|*z below which wei_norman_params defers to ep_limit_params.
-EP_SWITCH_THRESHOLD = 1e-6
 # |w(z)| below which the factored form is rejected as pole-adjacent.
 POLE_TOLERANCE = 1e-6
 
@@ -115,53 +114,33 @@ def first_pole(params: BeamsplitterParams, z_start: float = 0.0) -> float | None
     return z0
 
 
+def _check_z(z: float) -> None:
+    if not 0 <= z < math.inf:
+        raise ValueError(f"z must be a finite distance >= 0, got {z}")
+
+
 def _prefactor_exponent(params: BeamsplitterParams, z: float) -> complex:
     return -1j * (params.omega0 - 0.5j * params.gamma) * params.n_photons * z
 
 
 def wei_norman_params(params: BeamsplitterParams, z: float) -> WeiNormanParams:
-    """Closed-form coefficient functions at distance z.
+    """Closed-form coefficient functions at distance z, read off g1's core.
 
-    Raises ``ValueError`` for z < 0 or when |Delta_lambda|*z is inside the
-    critical-loss switch window (use ``ep_limit_params`` there), and
+    w = u and f_+/- = kappa*s/u = -Im(v)/u, with (u, v) from the same exact
+    evaluation the engine uses, in either regime and at the critical loss.
+    Raises ``ValueError`` for a negative or non-finite z,
+    ``OverflowGuardError`` when w leaves the double range, and
     ``PoleProximityError`` when |w(z)| < ``POLE_TOLERANCE``.
     """
-    if z < 0:
-        raise ValueError(f"z must be >= 0, got {z}")
-    if z == 0.0:
-        return WeiNormanParams(
-            z=0.0, f_plus=0.0, f_minus=0.0, f_z=0j, prefactor_exponent=0j,
-            w=1.0 + 0j, n_photons=params.n_photons,
-        )
-
-    kappa, gamma = params.kappa, params.gamma
-    dl2 = 4.0 * kappa * kappa - gamma * gamma
-    u = math.sqrt(abs(dl2)) * z
-    if u < EP_SWITCH_THRESHOLD:
-        raise ValueError(
-            f"|Delta_lambda|*z = {u:.2e} is below the critical-loss switch "
-            f"threshold {EP_SWITCH_THRESHOLD:.0e}; use ep_limit_params"
-        )
-
-    if dl2 > 0:
-        d = math.sqrt(dl2)
-        theta = 0.5 * z * d
-        s = math.sin(theta) / d
-        w = math.cos(theta) + gamma * s
-    else:
-        d = math.sqrt(-dl2)
-        x = 0.5 * z * d
-        if x > 700.0:
-            raise OverflowGuardError(
-                f"w(z) ~ exp({x:.3g}) exceeds double-precision range at z={z!r}"
-            )
-        s = math.sinh(x) / d
-        w = math.cosh(x) + gamma * s
-
+    _check_z(z)
+    u, v, _, log_scale = _g1_core(params.kappa, params.gamma, np.float64(z))
+    with np.errstate(over="ignore"):
+        w = float(u * np.exp(log_scale))
+    if not math.isfinite(w):
+        raise OverflowGuardError(f"w(z) exceeds double-precision range at z={z!r}")
     if abs(w) < POLE_TOLERANCE:
         raise PoleProximityError(z, abs(w), POLE_TOLERANCE)
-
-    f = 2.0 * kappa * s / w
+    f = float(-v.imag / u)
     return WeiNormanParams(
         z=float(z),
         f_plus=f,
@@ -180,8 +159,7 @@ def ep_limit_params(params: BeamsplitterParams, z: float) -> WeiNormanParams:
     critical loss (not approximations of it); f_+/- approach unity for
     kappa*z >> 1, which is what turns the propagator polynomial in z there.
     """
-    if z < 0:
-        raise ValueError(f"z must be >= 0, got {z}")
+    _check_z(z)
     kz = params.kappa * z
     return WeiNormanParams(
         z=float(z),
@@ -240,7 +218,7 @@ def assemble_propagator(wn: WeiNormanParams) -> PropagatorMatrix:
 
 
 def _g1_core(kappa: float, gamma: float, z: np.ndarray):
-    """Entries (u, v, t) of g1's core [[u, v], [v, t]] over an array of z.
+    """Entries (u, v, t) of g1's core [[u, v], [v, t]] at z, an array or a scalar.
 
     Returns them with a log scale: the core is exp(log_scale) times
     [[u, v], [v, t]].  Above threshold the common growth e^x of cosh and
@@ -397,8 +375,7 @@ def evolution_operator(params: BeamsplitterParams, z: float) -> PropagatorMatrix
     ``evolve_grid`` never do), and ``ValueError`` for a negative or
     non-finite z.
     """
-    if not 0 <= z < math.inf:
-        raise ValueError(f"z must be a finite distance >= 0, got {z}")
+    _check_z(z)
     n = params.n_photons
     u, v, t, log_scale = _g1_core(params.kappa, params.gamma, np.array([float(z)]))
     core = _sym_matrix(n, (u, v, v, t), float(log_scale[0]), z)

@@ -193,6 +193,37 @@ def test_run_scenarios_and_manifest(tmp_path, scenario):
     assert manifest_doc["version"]
 
 
+_SVG_FILES = {
+    "spectrum-flow": {"spectrum_flow_re.svg", "spectrum_flow_im.svg"},
+    "ep-certify": {"nilpotency_ratios.svg"},
+    "intensity-decay": {"intensity.svg"},
+    "order-fit": {"order_fit.svg"},
+    "occupation-dynamics": {"occupations.svg"},
+    "custom-evolve": {"occupations.svg"},
+}
+
+
+@pytest.mark.parametrize("flags", [
+    {"csv": True, "json": True, "svg": True},
+    {"csv": False, "json": False, "svg": True},
+    {"csv": False, "json": False, "svg": False},
+], ids=["all", "svg-only", "none"])
+@pytest.mark.parametrize("scenario", sorted(_EXPECTED_FILES))
+def test_output_flags_select_files(tmp_path, scenario, flags):
+    out = tmp_path / "out"
+    doc = _cfg_for(scenario, out)
+    doc["output"].update(flags)
+    cfg, errors = validate(json.dumps(doc))
+    assert errors == []
+    manifest = run(cfg)
+    expected = {
+        name for name in _EXPECTED_FILES[scenario] | _SVG_FILES[scenario]
+        if flags[name.rsplit(".", 1)[1]]
+    }
+    assert {entry["path"] for entry in manifest.outputs} == expected
+    assert {path.name for path in out.iterdir()} == expected | {"manifest.json"}
+
+
 @pytest.mark.parametrize("scenario", ["spectrum-flow", "occupation-dynamics"])
 def test_runs_are_byte_deterministic(tmp_path, scenario):
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -412,3 +443,21 @@ def test_huge_integers_exit_1(tmp_path, where, amplitude):
     assert f"config error: {where}: must be finite" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_one_point_grid_below_threshold_exits_0(tmp_path):
+    # one point cannot hold two periods: the report says so instead of crashing
+    out = tmp_path / "out"
+    doc = base_config("occupation-dynamics", out,
+                      z_grid={"start": 0.0, "stop": 30.0, "count": 1})
+    doc["params"]["n_photons"] = 3
+    proc = subprocess.run(
+        [sys.executable, "-m", "epbs.cli", "occupation-dynamics", "--config",
+         write_config(tmp_path, doc)],
+        env=dict(os.environ, PYTHONPATH=SRC_DIR), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["period_detected"] is None
+    assert "must cover >= 2 periods" in report["period_note"]

@@ -270,9 +270,6 @@ def test_fit_ep_order_n5():
 def test_fit_ep_order_window_validation():
     p = params(2.0, 5)
     s = make_input("all_in_a", 5)
-    tr = trace_evolution(s, p, np.logspace(1, 2, 200), with_occupations=False)
-    with pytest.raises(ValueError):
-        fit_ep_order(tr, window_kz=(5.0, 100.0))
     short = trace_evolution(s, p, np.linspace(10.0, 30.0, 50), with_occupations=False)
     with pytest.raises(ValueError, match="decade"):
         fit_ep_order(short)

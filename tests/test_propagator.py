@@ -75,13 +75,29 @@ def test_wn_params_lossless_is_tangent():
 def test_wn_params_rejects_pole_and_negative_z():
     with pytest.raises(PoleProximityError):
         wei_norman_params(params(0.0, 3), math.pi / 2)
-    with pytest.raises(ValueError):
-        wei_norman_params(params(0.0, 3), -0.1)
+    for z in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            wei_norman_params(params(0.0, 3), z)
 
 
-def test_wn_params_rejects_critical_loss_window():
-    with pytest.raises(ValueError, match="ep_limit_params"):
-        wei_norman_params(params(2.0, 3), 1.0)
+def test_wn_params_at_and_near_critical_loss():
+    # at the critical loss the general form is the paper's limit form
+    p = params(2.0, 3)
+    for z in (1e-9, 1.0, 1e3):
+        wn, wn_ep = wei_norman_params(p, z), ep_limit_params(p, z)
+        assert wn.f_plus == wn_ep.f_plus and wn.f_minus == wn_ep.f_minus
+        assert wn.w == wn_ep.w
+        assert abs(wn.f_z - wn_ep.f_z) <= 1e-15
+    # next to it, small |Delta_lambda|*z included, it matches the integrated
+    # coefficient system
+    grid = np.array([0.0, 1e-9, 1e-3, 0.5, 1.0, 5.0])
+    for ratio in (1.0 + 3e-7, 1.0 - 3e-7, 1.0 + 1e-12, 1.0 - 1e-12):
+        p_near = params(2.0 * ratio, 3)
+        for wn_ode in ode_oracle(p_near, grid)[1:]:
+            wn = wei_norman_params(p_near, wn_ode.z)
+            assert abs(wn.f_plus - wn_ode.f_plus) < 1e-9
+            assert abs(wn.f_z - wn_ode.f_z) < 1e-9
+            assert abs(wn.w - wn_ode.w) < 1e-9
 
 
 @pytest.mark.parametrize("gamma,z", [(0.0, 0.4), (0.9, 1.1), (1.8, 0.7), (3.0, 1.5), (2.6, 4.0)])
@@ -110,13 +126,14 @@ def test_ep_limit_examples():
 
     wn_far = ep_limit_params(params(2.0, 4), 1e3)
     assert wn_far.f_plus == pytest.approx(1000.0 / 1001.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        ep_limit_params(params(2.0, 4), -1.0)
+    for z in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ep_limit_params(params(2.0, 4), z)
 
 
-def test_closed_form_continuous_through_switch_window():
-    # just outside the critical-loss switch the closed form agrees with the
-    # limit formulas up to the O(|Delta_lambda|^2 z^3) truncation
+def test_closed_form_continuous_near_critical_loss():
+    # near the critical loss the closed form agrees with the limit formulas
+    # up to the O(|Delta_lambda|^2 z^3) truncation
     p_near = params(2.0 * (1.0 + 3e-7), 3)
     z = 0.9
     wn_cf = wei_norman_params(p_near, z)
