@@ -16,6 +16,7 @@ from .errors import (
     IntensityUnderflowError,
     OverflowGuardError,
     PoleProximityError,
+    PrecisionError,
     SimulationError,
 )
 from .fock_core import (
@@ -88,5 +89,6 @@ __all__ = [
     "trace_evolution", "fit_ep_order", "periodicity_check",
     "steady_state_onset",
     # errors
-    "SimulationError", "PoleProximityError", "EigensolverError", "IntensityUnderflowError", "OverflowGuardError",
+    "SimulationError", "PoleProximityError", "EigensolverError", "IntensityUnderflowError",
+    "OverflowGuardError", "PrecisionError",
 ]

@@ -55,3 +55,16 @@ class OverflowGuardError(SimulationError):
 
     Raised instead of returning any non-finite number.
     """
+
+
+class PrecisionError(SimulationError):
+    """A state update could not be certified to the engine's error limit.
+
+    Raised, naming z, when neither the SVD form's estimate nor the Horner
+    bound meets the limit, or when log I breaks an invariant of the exact
+    dynamics: G_N is a contraction for Gamma >= 0 and unitary at Gamma = 0.
+    """
+
+    def __init__(self, z: float, reason: str):
+        super().__init__(f"state update at z={z!r} is not accurate: {reason}")
+        self.z = z

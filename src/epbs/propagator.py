@@ -13,13 +13,16 @@ critical loss); the core [[u, v], [v, t]] has unit determinant.  A state
 on |m) = |N-m>_a |m>_b is the polynomial P(x, y) = sum_m c_m sqrt(C(N, m))
 x^(N-m) y^m, and G_N maps it to P(u x + v y, v x + t y) times the scalar
 prefactor.  ``evolve_grid`` applies that map over whole z grids without
-forming G_N.  A state on |0) and |N) only (``all_in_a``, ``all_in_b``,
-``noon``) maps to a_0 X^N + a_N Y^N, two binomial expansions: O(N) per z.
-Any other state is composed homogeneous-Horner style: O(N^2) per z.
-``evolution_operator`` builds the matrix from the same algebra.  g1 is
-entire in z, so there are no poles, switching thresholds or fallbacks.  Its
-scale is kept in log space with the decay -Gamma*N*z, each binomial power
-scaled by its own column norm, so nothing overflows.
+forming G_N, in one of three forms chosen by the amplitudes (``_sympower``):
+an O(N) binomial form for states on |0) and |N) only (``all_in_a``,
+``all_in_b``, ``noon``), an SVD form with three real matrix products per
+block of z for any other state, and Horner composition with Higham's
+bound on the z whose SVD error estimate exceeds ``ERROR_LIMIT``.  A z
+that neither form certifies raises ``PrecisionError``, as does a log I
+that breaks G_N's contraction (unitarity at Gamma = 0).
+``evolution_operator`` builds the matrix column by column with the Horner
+composition.  g1 is entire in z, so there are no poles.  Its scale is kept
+in log space with the decay -Gamma*N*z, so nothing overflows.
 
 The paper's closed form factorizes the same operator as
 e^{-i(omega0 - i*Gamma/2) N z} e^{-i f_+ J_+} e^{-i f_z J_z} e^{-i f_- J_-}
@@ -42,6 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sympower import (
+    ERROR_LIMIT,
+    _check_rows,
+    _edge_rows,
+    _g1_core,
+    _interior_rows,
+    _sym_matrix,
+)
 from .errors import OverflowGuardError, PoleProximityError
 from .fock_core import BeamsplitterParams
 
@@ -56,14 +67,19 @@ __all__ = [
     "evolve_state",
     "first_pole",
     "METHOD",
+    "ERROR_LIMIT",
     "POLE_TOLERANCE",
 ]
 
 # Label of the single evaluation path, reported with every operator and trace.
 METHOD = "symmetric_power"
-# z points per block of the batched state update; the working set is a few
-# arrays of _BLOCK x (N+1) complex numbers.
+# z points per block of the O(N) update of states on |0) and |N); the working
+# set is a few arrays of _BLOCK x (N+1) complex numbers.
 _BLOCK = 512
+# Entries per block of the SVD-form update, _SVD_ENTRIES // (N+1) z points,
+# so each of its few (N+1) x block arrays stays at most 64 kB: blocks eight
+# times larger saved little time and raised a process's peak memory.
+_SVD_ENTRIES = 1 << 12
 # |w(z)| below which the factored form is rejected as pole-adjacent.
 POLE_TOLERANCE = 1e-6
 
@@ -217,112 +233,6 @@ def assemble_propagator(wn: WeiNormanParams) -> PropagatorMatrix:
     )
 
 
-def _g1_core(kappa: float, gamma: float, z: np.ndarray):
-    """Entries (u, v, t) of g1's core [[u, v], [v, t]] at z, an array or a scalar.
-
-    Returns them with a log scale: the core is exp(log_scale) times
-    [[u, v], [v, t]].  Above threshold the common growth e^x of cosh and
-    sinh (x = z*|Delta_lambda|/2) goes into the log scale, so no entry
-    overflows.
-    """
-    dl2 = 4.0 * kappa * kappa - gamma * gamma
-    log_scale = np.zeros_like(z)
-    if dl2 > 0:
-        half = 0.5 * math.sqrt(dl2)
-        c, s = np.cos(half * z), np.sin(half * z) / half
-    elif dl2 < 0:
-        half = 0.5 * math.sqrt(-dl2)
-        log_scale = half * z
-        c = 0.5 * (1.0 + np.exp(-2.0 * log_scale))
-        s = -0.5 * np.expm1(-2.0 * log_scale) / half
-    else:
-        c, s = np.ones_like(z), z
-    return c + 0.5 * gamma * s, -1j * kappa * s, c - 0.5 * gamma * s, log_scale
-
-
-def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """x^k for k = 0..n as running products, one row per entry of x."""
-    out = np.empty((x.shape[0], n + 1), dtype=complex)
-    out[:, 0] = 1.0
-    out[:, 1:] = x[:, None]
-    return np.cumprod(out, axis=1)
-
-
-def _sym_power(u, v, w, t, amplitudes: np.ndarray):
-    """Sym^N of [[u, v], [w, t]] applied to states, up to a scale per row.
-
-    The entries hold one value per row of the result (or one for all rows);
-    ``amplitudes`` holds one state per row (or one for all rows).  Each
-    state is the polynomial P(x, y) = sum_m a_m x^(N-m) y^m with
-    a_m = c_m sqrt(C(N, m)); its image is P(X, Y), X = u x + w y,
-    Y = v x + t y.  Returns (psi, log_scale) with the image equal to
-    exp(N * log_scale) * psi on the orthonormal basis, one log_scale per
-    row.
-
-    When no row has amplitude on the interior |1) ... |N-1), the image is
-    a_0 X^N + a_N Y^N, two binomial expansions built from running powers:
-    O(N) per row.  Each power is scaled by its own column norm, which is
-    exactly the norm of its image, and the row keeps the larger exponent
-    of the columns it uses, so light in either column stays in range.
-    Otherwise the image is composed homogeneous-Horner style,
-    T_k = T_(k-1) X + a_k Y^k, carrying Y^k only up to the last non-zero
-    a_k: O(N^2) per row, with the 2x2 normalised so that its larger column
-    has unit norm.
-    """
-    col_x, col_y = np.hypot(abs(u), abs(w)), np.hypot(abs(v), abs(t))
-    n = amplitudes.shape[-1] - 1
-    log_fact = [math.lgamma(k + 1.0) for k in range(n + 1)]
-    roots = np.exp(0.5 * (log_fact[n] - np.add(log_fact, log_fact[::-1])))  # sqrt(C(N, m))
-    if not amplitudes[:, 1:n].any():
-        a_x, a_y = amplitudes[:, 0], amplitudes[:, n]
-        log_x, log_y = np.log(col_x), np.log(col_y)
-        log_scale = np.maximum(
-            np.where(a_x != 0, log_x, -np.inf), np.where(a_y != 0, log_y, -np.inf)
-        )
-        psi = np.zeros((max(col_x.size, a_x.size), n + 1), dtype=complex)
-        for a, p, q, col, log_col in ((a_x, u, w, col_x, log_x), (a_y, v, t, col_y, log_y)):
-            if a.any():
-                weight = a * np.exp(n * (log_col - log_scale))
-                psi += weight[:, None] * _powers(p / col, n)[:, ::-1] * _powers(q / col, n)
-        return psi * roots, log_scale
-    norm = np.maximum(col_x, col_y)
-    u, v, w, t = (np.asarray(e / norm)[:, None] for e in (u, v, w, t))
-    coeffs = amplitudes * roots
-    rows = max(u.shape[0], coeffs.shape[0])
-    poly = np.zeros((rows, n + 1), dtype=complex)
-    poly[:, 0] = coeffs[:, 0]
-    y_pow = np.zeros((rows, n + 1), dtype=complex)
-    y_pow[:, 0] = 1.0
-    last = np.flatnonzero(np.any(coeffs != 0, axis=0)).max(initial=0)
-    for k in range(1, n + 1):
-        shifted = poly[:, :k] * w
-        poly[:, :k] *= u
-        poly[:, 1 : k + 1] += shifted
-        if k <= last:
-            shifted = y_pow[:, :k] * t
-            y_pow[:, :k] *= v
-            y_pow[:, 1 : k + 1] += shifted
-            poly[:, : k + 1] += coeffs[:, k : k + 1] * y_pow[:, : k + 1]
-    return poly / roots, np.log(norm)
-
-
-def _sym_matrix(n: int, entries, log_scale: float, z: float) -> np.ndarray:
-    """exp(N * log_scale) * Sym^N([[u, v], [w, t]]) as a matrix, entries (u, v, w, t).
-
-    Column k is the image of |k), i.e. the coefficients of X^(N-k) Y^k.
-    Raises ``OverflowGuardError`` when the matrix leaves the double range.
-    """
-    u, v, w, t = (np.atleast_1d(e) for e in entries)
-    with np.errstate(over="ignore", invalid="ignore"):
-        images, log_norm = _sym_power(u, v, w, t, np.eye(n + 1, dtype=complex))
-        core = images.T * np.exp(n * (log_scale + log_norm))  # column k takes image k's scale
-    if not np.isfinite(core).all():
-        raise OverflowGuardError(
-            f"N-photon propagator leaves double-precision range at z={z!r} (N={n})"
-        )
-    return core
-
-
 def evolve_grid(
     params: BeamsplitterParams, amplitudes, z_grid
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -330,11 +240,15 @@ def evolve_grid(
 
     log I is ln ||G(z) psi||^2 for the amplitudes as given; P is the
     normalized |(m|G(z) psi>|^2, which stays exact after I itself has
-    underflowed.  G is never formed.  The z values may come in any order;
+    underflowed.  G is never formed.  A state on |0) and |N) only takes the
+    O(N) binomial form; any other state takes the SVD form, with Horner on
+    the z its error estimate flags.  The z values may come in any order;
     they are worked through in blocks, so the working set stays a few
     block x (N+1) arrays.  Raises ``ValueError`` for a negative or
-    non-finite z and ``OverflowGuardError`` if any computed value is not
-    finite.
+    non-finite z, ``OverflowGuardError`` if any computed value is not
+    finite, and ``PrecisionError`` where neither form is certified to
+    ``ERROR_LIMIT`` or log I breaks the contraction (unitarity at Gamma = 0)
+    of G_N by more than ``ERROR_LIMIT``.
     """
     n = params.n_photons
     amps = np.asarray(amplitudes, dtype=complex)
@@ -343,24 +257,20 @@ def evolve_grid(
     z = np.asarray(z_grid, dtype=float)
     if z.ndim != 1 or not np.all(np.isfinite(z) & (z >= 0)):
         raise ValueError("z must be a 1-D array of finite distances >= 0")
+    if amps[1:n].any():
+        rows, block = _interior_rows, max(1, _SVD_ENTRIES // (n + 1))
+    else:
+        rows, block = _edge_rows, _BLOCK
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_norm2 = float(np.log(np.vdot(amps, amps).real))
     log_i = np.empty(z.size)
     occ = np.empty((z.size, n + 1))
-    for lo in range(0, z.size, _BLOCK):
-        zb = z[lo : lo + _BLOCK]
-        u, v, t, log_scale = _g1_core(params.kappa, params.gamma, zb)
+    for lo in range(0, z.size, block):
+        zb = z[lo : lo + block]
         # out-of-range intermediates surface as non-finite values, caught below
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            psi, log_norm = _sym_power(u, v, v, t, amps[None, :])
-            weights = psi.real**2 + psi.imag**2
-            total = weights.sum(axis=1)
-            li = np.log(total) + n * (2.0 * (log_scale + log_norm) - params.gamma * zb)
-            pb = weights / total[:, None]
-        bad = np.flatnonzero(~(np.isfinite(li) & np.isfinite(pb).all(axis=1)))
-        if bad.size:
-            raise OverflowGuardError(
-                f"state update leaves double-precision range at "
-                f"z={float(zb[bad[0]])!r} (N={n}, log I = {li[bad[0]]})"
-            )
+            li, pb = rows(params, amps, zb)
+        _check_rows(params, zb, li, pb, log_norm2)
         log_i[lo : lo + zb.size] = li
         occ[lo : lo + zb.size] = pb
     return log_i, occ

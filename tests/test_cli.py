@@ -254,11 +254,17 @@ def test_csv_full_precision_roundtrip(tmp_path):
     run(cfg)
     lines = (out / "spectrum_flow.csv").read_text().splitlines()
     assert lines[0] == "gamma,r,re_lambda,im_lambda"
-    # 17 significant digits survive a float round-trip exactly
-    gamma = float(lines[2].split(",")[0])
-    assert gamma == np.linspace(0.0, 4.0, 25)[0] or True
-    vals = [float(x) for x in lines[7].split(",")]
-    assert len(vals) == 4
+    n = cfg.params.n_photons
+    gammas = np.linspace(0.0, 4.0, 25)
+    assert len(lines) == 1 + gammas.size * (n + 1)
+    for i, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        assert len(cells) == 4
+        # each gamma of the grid comes back exactly, N+1 rows per gamma
+        assert float(cells[0]) == gammas[i // (n + 1)]
+        # every cell is written with 17 significant digits, so it round-trips
+        for cell in cells:
+            assert cell == format(float(cell), ".17g")
 
 
 def test_svg_outputs(tmp_path):
@@ -374,13 +380,45 @@ def test_json_output_is_strict():
 
 
 def test_non_finite_result_exits_2_without_writing(tmp_path, capsys):
-    # a valid config the engine cannot represent: the binomial weights
-    # sqrt(C(N, m)) overflow for N >= 2060
+    # a valid config the engine cannot represent: log I ~ -Gamma N z leaves
+    # the double range at z = 5e306 for N = 100
     out = tmp_path / "out"
-    doc = base_config("intensity-decay", out, z_grid={"start": 0.0, "stop": 1.0, "count": 3})
-    doc["params"]["n_photons"] = 2100
+    doc = base_config("intensity-decay", out, z_grid={"start": 0.0, "stop": 1e307, "count": 3})
+    doc["params"]["n_photons"] = 100
     assert main(["intensity-decay", "--config", write_config(tmp_path, doc)]) == 2
     assert "double-precision range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dense_lossless_n200_custom_evolve_is_unitary(tmp_path):
+    # the Horner composition gave log I = 53 here; G_N is unitary at Gamma = 0
+    out = tmp_path / "out"
+    rng = np.random.default_rng(200)
+    amplitudes = [[float(x), float(y)] for x, y in rng.normal(size=(201, 2))]
+    doc = base_config("custom-evolve", out, z_grid={"start": 0.0, "stop": 24.5, "count": 50},
+                      input_state={"kind": "custom", "amplitudes": amplitudes})
+    doc["params"].update(gamma=0.0, n_photons=200)
+    assert main(["custom-evolve", "--config", write_config(tmp_path, doc)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert abs(report["final_log_intensity"]) <= 1e-10
+
+
+def test_precision_error_exits_2_with_reason(tmp_path, capsys, monkeypatch):
+    # an engine result that breaks the contraction of G_N is refused, not written
+    from epbs import propagator
+
+    edge_rows = propagator._edge_rows
+
+    def amplified(params, amps, z):
+        log_i, occ = edge_rows(params, amps, z)
+        return log_i + 1e-6, occ
+
+    monkeypatch.setattr(propagator, "_edge_rows", amplified)
+    out = tmp_path / "out"
+    doc = base_config("intensity-decay", out, z_grid={"start": 0.0, "stop": 1.0, "count": 3})
+    assert main(["intensity-decay", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "state update at z=0.0 is not accurate" in err and "contraction" in err
     assert not out.exists()
 
 

@@ -7,9 +7,11 @@ exponentials stop being trustworthy.  The cases pin defects of the former
 path-switching propagator: a wrong split product below threshold at N=40,
 NaN for N >= 86 and an overflow guard firing on a regular trace.  States
 on |0) and |N) take the engine's O(N) binomial form; they are checked
-against the reference and against the operator's columns, which are still
-composed by the Horner loop, and at large N against the single-column
-closed form.
+against the reference and against the operator's columns, which are
+composed by the Horner loop, and at large N (beyond the former
+sqrt(C(N, m)) overflow) against closed forms.  Other states take the SVD
+form; the sweep checks its error estimate and Horner's bound against the
+reference, and that every z is accurate to ERROR_LIMIT or refused.
 """
 
 import math
@@ -18,10 +20,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from epbs.errors import IntensityUnderflowError, OverflowGuardError
+from epbs.errors import IntensityUnderflowError, OverflowGuardError, PrecisionError
 from epbs.fock_core import BeamsplitterParams
 from epbs.observables import INTENSITY_FLOOR_LOG, make_input, occupations, trace_evolution
-from epbs.propagator import _g1_core, evolution_operator, evolve_grid
+from epbs._sympower import _check_rows, _horner_rows, _spin_basis, _svd_rows
+from epbs.propagator import ERROR_LIMIT, _g1_core, evolution_operator, evolve_grid
 
 DPS = 40
 
@@ -217,3 +220,191 @@ def test_non_finite_values_raise():
         evolution_operator(p, 700.0)
     log_i, _ = evolve_grid(p, make_input("all_in_a", 10).amplitudes, [700.0])
     assert np.isfinite(log_i).all()
+
+
+# ---------------------------------------------------------------------------
+# states with interior light: the SVD form, its estimate and the Horner fallback
+
+EPS = np.finfo(float).eps
+SWEEP_RATIOS = (0.0, 0.25, 0.5, 1.0, 1.2, 2.0)  # Gamma / Gamma_c
+SWEEP_KINDS = ("dense", "twin", "sparse")
+
+
+def interior_state(kind, n):
+    """A dense seeded state, the twin Fock state |N/2) or a 3-sparse state."""
+    if kind == "dense":
+        return seeded_state(n, n)
+    amps = np.zeros(n + 1, dtype=complex)
+    if kind == "twin":
+        amps[n // 2] = 1.0
+    else:
+        amps[[3, n // 3, n - 2]] = [0.6, 0.64j, 0.48]
+    return make_input("custom", n, amps)
+
+
+def _sweep_points():
+    # a Latin square over (N, Gamma, state): every pair of the three appears
+    rng = np.random.default_rng(8)
+    points = []
+    for i, n in enumerate((40, 100, 200)):
+        for j, ratio in enumerate(SWEEP_RATIOS):
+            kind = SWEEP_KINDS[(i + j) % 3]
+            points.append((n, ratio, kind, float(rng.uniform(0.0, 20.0))))
+    return points
+
+
+def _errors(log_i, occ, ref_li, ref_p):
+    return abs(log_i - ref_li), float(np.abs(occ - ref_p).max())
+
+
+@pytest.mark.parametrize("n, ratio, kind, z", _sweep_points())
+def test_interior_states_are_accurate_or_refused(n, ratio, kind, z):
+    p = params(2.0 * ratio, n)
+    amps = interior_state(kind, n).amplitudes
+    ref_li, ref_p = exact_evolve(p, amps, z)
+    # log-space bookkeeping adds rounding of the size of the terms it sums
+    slack = 8 * EPS * (abs(ref_li) + n * p.gamma * z)
+    zs = np.array([z])
+    li, occ, estimate = _svd_rows(p, amps, zs)
+    d_li, d_p = _errors(li[0], occ[0], ref_li, ref_p)
+    assert d_li <= estimate[0] + slack and d_p <= estimate[0]
+    li, occ, bound = _horner_rows(p, amps, zs)
+    d_li, d_p = _errors(li[0], occ[0], ref_li, ref_p)
+    assert d_li <= bound[0] + slack and d_p <= bound[0]
+    try:
+        li, occ = evolve_grid(p, amps, zs)
+    except PrecisionError as err:
+        # refused only where neither form is certified
+        assert err.z == z and kind != "dense"
+        assert min(estimate[0], bound[0]) > ERROR_LIMIT
+        return
+    d_li, d_p = _errors(li[0], occ[0], ref_li, ref_p)
+    assert d_li <= 1e-10 and d_p <= 1e-10
+
+
+def test_lossless_dense_n200_is_unitary_where_horner_fails():
+    # Horner is off by tens in log I here; the SVD form is not flagged
+    p = params(0.0, 200)
+    amps = interior_state("dense", 200).amplitudes
+    grid = np.linspace(0.0, 24.5, 50)
+    log_i, occ = evolve_grid(p, amps, grid)
+    assert np.abs(log_i).max() <= 1e-10
+    assert np.abs(occ.sum(axis=1) - 1.0).max() <= 1e-13
+    horner_li = _horner_rows(p, amps, grid)[0]
+    assert np.abs(horner_li).max() > 1.0
+
+
+def test_flagged_rows_are_the_horner_rows():
+    # edge light with a 1e-6 interior amplitude at 2 Gamma_c: the SVD form
+    # loses the interior light past kappa*z ~ 1, Horner does not
+    n = 200
+    p = params(4.0, n)
+    amps = np.zeros(n + 1, dtype=complex)
+    amps[[0, n]] = 1.0
+    amps[n // 2] = 1e-6
+    amps /= np.linalg.norm(amps)
+    grid = np.linspace(0.0, 20.0, 41)
+    estimate = _svd_rows(p, amps, grid)[2]
+    flagged = estimate > ERROR_LIMIT
+    assert 0 < flagged.sum() < grid.size
+    log_i, occ = evolve_grid(p, amps, grid)
+    horner_li, horner_occ, bound = _horner_rows(p, amps, grid[flagged])
+    assert np.array_equal(log_i[flagged], horner_li)
+    assert np.array_equal(occ[flagged], horner_occ)
+    assert bound.max() <= ERROR_LIMIT
+    k = int(np.flatnonzero(flagged)[-1])
+    ref_li, ref_p = exact_evolve(p, amps, grid[k])
+    assert abs(log_i[k] - ref_li) <= 1e-10 and np.abs(occ[k] - ref_p).max() <= 1e-10
+
+
+def test_uncertified_z_is_refused():
+    # the twin state at N=200 and Gamma_c / 4: the SVD estimate is 4e-7 and
+    # Horner, whose bound is 5e4, is off by 24 in log I
+    p = params(0.5, 200)
+    amps = interior_state("twin", 200).amplitudes
+    with pytest.raises(PrecisionError, match="SVD estimate .* and Horner bound") as err:
+        evolve_grid(p, amps, [0.1, 0.65])
+    assert err.value.z == 0.65
+
+
+def test_custom_state_far_above_threshold():
+    # kappa*z = 700 at 1.2 Gamma_c: g1's entries are e^464, G_N's far beyond
+    p = params(2.4, 40)
+    amps = interior_state("dense", 40).amplitudes
+    log_i, occ = evolve_grid(p, amps, [700.0])
+    assert np.isfinite(log_i).all() and np.isfinite(occ).all()
+    ref_li, ref_p = exact_evolve(p, amps, 700.0)
+    assert abs(log_i[0] - ref_li) <= 1e-10
+    assert np.abs(occ[0] - ref_p).max() <= 1e-10
+
+
+def test_spin_basis_diagonalizes_2jx():
+    n = 40
+    q = _spin_basis(n)
+    m = np.arange(1, n + 1)
+    off = np.sqrt(m * (n + 1.0 - m))
+    jx2 = np.diag(off, 1) + np.diag(off, -1)
+    assert np.abs(q.T @ q - np.eye(n + 1)).max() <= 1e-13
+    # eigenvalues -N, -N+2, ..., N in column order
+    assert np.abs(jx2 @ q - q * np.arange(-n, n + 1, 2)).max() <= 1e-12
+    assert _spin_basis(n) is _spin_basis(n)  # built once per N
+
+
+def test_invariant_guards_name_z():
+    p0, p1 = params(0.0, 3), params(1.0, 3)
+    z = np.array([0.5, 1.5])
+    occ = np.full((2, 4), 0.25)
+    _check_rows(p1, z, np.array([-0.1, -1.0]), occ, 0.0)
+    with pytest.raises(PrecisionError, match="contraction") as err:
+        _check_rows(p1, z, np.array([-0.1, 2e-10]), occ, 0.0)
+    assert err.value.z == 1.5
+    _check_rows(p0, z, np.array([0.0, 5e-11]), occ, 0.0)
+    with pytest.raises(PrecisionError, match="unitary") as err:
+        _check_rows(p0, z, np.array([-2e-10, 0.0]), occ, 0.0)
+    assert err.value.z == 0.5
+    # the norm of the amplitudes as given is the reference
+    _check_rows(p1, z, np.array([math.log(4.0), 0.0]), occ, math.log(4.0))
+
+
+# ---------------------------------------------------------------------------
+# states on |0) and |N) beyond the former sqrt(C(N, m)) overflow at N >= 2060
+
+
+def _log_closed_forms(p, z):
+    """log I of all_in_a, all_in_b and noon from g1's entries, in log space."""
+    n = p.n_photons
+    u, v, t, log_scale = _g1_core(p.kappa, p.gamma, z)
+    shift = 2 * n * log_scale - p.gamma * n * z
+    log_a = n * np.log(abs(u) ** 2 + abs(v) ** 2)
+    log_b = n * np.log(abs(v) ** 2 + abs(t) ** 2)
+    # <X^N, Y^N> = <X, Y>^N on Sym^N
+    overlap = u.conj() * v + v.conj() * t
+    top = np.maximum(log_a, log_b)
+    with np.errstate(divide="ignore"):  # the columns are orthogonal at z = 0
+        cross = np.exp(n * np.log(abs(overlap)) - top) * np.cos(n * np.angle(overlap))
+    log_noon = top + np.log((np.exp(log_a - top) + np.exp(log_b - top) + 2 * cross) / 2)
+    return {"all_in_a": log_a + shift, "all_in_b": log_b + shift, "noon": log_noon + shift}
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 2.4])
+@pytest.mark.parametrize("n", [2100, 3000])
+def test_edge_states_beyond_binomial_overflow(n, gamma):
+    p = params(gamma, n)
+    grid = np.array([0.0, 0.3, 1.7, 6.1])
+    closed = _log_closed_forms(p, grid)
+    for kind in ("all_in_a", "all_in_b", "noon"):
+        log_i, occ = evolve_grid(p, make_input(kind, n).amplitudes, grid)
+        np.testing.assert_allclose(log_i, closed[kind], rtol=1e-12, atol=1e-10)
+        np.testing.assert_allclose(occ.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    # all_in_a spreads binomially: P(m) = C(N, m) p^(N-m) (1-p)^m
+    u, v, _, _ = _g1_core(p.kappa, p.gamma, grid)
+    share = abs(u) ** 2 / (abs(u) ** 2 + abs(v) ** 2)
+    m = np.arange(n + 1)
+    log_binom = np.array(
+        [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in m]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # share = 1 at z = 0
+        log_rest = np.where(m > 0, np.multiply.outer(np.log1p(-share), m), 0.0)
+        log_pmf = log_binom + np.multiply.outer(np.log(share), n - m) + log_rest
+    occ = evolve_grid(p, make_input("all_in_a", n).amplitudes, grid)[1]
+    np.testing.assert_allclose(occ, np.exp(log_pmf), rtol=0, atol=1e-12)
