@@ -20,8 +20,13 @@ by its amplitudes:
 
 Each form returns (log I, P) per z; ``_check_rows`` then holds every
 result to finiteness and to G_N's contraction (unitarity at Gamma = 0).
-``_sym_matrix`` builds Sym^N of a 2x2 as a matrix, column by column, with
-the Horner composition.
+
+``_core_matrix`` builds G_N's core as a matrix at one z with the same SVD
+form (``_svd_form`` serves both uses), applied to blocks of basis columns
+instead of a block of z.  Each column's estimate is 16 (N+1) eps / ||col||;
+the columns above ``ERROR_LIMIT`` are recomposed by Horner, and none is
+refused.  ``_sym_matrix`` composes every column of Sym^N of a 2x2 by
+Horner, for the Wei-Norman reproduction.
 """
 
 from __future__ import annotations
@@ -41,6 +46,11 @@ ERROR_LIMIT = 1e-10
 _EST_FACTOR = 16.0 * np.finfo(float).eps
 # Log magnitude given to a zero entry, so that its powers underflow to 0.
 _LOG_ZERO = -1e4
+# Entries per block of the SVD form, _SVD_ENTRIES // (N+1) columns (z points
+# of a state, or basis states at one z), so each of its few (N+1) x block
+# arrays stays at most 64 kB: blocks eight times larger saved little time
+# and raised a process's peak memory.
+_SVD_ENTRIES = 1 << 12
 # SVD-form scalings below e^_LOG_FLUSH are set to 0: they change an image by
 # far less than its error estimate, and subnormal products slow the GEMMs.
 _LOG_FLUSH = -600.0
@@ -187,22 +197,17 @@ def _real_matmul(mat: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
-def _svd_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
-    """(log I, P, error estimate) at each z by the SVD form of Sym^N(g1).
+def _svd_factors(params: BeamsplitterParams, z: np.ndarray):
+    """(phase, scaling, ln lambda) of the SVD form of Sym^N(g1), one column per z.
 
     g1's unit-determinant core factors as B(phi) diag(lambda, 1/lambda)
     B(phi), B(phi) = exp(-i phi sigma_x), with 2 phi = atan2(kappa s, c)
     and ln lambda = asinh(Gamma s / 2).  So Sym^N of the core is
-    E diag(lambda^(N-2m)) E with E = Q diag(e^(-i phi mu)) Q^T: two phase
-    multiplies, one diagonal scaling by lambda^(N-2m) / max(lambda,
-    1/lambda)^N <= 1, and three real GEMMs on the real and imaginary parts
-    at once, with states as columns.  The scale N |ln lambda| goes into
-    log I.  The form is normwise backward stable, so
-    16 (N+1) eps ||a|| / ||psi|| estimates the relative error of each
-    image psi.
+    E diag(lambda^(N-2m)) E with E = Q diag(e^(-i phi mu)) Q^T.  Returns
+    phase = e^(-i phi mu) and scaling = lambda^(N-2m) / max(lambda,
+    1/lambda)^N <= 1, whose scale N |ln lambda| the callers keep apart.
     """
     n = params.n_photons
-    q = _spin_basis(n)
     c, s, log_scale = _g1_cs(params.kappa, params.gamma, z)
     phi = 0.5 * np.arctan2(params.kappa * s, c)
     y = 0.5 * params.gamma * s
@@ -214,16 +219,41 @@ def _svd_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
             log_scale + np.log(y + np.hypot(y, np.exp(-log_scale))),
             np.arcsinh(y),
         )
-    phase = _running_powers(np.exp(1j * n * phi), np.exp(-2j * phi), n)  # e^(-i phi mu)
-    x = phase * _real_matmul(q.T, amps[:, None])
-    out = _real_matmul(q, x)
+    phase = _running_powers(np.exp(1j * n * phi), np.exp(-2j * phi), n)
     scaling = np.multiply.outer(n - 2.0 * np.arange(n + 1), log_lam) - n * np.abs(log_lam)
     scaling[scaling < _LOG_FLUSH] = -np.inf
-    out *= np.exp(scaling, out=scaling)
+    return phase, np.exp(scaling, out=scaling), log_lam
+
+
+def _svd_form(q: np.ndarray, x: np.ndarray, phase: np.ndarray, scaling: np.ndarray):
+    """E diag(scaling) E on the columns whose image under Q^T is x, E = Q diag(phase) Q^T.
+
+    ``phase`` and ``scaling`` hold one column per z.  Either x is one
+    column (one state over a block of z) or the factors are (one z, a
+    block of states); x must be C-contiguous.  Two phase multiplies, one
+    diagonal scaling and three real GEMMs on the real and imaginary parts
+    at once.
+    """
+    x = phase * x
+    out = _real_matmul(q, x)
+    out *= scaling
     _real_matmul(q.T, out, out=x)
     x *= phase
-    _real_matmul(q, x, out=out)
-    del phase, x, scaling
+    return _real_matmul(q, x, out=out)
+
+
+def _svd_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
+    """(log I, P, error estimate) at each z by the SVD form of Sym^N(g1).
+
+    The scale N |ln lambda| goes into log I.  The form is normwise
+    backward stable, so 16 (N+1) eps ||a|| / ||psi|| estimates the
+    relative error of each image psi.
+    """
+    n = params.n_photons
+    q = _spin_basis(n)
+    phase, scaling, log_lam = _svd_factors(params, z)
+    out = _svd_form(q, _real_matmul(q.T, amps[:, None]), phase, scaling)
+    del phase, scaling
     log_i, occ, norm = _observe(out.T, n * (2.0 * np.abs(log_lam) - params.gamma * z))
     return log_i, occ, _EST_FACTOR * (n + 1) * np.linalg.norm(amps) / norm
 
@@ -239,27 +269,38 @@ def _horner(u, v, w, t, coeffs: np.ndarray) -> np.ndarray:
 
     The entries are columns (one value per row, or one for all rows) and
     ``coeffs`` holds one coefficient vector per row (or one for all rows).
-    Composed homogeneous-Horner style, T_k = T_(k-1) X + coeffs_k Y^k,
-    carrying Y^k only up to the last non-zero coefficient: O(N^2) per row.
+    Composed homogeneous-Horner style, T_k = T_(k-1) X + coeffs_k Y^k:
+    O(N^2) per row.  T stays zero below the first non-zero coefficient, a
+    zero coefficient column adds nothing and Y^k is needed only up to the
+    last one, so those updates are skipped; Y^k depends on the entries
+    alone, so shared entries carry it once.
     """
     n = coeffs.shape[-1] - 1
     rows = max(u.shape[0], coeffs.shape[0])
     dtype = np.result_type(u, coeffs)
-    poly = np.zeros((rows, n + 1), dtype=dtype)
-    poly[:, 0] = coeffs[:, 0]
-    y_pow = np.zeros((rows, n + 1), dtype=dtype)
-    y_pow[:, 0] = 1.0
-    last = np.flatnonzero(np.any(coeffs != 0, axis=0)).max(initial=0)
+    # monomials run down the first axis, so that each update is one
+    # contiguous slice rather than one strided slice per row
+    u, v, w, t, coeffs = u.T, v.T, w.T, t.T, coeffs.T
+    poly = np.zeros((n + 1, rows), dtype=dtype)
+    poly[0] = coeffs[0]
+    y_pow = np.zeros((n + 1, v.shape[1]), dtype=dtype)
+    y_pow[0] = 1.0
+    used = np.any(coeffs != 0, axis=1)
+    nonzero = np.flatnonzero(used)
+    first, last = nonzero.min(initial=n), nonzero.max(initial=0)
+    used = used.tolist()
     for k in range(1, n + 1):
-        shifted = poly[:, :k] * w
-        poly[:, :k] *= u
-        poly[:, 1 : k + 1] += shifted
+        if k > first:
+            shifted = poly[:k] * w
+            poly[:k] *= u
+            poly[1 : k + 1] += shifted
         if k <= last:
-            shifted = y_pow[:, :k] * t
-            y_pow[:, :k] *= v
-            y_pow[:, 1 : k + 1] += shifted
-            poly[:, : k + 1] += coeffs[:, k : k + 1] * y_pow[:, : k + 1]
-    return poly
+            shifted = y_pow[:k] * t
+            y_pow[:k] *= v
+            y_pow[1 : k + 1] += shifted
+            if used[k]:
+                poly[: k + 1] += coeffs[k] * y_pow[: k + 1]
+    return np.ascontiguousarray(poly.T)
 
 
 def _binomial_roots(n: int) -> np.ndarray:
@@ -336,21 +377,66 @@ def _interior_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
     return log_i, occ
 
 
-def _sym_matrix(n: int, entries, log_scale: float, z: float) -> np.ndarray:
-    """exp(N * log_scale) * Sym^N([[u, v], [w, t]]) as a matrix, entries (u, v, w, t).
+def _sym_columns(n: int, entries, log_scale, columns) -> np.ndarray:
+    """Columns ``columns`` of exp(N * log_scale) * Sym^N([[u, v], [w, t]]), entries (u, v, w, t).
 
-    Column k is the image of |k), i.e. the coefficients of X^(N-k) Y^k.
-    Raises ``OverflowGuardError`` when the matrix leaves the double range.
+    Column k is the image of |k), i.e. the coefficients of X^(N-k) Y^k,
+    composed by Horner.
     """
     u, v, w, t = (np.atleast_1d(e) for e in entries)
-    with np.errstate(over="ignore", invalid="ignore"):
-        images, log_norm = _sym_power(u, v, w, t, np.eye(n + 1, dtype=complex))
-        core = images.T * np.exp(n * (log_scale + log_norm))  # column k takes image k's scale
+    images, log_norm = _sym_power(u, v, w, t, np.eye(n + 1, dtype=complex)[columns])
+    return images.T * np.exp(n * (log_scale + log_norm))  # column k takes image k's scale
+
+
+def _finite(core: np.ndarray, n: int, z: float) -> np.ndarray:
+    """``core``, or ``OverflowGuardError`` when it has left the double range."""
     if not np.isfinite(core).all():
         raise OverflowGuardError(
             f"N-photon propagator leaves double-precision range at z={z!r} (N={n})"
         )
     return core
+
+
+def _sym_matrix(n: int, entries, log_scale: float, z: float) -> np.ndarray:
+    """exp(N * log_scale) * Sym^N([[u, v], [w, t]]) as a matrix, entries (u, v, w, t), by Horner.
+
+    Raises ``OverflowGuardError`` when the matrix leaves the double range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_sym_columns(n, entries, log_scale, slice(None)), n, z)
+
+
+def _core_matrix(params: BeamsplitterParams, z: float):
+    """(core, estimate, flagged): Sym^N of g1's core at one z, column error estimates, Horner columns.
+
+    The core is the unit-determinant one; column k is the image of |k).
+    The SVD form maps blocks of ``_SVD_ENTRIES`` basis columns, and the
+    scale e^(N |ln lambda|) is applied last.  Before it, 16 (N+1) eps /
+    ||col|| estimates each column's relative error; the columns above
+    ``ERROR_LIMIT`` are recomposed by Horner, as are all of them where the
+    core is exactly I (z = 0), so those equal ``_sym_columns``.  Raises
+    ``OverflowGuardError`` when the core leaves the double range.
+    """
+    n = params.n_photons
+    zs = np.array([float(z)])
+    q = _spin_basis(n)
+    phase, scaling, log_lam = _svd_factors(params, zs)
+    core = np.empty((n + 1, n + 1), dtype=complex)
+    width = max(1, _SVD_ENTRIES // (n + 1))
+    for lo in range(0, n + 1, width):
+        core[:, lo : lo + width] = _svd_form(q, q[lo : lo + width].T.copy(), phase, scaling)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        estimate = _EST_FACTOR * (n + 1) / np.linalg.norm(core, axis=0)
+        # at z = 0 the core is exactly I
+        flagged = np.arange(n + 1) if z == 0 else np.flatnonzero(estimate > ERROR_LIMIT)
+        # in two halves, so that only entries beyond the double range overflow
+        half_scale = np.exp(0.5 * n * abs(log_lam[0]))
+        core *= half_scale
+        core *= half_scale
+        if flagged.size:
+            u, v, t, log_scale = _g1_core(params.kappa, params.gamma, zs)
+            core[:, flagged] = _sym_columns(n, (u, v, v, t), log_scale, flagged)
+    return _finite(core, n, z), estimate, flagged
 
 
 def _check_rows(params: BeamsplitterParams, z, log_i, occ, log_norm2: float) -> None:

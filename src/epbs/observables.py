@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import IntensityUnderflowError
 from .fock_core import BeamsplitterParams
-from .propagator import METHOD, evolve_grid
+from .propagator import METHOD, _evolve_grid, evolve_grid
 from .spectral import classify_regime, delta_lambda
 
 __all__ = [
@@ -201,14 +201,17 @@ def trace_evolution(
         raise ValueError(
             f"input state dimension {state0.dim} != N+1 = {params.n_photons + 1}"
         )
-    log_i, occ = _evolve(state0, params, grid, with_occupations)
+    if with_occupations:
+        log_i, occ = _evolve(state0, params, grid, True)
+    else:
+        log_i, occ = _evolve_grid(params, state0.amplitudes, grid, False)
     with np.errstate(under="ignore"):
         inten = np.where(log_i > -745.0, np.exp(np.minimum(log_i, 0.0)), 0.0)
     return EvolutionTrace(
         z_grid=grid,
         intensity=inten,
         log_intensity=log_i,
-        occupations=occ if with_occupations else None,
+        occupations=occ,
         methods=(METHOD,) * grid.size,
         params=params,
         input_state=state0,

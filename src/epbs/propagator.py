@@ -20,9 +20,12 @@ block of z for any other state, and Horner composition with Higham's
 bound on the z whose SVD error estimate exceeds ``ERROR_LIMIT``.  A z
 that neither form certifies raises ``PrecisionError``, as does a log I
 that breaks G_N's contraction (unitarity at Gamma = 0).
-``evolution_operator`` builds the matrix column by column with the Horner
-composition.  g1 is entire in z, so there are no poles.  Its scale is kept
-in log space with the decay -Gamma*N*z, so nothing overflows.
+``evolution_operator`` builds the matrix with the same SVD form, applied
+to blocks of basis columns at one z, and recomposes by Horner the columns
+whose error estimate exceeds ``ERROR_LIMIT`` (all of them at z = 0, where
+the core is exactly I).  g1 is entire in z, so there are no poles.  Its
+scale is kept in log space with the decay -Gamma*N*z, so nothing
+overflows.
 
 The paper's closed form factorizes the same operator as
 e^{-i(omega0 - i*Gamma/2) N z} e^{-i f_+ J_+} e^{-i f_z J_z} e^{-i f_- J_-}
@@ -46,8 +49,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sympower import (
+    _SVD_ENTRIES,
     ERROR_LIMIT,
     _check_rows,
+    _core_matrix,
     _edge_rows,
     _g1_core,
     _interior_rows,
@@ -73,13 +78,13 @@ __all__ = [
 
 # Label of the single evaluation path, reported with every operator and trace.
 METHOD = "symmetric_power"
-# z points per block of the O(N) update of states on |0) and |N); the working
-# set is a few arrays of _BLOCK x (N+1) complex numbers.
-_BLOCK = 512
-# Entries per block of the SVD-form update, _SVD_ENTRIES // (N+1) z points,
-# so each of its few (N+1) x block arrays stays at most 64 kB: blocks eight
-# times larger saved little time and raised a process's peak memory.
-_SVD_ENTRIES = 1 << 12
+# z points per block of the O(N) update of states on |0) and |N): at most
+# _EDGE_BLOCK, and _EDGE_ENTRIES // (N+1) at large N, so each of its few
+# block x (N+1) complex arrays stays at most 2 MB.  A 4096-entry budget, as
+# on the SVD path, made 2000-point noon traces 1.4x slower at N=10 and 2.4x
+# slower at N=40.
+_EDGE_BLOCK = 512
+_EDGE_ENTRIES = 1 << 17
 # |w(z)| below which the factored form is rejected as pole-adjacent.
 POLE_TOLERANCE = 1e-6
 
@@ -250,6 +255,15 @@ def evolve_grid(
     ``ERROR_LIMIT`` or log I breaks the contraction (unitarity at Gamma = 0)
     of G_N by more than ``ERROR_LIMIT``.
     """
+    return _evolve_grid(params, amplitudes, z_grid, True)
+
+
+def _evolve_grid(params: BeamsplitterParams, amplitudes, z_grid, with_occupations: bool):
+    """``evolve_grid``; without occupations it returns (log I, None).
+
+    The per-block occupations are then dropped, so no (z, N+1) array is
+    allocated.
+    """
     n = params.n_photons
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.shape != (n + 1,):
@@ -260,11 +274,11 @@ def evolve_grid(
     if amps[1:n].any():
         rows, block = _interior_rows, max(1, _SVD_ENTRIES // (n + 1))
     else:
-        rows, block = _edge_rows, _BLOCK
+        rows, block = _edge_rows, max(1, min(_EDGE_BLOCK, _EDGE_ENTRIES // (n + 1)))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_norm2 = float(np.log(np.vdot(amps, amps).real))
     log_i = np.empty(z.size)
-    occ = np.empty((z.size, n + 1))
+    occ = np.empty((z.size, n + 1)) if with_occupations else None
     for lo in range(0, z.size, block):
         zb = z[lo : lo + block]
         # out-of-range intermediates surface as non-finite values, caught below
@@ -272,23 +286,27 @@ def evolve_grid(
             li, pb = rows(params, amps, zb)
         _check_rows(params, zb, li, pb, log_norm2)
         log_i[lo : lo + zb.size] = li
-        occ[lo : lo + zb.size] = pb
+        if occ is not None:
+            occ[lo : lo + zb.size] = pb
     return log_i, occ
 
 
 def evolution_operator(params: BeamsplitterParams, z: float) -> PropagatorMatrix:
     """G(z) = exp(prefactor_exponent) * core, the core being Sym^N of g1's core.
 
-    The core has unit determinant; column k is the image of |k), built from
-    the coefficients of X^(N-k) Y^k.  Raises ``OverflowGuardError`` when the
-    core itself leaves the double range (the log intensities of
+    The core has unit determinant; column k is the image of |k), the
+    coefficients of X^(N-k) Y^k.  It is built by the SVD form of
+    ``evolve_grid`` on blocks of basis columns, O(N^3) in three real matrix
+    products per block.  A column whose relative error estimate
+    16 (N+1) eps / ||col|| (norm before the scale max(lambda, 1/lambda)^N)
+    exceeds ``ERROR_LIMIT`` is recomposed by Horner, as is every column at
+    z = 0, where the core is exactly I.  Raises ``OverflowGuardError`` when
+    the core itself leaves the double range (the log intensities of
     ``evolve_grid`` never do), and ``ValueError`` for a negative or
     non-finite z.
     """
     _check_z(z)
-    n = params.n_photons
-    u, v, t, log_scale = _g1_core(params.kappa, params.gamma, np.array([float(z)]))
-    core = _sym_matrix(n, (u, v, v, t), float(log_scale[0]), z)
+    core = _core_matrix(params, z)[0]
     return PropagatorMatrix(
         core=core, prefactor_exponent=_prefactor_exponent(params, z), method=METHOD
     )

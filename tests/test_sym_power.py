@@ -7,14 +7,17 @@ exponentials stop being trustworthy.  The cases pin defects of the former
 path-switching propagator: a wrong split product below threshold at N=40,
 NaN for N >= 86 and an overflow guard firing on a regular trace.  States
 on |0) and |N) take the engine's O(N) binomial form; they are checked
-against the reference and against the operator's columns, which are
-composed by the Horner loop, and at large N (beyond the former
-sqrt(C(N, m)) overflow) against closed forms.  Other states take the SVD
-form; the sweep checks its error estimate and Horner's bound against the
-reference, and that every z is accurate to ERROR_LIMIT or refused.
+against the reference and against the operator's columns, and at large N
+(beyond the former sqrt(C(N, m)) overflow) against closed forms.  Other
+states take the SVD form; the sweep checks its error estimate and
+Horner's bound against the reference, and that every z is accurate to
+ERROR_LIMIT or refused.  The operator's columns take the SVD form too,
+with Horner on the columns their estimate flags; they are checked against
+the reference column by column.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -23,7 +26,15 @@ import pytest
 from epbs.errors import IntensityUnderflowError, OverflowGuardError, PrecisionError
 from epbs.fock_core import BeamsplitterParams
 from epbs.observables import INTENSITY_FLOOR_LOG, make_input, occupations, trace_evolution
-from epbs._sympower import _check_rows, _horner_rows, _spin_basis, _svd_rows
+from epbs import propagator
+from epbs._sympower import (
+    _check_rows,
+    _core_matrix,
+    _horner_rows,
+    _spin_basis,
+    _svd_rows,
+    _sym_power,
+)
 from epbs.propagator import ERROR_LIMIT, _g1_core, evolution_operator, evolve_grid
 
 DPS = 40
@@ -68,12 +79,12 @@ def exact_core(n, kappa, gamma, z):
         roots = [mp.sqrt(math.comb(n, m)) for m in range(n + 1)]
         out = np.empty((n + 1, n + 1), dtype=complex)
         for m in range(n + 1):
-            col = [mp.mpc(0)] * (n + 1)
-            for i, a in enumerate(x_pow[n - m]):
-                for j, b in enumerate(y_pow[m]):
-                    col[i + j] += a * b
+            a, b = x_pow[n - m], y_pow[m]
             for k in range(n + 1):
-                out[k, m] = complex(col[k] * roots[m] / roots[k])
+                # coefficient of x^(N-k) y^k in X^(N-m) Y^m: sum over i + j = k
+                lo, hi = max(0, k - m), min(k, n - m)
+                col = mp.fdot(a[lo : hi + 1], [b[k - i] for i in range(lo, hi + 1)])
+                out[k, m] = complex(col * roots[m] / roots[k])
         return out
 
 
@@ -110,6 +121,46 @@ def test_reference_matches_closed_form_at_one_photon():
     g1 = np.array([[c + 0.5 * s, -1j * s], [-1j * s, c - 0.5 * s]])
     np.testing.assert_allclose(exact_core(1, 1.0, 1.0, z), g1, atol=1e-15)
     np.testing.assert_allclose(evolution_operator(p, z).core, g1, atol=1e-15)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0, 1.2])
+@pytest.mark.parametrize("n", [10, 40, 80])
+def test_operator_columns_against_reference(n, ratio):
+    # the Horner-only operator lost 9.7e-7 of a column at N=80, Gamma=0, z=3.68
+    p = params(2.0 * ratio, n)
+    for z in np.random.default_rng([n, int(10 * ratio)]).uniform(0.0, 5.0, 3):
+        core, estimate, flagged = _core_matrix(p, z)
+        assert np.array_equal(evolution_operator(p, z).core, core)
+        ref = exact_core(n, p.kappa, p.gamma, z)
+        col_err = np.linalg.norm(core - ref, axis=0) / np.linalg.norm(ref, axis=0)
+        if ratio == 0.0:
+            assert col_err.max() <= 1e-12
+        if n <= 40:
+            assert col_err.max() <= 1e-11
+        kept = np.setdiff1d(np.arange(n + 1), flagged)
+        assert np.all(col_err[kept] <= estimate[kept])
+        assert np.all(estimate[flagged] > ERROR_LIMIT)
+        # flagged columns are Horner's, bit for bit
+        u, v, t, log_scale = _g1_core(p.kappa, p.gamma, np.array([z]))
+        for k in flagged:
+            psi, log_norm = _sym_power(u, v, v, t, np.eye(n + 1, dtype=complex)[[k]])
+            assert np.array_equal(core[:, k], psi[0] * np.exp(n * (log_scale + log_norm)))
+
+
+def test_operator_core_near_the_double_range_limit():
+    # N |ln lambda| = 710.1 here, so e^(N |ln lambda|) alone overflows while
+    # the core's largest entry is 9.2e307
+    p = params(3.0, 10)
+    z = 63.25
+    core = evolution_operator(p, z).core
+    u, v, t, log_scale = _g1_core(p.kappa, p.gamma, np.array([z]))
+    with np.errstate(over="ignore"):
+        psi, log_norm = _sym_power(u, v, v, t, np.eye(11, dtype=complex))
+        horner = psi.T * np.exp(10 * (log_scale + log_norm))
+    assert np.isfinite(horner).all() and np.abs(horner).max() > 1e307
+    core, horner = core / 1e300, horner / 1e300  # squares of the entries overflow
+    col_err = np.linalg.norm(core - horner, axis=0) / np.linalg.norm(horner, axis=0)
+    assert col_err.max() <= 1e-12
 
 
 @pytest.mark.parametrize("z", [2.0, 5.0])
@@ -203,6 +254,35 @@ def test_all_in_b_at_large_n_matches_single_column_form(n, gamma):
     closed = n * np.log(abs(v) ** 2 + abs(t) ** 2) + 2 * n * log_scale - gamma * n * grid
     np.testing.assert_allclose(log_i, closed, rtol=0, atol=1e-10)
     assert np.isfinite(occ).all()
+
+
+def test_edge_blocks_do_not_change_values(monkeypatch):
+    # blocks are capped by entries at large N (65 z at N=2000, 512 below N=256)
+    n = 2000
+    p = params(1.0, n)
+    amps = make_input("noon", n).amplitudes
+    grid = np.linspace(0.0, 6.0, 600)
+    log_i, occ = evolve_grid(p, amps, grid)
+    for entries, block in ((1 << 30, 512), (1 << 30, 7)):
+        monkeypatch.setattr(propagator, "_EDGE_ENTRIES", entries)
+        monkeypatch.setattr(propagator, "_EDGE_BLOCK", block)
+        li_b, occ_b = evolve_grid(p, amps, grid)
+        assert np.array_equal(li_b, log_i) and np.array_equal(occ_b, occ)
+
+
+def test_intensity_only_trace_allocates_no_occupations():
+    # a (z, N+1) occupation array would take 32 MB here; with 512-z blocks
+    # the edge form's temporaries alone reached 78 MB
+    n, size = 2000, 2000
+    grid = np.linspace(0.0, 5.0, size)
+    tracemalloc.start()
+    try:
+        tr = trace_evolution(make_input("all_in_a", n), params(2.0, n), grid, with_occupations=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.occupations is None and np.isfinite(tr.log_intensity).all()
+    assert peak < size * (n + 1) * 8 / 2
 
 
 def test_non_finite_values_raise():
