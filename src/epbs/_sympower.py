@@ -21,12 +21,8 @@ by its amplitudes:
 Each form returns (log I, P) per z; ``_check_rows`` then holds every
 result to finiteness and to G_N's contraction (unitarity at Gamma = 0).
 
-``_core_matrix`` builds G_N's core as a matrix at one z with the same SVD
-form (``_svd_form`` serves both uses), applied to blocks of basis columns
-instead of a block of z.  Each column's estimate is 16 (N+1) eps / ||col||;
-the columns above ``ERROR_LIMIT`` are recomposed by Horner, and none is
-refused.  ``_sym_matrix`` composes every column of Sym^N of a 2x2 by
-Horner, for the Wei-Norman reproduction.
+``propagator`` builds G_N's matrix with the same SVD form (``_svd_form``
+serves both uses) and the Wei-Norman product with ``_sym_power``.
 """
 
 from __future__ import annotations
@@ -127,7 +123,7 @@ def _running_powers(first: np.ndarray, ratio: np.ndarray, n: int) -> np.ndarray:
     Rows m < 2^k are multiplied by ratio^(2^k) into rows 2^k ... 2^(k+1) - 1:
     log2(N) vectorised products instead of N.
     """
-    out = np.empty((n + 1, ratio.size), dtype=complex)
+    out = np.empty((n + 1, ratio.size), dtype=ratio.dtype)
     out[0] = first
     step, size = ratio, 1
     while size <= n:
@@ -225,20 +221,19 @@ def _svd_factors(params: BeamsplitterParams, z: np.ndarray):
     return phase, np.exp(scaling, out=scaling), log_lam
 
 
-def _svd_form(q: np.ndarray, x: np.ndarray, phase: np.ndarray, scaling: np.ndarray):
-    """E diag(scaling) E on the columns whose image under Q^T is x, E = Q diag(phase) Q^T.
+def _svd_form(q: np.ndarray, x: np.ndarray, left, right, scaling: np.ndarray):
+    """E(left) diag(scaling) E(right), E(phase) = Q diag(phase) Q^T, on the columns Q^T x.
 
-    ``phase`` and ``scaling`` hold one column per z.  Either x is one
-    column (one state over a block of z) or the factors are (one z, a
-    block of states); x must be C-contiguous.  Two phase multiplies, one
-    diagonal scaling and three real GEMMs on the real and imaginary parts
-    at once.
+    The factors hold one column per z (x one state) or per column of x, or
+    are one column (one z, a block of states); x must be C-contiguous.  Two
+    phase multiplies, one diagonal scaling and three real GEMMs on the real
+    and imaginary parts at once.
     """
-    x = phase * x
+    x = right * x
     out = _real_matmul(q, x)
     out *= scaling
     _real_matmul(q.T, out, out=x)
-    x *= phase
+    x *= left
     return _real_matmul(q, x, out=out)
 
 
@@ -252,7 +247,7 @@ def _svd_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
     n = params.n_photons
     q = _spin_basis(n)
     phase, scaling, log_lam = _svd_factors(params, z)
-    out = _svd_form(q, _real_matmul(q.T, amps[:, None]), phase, scaling)
+    out = _svd_form(q, _real_matmul(q.T, amps[:, None]), phase, phase, scaling)
     del phase, scaling
     log_i, occ, norm = _observe(out.T, n * (2.0 * np.abs(log_lam) - params.gamma * z))
     return log_i, occ, _EST_FACTOR * (n + 1) * np.linalg.norm(amps) / norm
@@ -375,68 +370,6 @@ def _interior_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
                 f"both exceed {ERROR_LIMIT:g} (N={params.n_photons})",
             )
     return log_i, occ
-
-
-def _sym_columns(n: int, entries, log_scale, columns) -> np.ndarray:
-    """Columns ``columns`` of exp(N * log_scale) * Sym^N([[u, v], [w, t]]), entries (u, v, w, t).
-
-    Column k is the image of |k), i.e. the coefficients of X^(N-k) Y^k,
-    composed by Horner.
-    """
-    u, v, w, t = (np.atleast_1d(e) for e in entries)
-    images, log_norm = _sym_power(u, v, w, t, np.eye(n + 1, dtype=complex)[columns])
-    return images.T * np.exp(n * (log_scale + log_norm))  # column k takes image k's scale
-
-
-def _finite(core: np.ndarray, n: int, z: float) -> np.ndarray:
-    """``core``, or ``OverflowGuardError`` when it has left the double range."""
-    if not np.isfinite(core).all():
-        raise OverflowGuardError(
-            f"N-photon propagator leaves double-precision range at z={z!r} (N={n})"
-        )
-    return core
-
-
-def _sym_matrix(n: int, entries, log_scale: float, z: float) -> np.ndarray:
-    """exp(N * log_scale) * Sym^N([[u, v], [w, t]]) as a matrix, entries (u, v, w, t), by Horner.
-
-    Raises ``OverflowGuardError`` when the matrix leaves the double range.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(_sym_columns(n, entries, log_scale, slice(None)), n, z)
-
-
-def _core_matrix(params: BeamsplitterParams, z: float):
-    """(core, estimate, flagged): Sym^N of g1's core at one z, column error estimates, Horner columns.
-
-    The core is the unit-determinant one; column k is the image of |k).
-    The SVD form maps blocks of ``_SVD_ENTRIES`` basis columns, and the
-    scale e^(N |ln lambda|) is applied last.  Before it, 16 (N+1) eps /
-    ||col|| estimates each column's relative error; the columns above
-    ``ERROR_LIMIT`` are recomposed by Horner, as are all of them where the
-    core is exactly I (z = 0), so those equal ``_sym_columns``.  Raises
-    ``OverflowGuardError`` when the core leaves the double range.
-    """
-    n = params.n_photons
-    zs = np.array([float(z)])
-    q = _spin_basis(n)
-    phase, scaling, log_lam = _svd_factors(params, zs)
-    core = np.empty((n + 1, n + 1), dtype=complex)
-    width = max(1, _SVD_ENTRIES // (n + 1))
-    for lo in range(0, n + 1, width):
-        core[:, lo : lo + width] = _svd_form(q, q[lo : lo + width].T.copy(), phase, scaling)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        estimate = _EST_FACTOR * (n + 1) / np.linalg.norm(core, axis=0)
-        # at z = 0 the core is exactly I
-        flagged = np.arange(n + 1) if z == 0 else np.flatnonzero(estimate > ERROR_LIMIT)
-        # in two halves, so that only entries beyond the double range overflow
-        half_scale = np.exp(0.5 * n * abs(log_lam[0]))
-        core *= half_scale
-        core *= half_scale
-        if flagged.size:
-            u, v, t, log_scale = _g1_core(params.kappa, params.gamma, zs)
-            core[:, flagged] = _sym_columns(n, (u, v, v, t), log_scale, flagged)
-    return _finite(core, n, z), estimate, flagged
 
 
 def _check_rows(params: BeamsplitterParams, z, log_i, occ, log_norm2: float) -> None:

@@ -21,11 +21,11 @@ bound on the z whose SVD error estimate exceeds ``ERROR_LIMIT``.  A z
 that neither form certifies raises ``PrecisionError``, as does a log I
 that breaks G_N's contraction (unitarity at Gamma = 0).
 ``evolution_operator`` builds the matrix with the same SVD form, applied
-to blocks of basis columns at one z, and recomposes by Horner the columns
-whose error estimate exceeds ``ERROR_LIMIT`` (all of them at z = 0, where
-the core is exactly I).  g1 is entire in z, so there are no poles.  Its
-scale is kept in log space with the decay -Gamma*N*z, so nothing
-overflows.
+to blocks of basis columns at one z; a column whose error bound exceeds
+``ERROR_LIMIT`` is run again by a form scaled for that column alone, and
+refused with ``PrecisionError`` if it is still above.  g1 is entire in z,
+so there are no poles.  Its scale is kept in log space with the decay
+-Gamma*N*z, so nothing overflows.
 
 The paper's closed form factorizes the same operator as
 e^{-i(omega0 - i*Gamma/2) N z} e^{-i f_+ J_+} e^{-i f_z J_z} e^{-i f_- J_-}
@@ -49,16 +49,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sympower import (
+    _EST_FACTOR,
+    _LOG_FLUSH,
     _SVD_ENTRIES,
     ERROR_LIMIT,
     _check_rows,
-    _core_matrix,
     _edge_rows,
     _g1_core,
+    _g1_cs,
     _interior_rows,
-    _sym_matrix,
+    _running_powers,
+    _spin_basis,
+    _svd_factors,
+    _svd_form,
+    _sym_power,
 )
-from .errors import OverflowGuardError, PoleProximityError
+from .errors import OverflowGuardError, PoleProximityError, PrecisionError
 from .fock_core import BeamsplitterParams
 
 __all__ = [
@@ -87,6 +93,7 @@ _EDGE_BLOCK = 512
 _EDGE_ENTRIES = 1 << 17
 # |w(z)| below which the factored form is rejected as pole-adjacent.
 POLE_TOLERANCE = 1e-6
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -218,6 +225,28 @@ class PropagatorMatrix:
         return self.core.shape[0]
 
 
+def _finite(core: np.ndarray, n: int, z: float) -> np.ndarray:
+    """``core``, or ``OverflowGuardError`` when it has left the double range."""
+    if not np.isfinite(core).all():
+        raise OverflowGuardError(
+            f"N-photon propagator leaves double-precision range at z={z!r} (N={n})"
+        )
+    return core
+
+
+def _sym_matrix(n: int, entries, log_scale: float, z: float) -> np.ndarray:
+    """exp(N * log_scale) * Sym^N([[u, v], [w, t]]) as a matrix, entries (u, v, w, t), by Horner.
+
+    Column k is the image of |k), the coefficients of X^(N-k) Y^k.  Raises
+    ``OverflowGuardError`` when the matrix leaves the double range.
+    """
+    u, v, w, t = (np.atleast_1d(e) for e in entries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        images, log_norm = _sym_power(u, v, w, t, np.eye(n + 1, dtype=complex))
+        # column k takes image k's scale
+        return _finite(images.T * np.exp(n * (log_scale + log_norm)), n, z)
+
+
 def assemble_propagator(wn: WeiNormanParams) -> PropagatorMatrix:
     """Evaluate the factored propagator from its scalar coefficients.
 
@@ -291,17 +320,124 @@ def _evolve_grid(params: BeamsplitterParams, amplitudes, z_grid, with_occupation
     return log_i, occ
 
 
+def _column_factors(params: BeamsplitterParams, z: float, columns: np.ndarray):
+    """(left, right, scaling, log scale) of basis columns k, each by its own scaled SVD form.
+
+    Column k of Sym^N(g) is alpha^-k times that of Sym^N(g diag(1, alpha)).
+    With g1's core [[u, -i w], [-i w, t]] (u, t, w real), g diag(1, alpha)
+    = B(p1) diag(s1, s2) B(p2) sigma_z by the closed-form real SVD of
+    R = [[u, w alpha], [w, -t alpha]] (Golub & Van Loan, Sec. 8.6), so
+    column k is (-1)^k alpha^-k s1^N E(p1) diag((s2/s1)^m) E(p2) e_k; s2
+    comes from det R.  alpha_k puts R's top right singular vector at
+    weight k/N on y, near |k).
+    """
+    n, gamma = params.n_photons, params.gamma
+    c, s, log_scale = (float(x) for x in _g1_cs(params.kappa, gamma, z))
+    u, t, w = c + 0.5 * gamma * s, c - 0.5 * gamma * s, params.kappa * s
+    # A, C, B of the quadratic below; det R / alpha
+    a, cc, b, det = u * u + w * w, w * w + t * t, abs(w * gamma * s), -math.exp(-2.0 * log_scale)
+    # on the few flagged columns, scalar math costs less than array calls
+    m = columns.size
+    p, ratio, log_col = np.empty(2 * m), np.empty(m), np.empty(m)
+    for i, k in enumerate(columns.tolist()):
+        # beta = alpha^2 solves C^2 f(1-f) beta^2 - (2 A C f(1-f) + d^2) beta + A^2 f(1-f) = 0,
+        # d = B (1 - 2f); the larger root belongs to f >= 1/2, the smaller is (A/C)^2 over it
+        frac = min(max(k / n, 1e-12), 1.0 - 1e-12)
+        ff, d = frac * (1.0 - frac), b * (1.0 - 2.0 * frac)
+        big = (2.0 * a * cc * ff + d * d + abs(d) * math.sqrt(4.0 * a * cc * ff + d * d)) / (
+            2.0 * cc * cc * ff
+        )
+        alpha = math.sqrt(big if frac >= 0.5 else (a / cc) ** 2 / big)
+        e, f = 0.5 * (u - t * alpha), 0.5 * (u + t * alpha)
+        g, h = 0.5 * w * (1.0 + alpha), 0.5 * w * (1.0 - alpha)
+        s1 = math.hypot(e, h) + math.hypot(f, g)
+        a1, a2 = math.atan2(g, f), math.atan2(h, e)
+        p[i], p[m + i] = 0.5 * (a2 + a1), 0.5 * (a2 - a1)
+        ratio[i] = det * alpha / (s1 * s1)
+        log_col[i] = n * (math.log(s1) + log_scale) - k * math.log(alpha)
+    # one table of powers for the phases e^(-i p1 mu), e^(-i p2 mu) and (s2/s1)^m
+    first = np.concatenate((np.exp((1j * n) * p), np.ones(m)))
+    first[:m] *= np.where(columns % 2, -1.0, 1.0)
+    table = _running_powers(first, np.concatenate((np.exp(-2j * p), ratio)), n)
+    scaling = table[:, 2 * m :].real
+    scaling[np.abs(scaling) < math.exp(_LOG_FLUSH)] = 0.0
+    return table[:, :m], table[:, m : 2 * m], scaling, log_col
+
+
+def _column_estimate(cols: np.ndarray, n: int, theta: float, log_col):
+    """Relative error bound of SVD-form columns ``cols`` with scales ``log_col``, not yet applied.
+
+    16 (N+1) eps / ||col|| for the form, whose scaled operator has norm 1,
+    plus 2 (N+1) eps (theta + |log_col| / N + 1) for rounding g1's
+    argument theta and the scale.
+    """
+    slack = (2.0 * (n + 1) * _EPS) * (theta + abs(log_col) / n + 1.0)
+    return _EST_FACTOR * (n + 1) / np.linalg.norm(cols, axis=0) + slack
+
+
+def _core_matrix(params: BeamsplitterParams, z: float):
+    """(core, estimate, rescued): Sym^N of g1's core at one z, column error bounds, rerun columns.
+
+    Column k is the image of |k).  Blocks of ``_SVD_ENTRIES`` columns take
+    the SVD form with g1's own factors; columns whose bound exceeds
+    ``ERROR_LIMIT`` are run again, each by its own scaled form.  Scales are
+    applied last, in two halves.  Raises ``OverflowGuardError`` when the
+    core leaves the double range and ``PrecisionError`` when a rerun
+    column's bound still exceeds ``ERROR_LIMIT``.
+    """
+    n = params.n_photons
+    if z == 0:
+        return np.eye(n + 1, dtype=complex), np.zeros(n + 1), np.arange(0)
+    zs = np.array([float(z)])
+    theta = 0.5 * math.sqrt(abs(4.0 * params.kappa**2 - params.gamma**2)) * float(z)
+    q = _spin_basis(n)
+    phase, scaling, log_lam = _svd_factors(params, zs)
+    core = np.empty((n + 1, n + 1), dtype=complex)
+    width = max(1, _SVD_ENTRIES // (n + 1))
+    for lo in range(0, n + 1, width):
+        core[:, lo : lo + width] = _svd_form(q, q[lo : lo + width].T.copy(), phase, phase, scaling)
+    log_col = n * abs(float(log_lam[0]))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        estimate = _column_estimate(core, n, theta, log_col)
+        rescued = np.flatnonzero(estimate > ERROR_LIMIT)
+        if rescued.size:
+            log_col = np.full(n + 1, log_col)
+        for lo in range(0, rescued.size, width):
+            cols = rescued[lo : lo + width]
+            left, right, col_scaling, log_col[cols] = _column_factors(params, float(z), cols)
+            core[:, cols] = _svd_form(q, q[cols].T.copy(), left, right, col_scaling)
+            estimate[cols] = _column_estimate(core[:, cols], n, theta, log_col[cols])
+        # in two halves, so that only entries beyond the double range overflow
+        half_scale = np.exp(0.5 * log_col)
+        core *= half_scale
+        core *= half_scale
+    _finite(core, n, z)
+    # only a rerun column can still exceed the limit
+    if rescued.size and estimate.max() > ERROR_LIMIT:
+        k = np.argmax(estimate > ERROR_LIMIT)
+        raise PrecisionError(
+            float(z),
+            f"column {k} of the N-photon propagator has error bound {estimate[k]:.1e} "
+            f"> {ERROR_LIMIT:g} (N={n})",
+        )
+    return core, estimate, rescued
+
+
 def evolution_operator(params: BeamsplitterParams, z: float) -> PropagatorMatrix:
     """G(z) = exp(prefactor_exponent) * core, the core being Sym^N of g1's core.
 
     The core has unit determinant; column k is the image of |k), the
     coefficients of X^(N-k) Y^k.  It is built by the SVD form of
     ``evolve_grid`` on blocks of basis columns, O(N^3) in three real matrix
-    products per block.  A column whose relative error estimate
-    16 (N+1) eps / ||col|| (norm before the scale max(lambda, 1/lambda)^N)
-    exceeds ``ERROR_LIMIT`` is recomposed by Horner, as is every column at
-    z = 0, where the core is exactly I.  Raises ``OverflowGuardError`` when
-    the core itself leaves the double range (the log intensities of
+    products per block.  Each column carries a bound on its relative
+    error, 16 (N+1) eps / ||col|| (norm before the scale) plus 2 (N+1) eps
+    (theta + |log scale| / N + 1) for the rounding of g1's argument theta
+    and of the applied scale.  A column above ``ERROR_LIMIT`` is run again
+    through the same form of Sym^N(g1 diag(1, alpha_k)), whose column k is
+    alpha_k^k times the core's, with alpha_k chosen for that column; if its
+    bound still exceeds ``ERROR_LIMIT``, ``PrecisionError`` names z, N and
+    the column.  At z = 0 the core is I.  Raises ``OverflowGuardError``
+    when the core itself leaves the double range (the log intensities of
     ``evolve_grid`` never do), and ``ValueError`` for a negative or
     non-finite z.
     """

@@ -12,8 +12,8 @@ against the reference and against the operator's columns, and at large N
 states take the SVD form; the sweep checks its error estimate and
 Horner's bound against the reference, and that every z is accurate to
 ERROR_LIMIT or refused.  The operator's columns take the SVD form too,
-with Horner on the columns their estimate flags; they are checked against
-the reference column by column.
+with a rerun by a per-column scaled form where their bound flags them;
+every column is checked against the reference and its own bound.
 """
 
 import math
@@ -29,13 +29,18 @@ from epbs.observables import INTENSITY_FLOOR_LOG, make_input, occupations, trace
 from epbs import propagator
 from epbs._sympower import (
     _check_rows,
-    _core_matrix,
     _horner_rows,
     _spin_basis,
     _svd_rows,
     _sym_power,
 )
-from epbs.propagator import ERROR_LIMIT, _g1_core, evolution_operator, evolve_grid
+from epbs.propagator import (
+    ERROR_LIMIT,
+    _core_matrix,
+    _g1_core,
+    evolution_operator,
+    evolve_grid,
+)
 
 DPS = 40
 
@@ -123,28 +128,73 @@ def test_reference_matches_closed_form_at_one_photon():
     np.testing.assert_allclose(evolution_operator(p, z).core, g1, atol=1e-15)
 
 
-@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0, 1.2])
-@pytest.mark.parametrize("n", [10, 40, 80])
+def column_errors(core, ref):
+    """||col - ref|| / ||ref|| per column, each column scaled first so no square overflows."""
+    scale = np.abs(ref).max(axis=0)
+    return np.linalg.norm((core - ref) / scale, axis=0) / np.linalg.norm(ref / scale, axis=0)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0, 1.2, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 10, 40, 80])
 def test_operator_columns_against_reference(n, ratio):
     # the Horner-only operator lost 9.7e-7 of a column at N=80, Gamma=0, z=3.68
     p = params(2.0 * ratio, n)
     for z in np.random.default_rng([n, int(10 * ratio)]).uniform(0.0, 5.0, 3):
-        core, estimate, flagged = _core_matrix(p, z)
+        core, estimate, _ = _core_matrix(p, z)
         assert np.array_equal(evolution_operator(p, z).core, core)
-        ref = exact_core(n, p.kappa, p.gamma, z)
-        col_err = np.linalg.norm(core - ref, axis=0) / np.linalg.norm(ref, axis=0)
+        col_err = column_errors(core, exact_core(n, p.kappa, p.gamma, z))
         if ratio == 0.0:
             assert col_err.max() <= 1e-12
         if n <= 40:
             assert col_err.max() <= 1e-11
-        kept = np.setdiff1d(np.arange(n + 1), flagged)
-        assert np.all(col_err[kept] <= estimate[kept])
-        assert np.all(estimate[flagged] > ERROR_LIMIT)
-        # flagged columns are Horner's, bit for bit
-        u, v, t, log_scale = _g1_core(p.kappa, p.gamma, np.array([z]))
-        for k in flagged:
-            psi, log_norm = _sym_power(u, v, v, t, np.eye(n + 1, dtype=complex)[[k]])
-            assert np.array_equal(core[:, k], psi[0] * np.exp(n * (log_scale + log_norm)))
+        # every column, rerun by its own scaled form or not, is within its
+        # bound, and no bound exceeds the limit
+        assert np.all(col_err <= estimate)
+        assert estimate.max() <= ERROR_LIMIT
+
+
+@pytest.mark.parametrize("ratio", [0.95, 1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_column_bound_holds_at_small_n(n, ratio):
+    # without the rounding of theta and of the scale, the bound was exceeded
+    # 1.8-fold at N=2, 0.95 Gamma_c, kappa z = 29.3
+    p = params(2.0 * ratio, n)
+    for z in np.append(np.random.default_rng([n, int(100 * ratio)]).uniform(0.0, 30.0, 20), 29.3):
+        core, estimate, _ = _core_matrix(p, z)
+        assert np.all(column_errors(core, exact_core(n, p.kappa, p.gamma, z)) <= estimate)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 2.4])
+@pytest.mark.parametrize("n", [10, 40])
+def test_no_column_refused_on_benchmark_inputs(n, gamma):
+    # the benchmark's matrix cases: kappa z on (0, 30] at N=10, (0, 10] at N=40
+    z_max = 30.0 if n == 10 else 10.0
+    p = params(gamma, n)
+    for z in z_max - np.random.default_rng([n, int(10 * gamma)]).uniform(0.0, z_max, 50):
+        _, estimate, _ = _core_matrix(p, z)
+        assert estimate.max() <= ERROR_LIMIT
+
+
+def test_refused_column_names_z_n_and_column(monkeypatch):
+    # below 16 (N+1) eps every column fails the limit, rerun or not
+    monkeypatch.setattr(propagator, "ERROR_LIMIT", 1e-14)
+    with pytest.raises(PrecisionError) as err:
+        evolution_operator(params(2.0, 10), 1.5)
+    assert err.value.z == 1.5
+    assert "z=1.5" in str(err.value) and "N=10" in str(err.value)
+    assert "column 0 " in str(err.value)
+
+
+@pytest.mark.parametrize("n", [1, 40, 200])
+def test_operator_at_z0_is_the_identity(n, monkeypatch):
+    def fail(*args):
+        raise AssertionError("no form runs at z = 0")
+
+    monkeypatch.setattr(propagator, "_sym_power", fail)
+    monkeypatch.setattr(propagator, "_svd_form", fail)
+    for ratio in (0.0, 0.5, 1.0, 1.2):
+        core = evolution_operator(params(2.0 * ratio, n), 0.0).core
+        assert core.dtype == complex and np.array_equal(core, np.eye(n + 1))
 
 
 def test_operator_core_near_the_double_range_limit():
