@@ -16,13 +16,14 @@ by its amplitudes:
 - Horner: the z whose SVD estimate exceeds ``ERROR_LIMIT`` are recomposed
   homogeneous-Horner style, O(N^2) per z, with Higham's bound; where that
   bound exceeds ``ERROR_LIMIT`` too, the update is refused with
-  ``PrecisionError``.
+  ``PrecisionError``.  This fallback is Horner's only use.
 
 Each form returns (log I, P) per z; ``_check_rows`` then holds every
 result to finiteness and to G_N's contraction (unitarity at Gamma = 0).
 
-``propagator`` builds G_N's matrix with the same SVD form (``_svd_form``
-serves both uses) and the Wei-Norman product with ``_sym_power``.
+``propagator`` builds G_N's matrix, and the Wei-Norman product's, with the
+same SVD form: ``_svd_factors`` and ``_svd_form`` take any real core
+e^log_scale [[c + y, -i ks], [-i ks, c - y]] of unit determinant.
 """
 
 from __future__ import annotations
@@ -193,23 +194,21 @@ def _real_matmul(mat: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
-def _svd_factors(params: BeamsplitterParams, z: np.ndarray):
-    """(phase, scaling, ln lambda) of the SVD form of Sym^N(g1), one column per z.
+def _svd_factors(n: int, c, ks, y, log_scale):
+    """(phase, scaling, ln lambda) of the SVD form of Sym^N of a core, one column per entry.
 
-    g1's unit-determinant core factors as B(phi) diag(lambda, 1/lambda)
-    B(phi), B(phi) = exp(-i phi sigma_x), with 2 phi = atan2(kappa s, c)
-    and ln lambda = asinh(Gamma s / 2).  So Sym^N of the core is
-    E diag(lambda^(N-2m)) E with E = Q diag(e^(-i phi mu)) Q^T.  Returns
-    phase = e^(-i phi mu) and scaling = lambda^(N-2m) / max(lambda,
+    The unit-determinant core e^log_scale [[c + y, -i ks], [-i ks, c - y]]
+    (c, ks, y real; y >= 0 where log_scale > 0) factors as B(phi)
+    diag(lambda, 1/lambda) B(phi), B(phi) = exp(-i phi sigma_x), with
+    2 phi = atan2(ks, c) and ln lambda = asinh(y e^log_scale).  So Sym^N of
+    it is E diag(lambda^(N-2m)) E with E = Q diag(e^(-i phi mu)) Q^T.
+    Returns phase = e^(-i phi mu) and scaling = lambda^(N-2m) / max(lambda,
     1/lambda)^N <= 1, whose scale N |ln lambda| the callers keep apart.
     """
-    n = params.n_photons
-    c, s, log_scale = _g1_cs(params.kappa, params.gamma, z)
-    phi = 0.5 * np.arctan2(params.kappa * s, c)
-    y = 0.5 * params.gamma * s
+    phi = 0.5 * np.arctan2(ks, c)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # asinh of the unscaled Gamma s / 2; above threshold y >= 0 and the
-        # scale e^log_scale is factored out of the argument first
+        # asinh of the unscaled y; where log_scale > 0 the scale is
+        # factored out of the argument first
         log_lam = np.where(
             log_scale > 0,
             log_scale + np.log(y + np.hypot(y, np.exp(-log_scale))),
@@ -246,47 +245,37 @@ def _svd_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
     """
     n = params.n_photons
     q = _spin_basis(n)
-    phase, scaling, log_lam = _svd_factors(params, z)
+    c, s, log_scale = _g1_cs(params.kappa, params.gamma, z)
+    ks, y = params.kappa * s, 0.5 * params.gamma * s
+    phase, scaling, log_lam = _svd_factors(n, c, ks, y, log_scale)
     out = _svd_form(q, _real_matmul(q.T, amps[:, None]), phase, phase, scaling)
     del phase, scaling
     log_i, occ, norm = _observe(out.T, n * (2.0 * np.abs(log_lam) - params.gamma * z))
     return log_i, occ, _EST_FACTOR * (n + 1) * np.linalg.norm(amps) / norm
 
 
-def _normalized(u, v, w, t):
-    """[[u, v], [w, t]] scaled to unit norm in its larger column, and the log of the scale."""
-    norm = np.maximum(np.hypot(abs(u), abs(w)), np.hypot(abs(v), abs(t)))
-    return tuple(np.asarray(e / norm)[:, None] for e in (u, v, w, t)), np.log(norm)
+def _horner(u, v, t, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs_k X^(N-k) Y^k on the monomials x^(N-j) y^j, X = u x + v y, Y = v x + t y.
 
-
-def _horner(u, v, w, t, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs_k X^(N-k) Y^k on the monomials x^(N-j) y^j, X = u x + w y, Y = v x + t y.
-
-    The entries are columns (one value per row, or one for all rows) and
-    ``coeffs`` holds one coefficient vector per row (or one for all rows).
-    Composed homogeneous-Horner style, T_k = T_(k-1) X + coeffs_k Y^k:
-    O(N^2) per row.  T stays zero below the first non-zero coefficient, a
-    zero coefficient column adds nothing and Y^k is needed only up to the
-    last one, so those updates are skipped; Y^k depends on the entries
-    alone, so shared entries carry it once.
+    The entries hold one value per row of the result; ``coeffs`` is one
+    coefficient vector for all rows.  Composed homogeneous-Horner style,
+    T_k = T_(k-1) X + coeffs_k Y^k: O(N^2) per row.  T stays zero below the
+    first non-zero coefficient, a zero coefficient adds nothing and Y^k is
+    needed only up to the last one, so those updates are skipped.
     """
-    n = coeffs.shape[-1] - 1
-    rows = max(u.shape[0], coeffs.shape[0])
-    dtype = np.result_type(u, coeffs)
+    n = coeffs.size - 1
     # monomials run down the first axis, so that each update is one
     # contiguous slice rather than one strided slice per row
-    u, v, w, t, coeffs = u.T, v.T, w.T, t.T, coeffs.T
-    poly = np.zeros((n + 1, rows), dtype=dtype)
+    poly = np.zeros((n + 1, u.size), dtype=np.result_type(u, coeffs))
     poly[0] = coeffs[0]
-    y_pow = np.zeros((n + 1, v.shape[1]), dtype=dtype)
+    y_pow = np.zeros_like(poly)
     y_pow[0] = 1.0
-    used = np.any(coeffs != 0, axis=1)
-    nonzero = np.flatnonzero(used)
+    nonzero = np.flatnonzero(coeffs)
     first, last = nonzero.min(initial=n), nonzero.max(initial=0)
-    used = used.tolist()
+    used = (coeffs != 0).tolist()
     for k in range(1, n + 1):
         if k > first:
-            shifted = poly[:k] * w
+            shifted = poly[:k] * v
             poly[:k] *= u
             poly[1 : k + 1] += shifted
         if k <= last:
@@ -298,56 +287,34 @@ def _horner(u, v, w, t, coeffs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(poly.T)
 
 
-def _binomial_roots(n: int) -> np.ndarray:
-    """sqrt(C(N, m)) scaled by 1/sqrt(C(N, floor(N/2))), so that none overflows.
-
-    Coefficients are weighted by these roots and images divided by them, so
-    the scale cancels.  For N >= ~2050 the edge roots are subnormal.
-    """
-    half = _half_log_binomial(n)
-    return np.exp(half - half[n // 2])
-
-
-def _sym_power(u, v, w, t, amplitudes: np.ndarray):
-    """Sym^N of [[u, v], [w, t]] applied to states, up to a scale per row.
-
-    The entries hold one value per row of the result (or one for all rows);
-    ``amplitudes`` holds one state per row (or one for all rows).  Each
-    state is the polynomial P(x, y) = sum_m a_m x^(N-m) y^m with
-    a_m = c_m sqrt(C(N, m)); its image is P(X, Y), X = u x + w y,
-    Y = v x + t y, composed by ``_horner`` with the 2x2 normalised so that
-    its larger column has unit norm.  Returns (psi, log_scale) with the
-    image equal to exp(N * log_scale) * psi on the orthonormal basis, one
-    log_scale per row.
-    """
-    entries, log_norm = _normalized(u, v, w, t)
-    roots = _binomial_roots(amplitudes.shape[-1] - 1)
-    poly = _horner(*entries, amplitudes * roots)
-    # part by part: a complex division by a real root is not exact for poly = root
-    psi = np.empty_like(poly)
-    psi.real, psi.imag = poly.real / roots, poly.imag / roots
-    return psi, log_norm
-
-
 def _horner_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
     """(log I, P, error bound) at each z by the Horner composition.
 
+    g1's core is scaled to unit norm in its larger column, and the
+    amplitudes a_m are weighted by sqrt(C(N, m)) / sqrt(C(N, N/2)), which
+    never overflows, so the image P(X, Y) of P(x, y) = sum_m a_m
+    sqrt(C(N, m)) x^(N-m) y^m is composed by ``_horner`` and divided back.
     The bound is Higham's for Horner's rule (Accuracy and Stability of
     Numerical Algorithms, 2002): running the same recursion on the
     absolute values of the entries and coefficients bounds every rounding,
     so 16 (N+1) eps times that image's norm, over ||psi||, bounds the
-    relative error of psi.  Subnormal binomial roots (N >= ~2050) add their
-    own relative spacing.
+    relative error of psi.  Subnormal weights (N >= ~2050) add their own
+    relative spacing.
     """
     n = params.n_photons
     u, v, t, log_scale = _g1_core(params.kappa, params.gamma, z)
-    psi, log_norm = _sym_power(u, v, v, t, amps[None, :])
-    log_i, occ, norm = _observe(psi, n * (2.0 * (log_scale + log_norm) - params.gamma * z))
-    entries, _ = _normalized(u, v, v, t)
-    roots = _binomial_roots(n)
-    magnitude = _horner(*(abs(e) for e in entries), abs(amps * roots)[None, :]) / roots
+    norm = np.maximum(np.hypot(abs(u), abs(v)), np.hypot(abs(v), abs(t)))
+    u, v, t = u / norm, v / norm, t / norm
+    half = _half_log_binomial(n)
+    roots = np.exp(half - half[n // 2])
+    poly = _horner(u, v, t, amps * roots)
+    # part by part: a complex division by a real root is not exact for poly = root
+    psi = np.empty_like(poly)
+    psi.real, psi.imag = poly.real / roots, poly.imag / roots
+    log_i, occ, psi_norm = _observe(psi, n * (2.0 * (log_scale + np.log(norm)) - params.gamma * z))
+    magnitude = _horner(abs(u), abs(v), abs(t), abs(amps * roots)) / roots
     factor = _EST_FACTOR * (n + 1) + 2.0 * np.max(np.spacing(roots) / roots)
-    return log_i, occ, factor * np.linalg.norm(magnitude, axis=1) / norm
+    return log_i, occ, factor * np.linalg.norm(magnitude, axis=1) / psi_norm
 
 
 def _interior_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):

@@ -34,10 +34,11 @@ w = 1 + kappa*z at the critical loss); it is singular at the zeros of w,
 which exist only below threshold.  ``wei_norman_params`` reads w and q
 off the engine's g1 core, so one evaluation serves every regime, the
 critical loss included; ``ep_limit_params`` is the paper's critical-loss
-form and ``assemble_propagator`` multiplies the factors out.  They are
-the reproduced result.  The tests check them against each other, literal
-factor products, dense matrix exponentials and direct integration of the
-coefficient system (``tests/oracles.py``).
+form.  ``assemble_propagator`` multiplies the one-photon factors and takes
+Sym^N of their product with ``evolution_operator``'s certified core
+builder.  They are the reproduced result.  The tests check them against
+each other, literal factor products, dense matrix exponentials and direct
+integration of the coefficient system (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from ._sympower import (
     _spin_basis,
     _svd_factors,
     _svd_form,
-    _sym_power,
 )
 from .errors import OverflowGuardError, PoleProximityError, PrecisionError
 from .fock_core import BeamsplitterParams
@@ -101,8 +101,9 @@ class WeiNormanParams:
     """Scalar coefficients of the factored propagator at one distance z.
 
     ``f_plus == f_minus`` holds for every z.  ``w`` is real for the closed
-    form in either regime (it only becomes genuinely complex when produced
-    by the numerical integrator) and carries all branch information:
+    form in either regime (only the numerical integrator of the tests gives
+    a complex one; ``assemble_propagator`` needs it real, and f_+ == f_-)
+    and carries all branch information:
     e^{-i f_z} == w^{-2} exactly, so diagonal factors are integer powers of
     w.  ``prefactor_exponent`` is -i(omega0 - i*Gamma/2)*N*z; its real part
     -Gamma*N*z/2 is the global decay and is kept separate so norms and
@@ -225,43 +226,27 @@ class PropagatorMatrix:
         return self.core.shape[0]
 
 
-def _finite(core: np.ndarray, n: int, z: float) -> np.ndarray:
-    """``core``, or ``OverflowGuardError`` when it has left the double range."""
-    if not np.isfinite(core).all():
-        raise OverflowGuardError(
-            f"N-photon propagator leaves double-precision range at z={z!r} (N={n})"
-        )
-    return core
-
-
-def _sym_matrix(n: int, entries, log_scale: float, z: float) -> np.ndarray:
-    """exp(N * log_scale) * Sym^N([[u, v], [w, t]]) as a matrix, entries (u, v, w, t), by Horner.
-
-    Column k is the image of |k), the coefficients of X^(N-k) Y^k.  Raises
-    ``OverflowGuardError`` when the matrix leaves the double range.
-    """
-    u, v, w, t = (np.atleast_1d(e) for e in entries)
-    with np.errstate(over="ignore", invalid="ignore"):
-        images, log_norm = _sym_power(u, v, w, t, np.eye(n + 1, dtype=complex))
-        # column k takes image k's scale
-        return _finite(images.T * np.exp(n * (log_scale + log_norm)), n, z)
-
-
 def assemble_propagator(wn: WeiNormanParams) -> PropagatorMatrix:
     """Evaluate the factored propagator from its scalar coefficients.
 
-    On one photon the three factors are the 2x2 matrices [[1, 0], [-i f_+, 1]],
-    diag(w, 1/w) and [[1, -i f_-], [0, 1]]; the symmetric power of their
-    product [[u, v], [w, t]] is e^{-i f_+ J_+} w^{N-2 J_z} e^{-i f_- J_-},
-    with N = ``wn.n_photons``.  Raises at w = 0 and when the result leaves
-    the double range.
+    On one photon the factors are [[1, 0], [-i f, 1]], diag(w, 1/w) and
+    [[1, -i f], [0, 1]] (f = f_+ = f_-); their product is the unit-
+    determinant core [[w, -i f w], [-i f w, t]], t = 1/w - f^2 w.  Its
+    Sym^N, e^{-i f J_+} w^{N-2 J_z} e^{-i f J_-} with N = ``wn.n_photons``,
+    is built as ``evolution_operator``'s core is, with the same column
+    bounds.  Raises ``ValueError`` for a complex w or f_+ != f_- (no closed
+    form gives them), ``PoleProximityError`` at w = 0,
+    ``OverflowGuardError`` when the result leaves the double range and
+    ``PrecisionError`` when a column's bound exceeds ``ERROR_LIMIT``.
     """
-    n = wn.n_photons
-    w, f_p, f_m = complex(wn.w), wn.f_plus, wn.f_minus
+    w, f = complex(wn.w), wn.f_plus
+    if w.imag != 0.0 or f != wn.f_minus:
+        raise ValueError(f"assembly needs a real w and f_+ == f_-, got {w}, {f}, {wn.f_minus}")
+    w = w.real
     if abs(w) < 1e-300:
         raise PoleProximityError(wn.z, abs(w), 1e-300)
-    entries = (w, -1j * f_m * w, -1j * f_p * w, 1.0 / w - f_p * f_m * w)
-    core = _sym_matrix(n, entries, 0.0, wn.z)
+    t = 1.0 / w - f * f * w
+    core = _core_matrix(wn.n_photons, wn.z, 0.0, 0.5 * (w + t), f * w, 0.5 * (w - t), 0.0)[0]
     return PropagatorMatrix(
         core=core, prefactor_exponent=complex(wn.prefactor_exponent), method=wn.source
     )
@@ -320,22 +305,21 @@ def _evolve_grid(params: BeamsplitterParams, amplitudes, z_grid, with_occupation
     return log_i, occ
 
 
-def _column_factors(params: BeamsplitterParams, z: float, columns: np.ndarray):
+def _column_factors(n: int, c: float, ks: float, y: float, log_scale: float, columns):
     """(left, right, scaling, log scale) of basis columns k, each by its own scaled SVD form.
 
     Column k of Sym^N(g) is alpha^-k times that of Sym^N(g diag(1, alpha)).
-    With g1's core [[u, -i w], [-i w, t]] (u, t, w real), g diag(1, alpha)
-    = B(p1) diag(s1, s2) B(p2) sigma_z by the closed-form real SVD of
-    R = [[u, w alpha], [w, -t alpha]] (Golub & Van Loan, Sec. 8.6), so
-    column k is (-1)^k alpha^-k s1^N E(p1) diag((s2/s1)^m) E(p2) e_k; s2
-    comes from det R.  alpha_k puts R's top right singular vector at
-    weight k/N on y, near |k).
+    With the core e^log_scale [[u, -i ks], [-i ks, t]], u, t = c +/- y,
+    g diag(1, alpha) = B(p1) diag(s1, s2) B(p2) sigma_z by the closed-form
+    real SVD of R = [[u, ks alpha], [ks, -t alpha]] (Golub & Van Loan,
+    Sec. 8.6), so column k is (-1)^k alpha^-k s1^N E(p1) diag((s2/s1)^m)
+    E(p2) e_k; s2 comes from det R.  alpha_k puts R's top right singular
+    vector at weight k/N on y, near |k).
     """
-    n, gamma = params.n_photons, params.gamma
-    c, s, log_scale = (float(x) for x in _g1_cs(params.kappa, gamma, z))
-    u, t, w = c + 0.5 * gamma * s, c - 0.5 * gamma * s, params.kappa * s
+    u, t = c + y, c - y
     # A, C, B of the quadratic below; det R / alpha
-    a, cc, b, det = u * u + w * w, w * w + t * t, abs(w * gamma * s), -math.exp(-2.0 * log_scale)
+    a, cc, b = u * u + ks * ks, ks * ks + t * t, abs(2.0 * ks * y)
+    det = -math.exp(-2.0 * log_scale)
     # on the few flagged columns, scalar math costs less than array calls
     m = columns.size
     p, ratio, log_col = np.empty(2 * m), np.empty(m), np.empty(m)
@@ -349,7 +333,7 @@ def _column_factors(params: BeamsplitterParams, z: float, columns: np.ndarray):
         )
         alpha = math.sqrt(big if frac >= 0.5 else (a / cc) ** 2 / big)
         e, f = 0.5 * (u - t * alpha), 0.5 * (u + t * alpha)
-        g, h = 0.5 * w * (1.0 + alpha), 0.5 * w * (1.0 - alpha)
+        g, h = 0.5 * ks * (1.0 + alpha), 0.5 * ks * (1.0 - alpha)
         s1 = math.hypot(e, h) + math.hypot(f, g)
         a1, a2 = math.atan2(g, f), math.atan2(h, e)
         p[i], p[m + i] = 0.5 * (a2 + a1), 0.5 * (a2 - a1)
@@ -375,23 +359,23 @@ def _column_estimate(cols: np.ndarray, n: int, theta: float, log_col):
     return _EST_FACTOR * (n + 1) / np.linalg.norm(cols, axis=0) + slack
 
 
-def _core_matrix(params: BeamsplitterParams, z: float):
-    """(core, estimate, rescued): Sym^N of g1's core at one z, column error bounds, rerun columns.
+def _core_matrix(n: int, z: float, theta: float, c: float, ks: float, y: float, log_scale):
+    """(core, estimate, rescued): Sym^N of a core at one z, column error bounds, rerun columns.
 
-    Column k is the image of |k).  Blocks of ``_SVD_ENTRIES`` columns take
-    the SVD form with g1's own factors; columns whose bound exceeds
-    ``ERROR_LIMIT`` are run again, each by its own scaled form.  Scales are
-    applied last, in two halves.  Raises ``OverflowGuardError`` when the
-    core leaves the double range and ``PrecisionError`` when a rerun
-    column's bound still exceeds ``ERROR_LIMIT``.
+    The core is e^log_scale [[c + y, -i ks], [-i ks, c - y]] with real
+    entries and unit determinant, from an argument theta (g1's, or 0 for
+    given entries).  Column k is the image of |k).  Blocks of
+    ``_SVD_ENTRIES`` columns take the SVD form with the core's own factors;
+    columns whose bound exceeds ``ERROR_LIMIT`` are run again, each by its
+    own scaled form.  Scales are applied last, in two halves.  Raises
+    ``OverflowGuardError`` when the core leaves the double range and
+    ``PrecisionError`` when a rerun column's bound still exceeds
+    ``ERROR_LIMIT``.  At z = 0 the core is I.
     """
-    n = params.n_photons
     if z == 0:
         return np.eye(n + 1, dtype=complex), np.zeros(n + 1), np.arange(0)
-    zs = np.array([float(z)])
-    theta = 0.5 * math.sqrt(abs(4.0 * params.kappa**2 - params.gamma**2)) * float(z)
     q = _spin_basis(n)
-    phase, scaling, log_lam = _svd_factors(params, zs)
+    phase, scaling, log_lam = _svd_factors(n, *np.array([c, ks, y, log_scale])[:, None])
     core = np.empty((n + 1, n + 1), dtype=complex)
     width = max(1, _SVD_ENTRIES // (n + 1))
     for lo in range(0, n + 1, width):
@@ -404,14 +388,17 @@ def _core_matrix(params: BeamsplitterParams, z: float):
             log_col = np.full(n + 1, log_col)
         for lo in range(0, rescued.size, width):
             cols = rescued[lo : lo + width]
-            left, right, col_scaling, log_col[cols] = _column_factors(params, float(z), cols)
+            left, right, col_scaling, log_col[cols] = _column_factors(n, c, ks, y, log_scale, cols)
             core[:, cols] = _svd_form(q, q[cols].T.copy(), left, right, col_scaling)
             estimate[cols] = _column_estimate(core[:, cols], n, theta, log_col[cols])
         # in two halves, so that only entries beyond the double range overflow
         half_scale = np.exp(0.5 * log_col)
         core *= half_scale
         core *= half_scale
-    _finite(core, n, z)
+    if not np.isfinite(core).all():
+        raise OverflowGuardError(
+            f"N-photon propagator leaves double-precision range at z={z!r} (N={n})"
+        )
     # only a rerun column can still exceed the limit
     if rescued.size and estimate.max() > ERROR_LIMIT:
         k = np.argmax(estimate > ERROR_LIMIT)
@@ -442,7 +429,10 @@ def evolution_operator(params: BeamsplitterParams, z: float) -> PropagatorMatrix
     non-finite z.
     """
     _check_z(z)
-    core = _core_matrix(params, z)[0]
+    kappa, gamma = params.kappa, params.gamma
+    c, s, log_scale = (float(x) for x in _g1_cs(kappa, gamma, z))
+    theta = 0.5 * math.sqrt(abs(4.0 * kappa**2 - gamma**2)) * z
+    core = _core_matrix(params.n_photons, z, theta, c, kappa * s, 0.5 * gamma * s, log_scale)[0]
     return PropagatorMatrix(
         core=core, prefactor_exponent=_prefactor_exponent(params, z), method=METHOD
     )

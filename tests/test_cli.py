@@ -379,6 +379,20 @@ def test_json_output_is_strict():
             _json_bytes({"x": bad})
 
 
+def test_ep_certify_at_n100_passes_with_strict_json(tmp_path):
+    # the unnormalized matrix powers overflowed here and the report was not written
+    out = tmp_path / "out"
+    doc = _cfg_for("ep-certify", out)
+    doc["params"]["n_photons"] = 100
+    assert main(["ep-certify", "--config", write_config(tmp_path, doc)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["passed"] is True and len(report["nilpotency_ratios"]) == 101
+
+
 def test_non_finite_result_exits_2_without_writing(tmp_path, capsys):
     # a valid config the engine cannot represent: log I ~ -Gamma N z leaves
     # the double range at z = 5e306 for N = 100

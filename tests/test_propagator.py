@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,12 +265,27 @@ def test_ode_grid_validation():
 
 
 def test_ode_params_assemble_into_propagator():
+    # the integrated coefficients match the closed form, whose coefficients
+    # assemble into the propagator
     p = params(1.1, 4)
     h = build_hamiltonian(p)
-    for wn in ode_oracle(p, np.linspace(0.0, 1.5, 4))[1:]:
+    for wn_ode in ode_oracle(p, np.linspace(0.0, 1.5, 4))[1:]:
+        wn = wei_norman_params(p, wn_ode.z)
+        assert abs(wn_ode.f_plus - wn.f_plus) < 1e-8 and abs(wn_ode.f_minus - wn.f_minus) < 1e-8
+        assert abs(wn_ode.w - wn.w) < 1e-8
         g = assemble_propagator(wn)
-        assert g.method == "ode"
         assert np.abs(g.matrix - matrix_exp_oracle(h, wn.z).matrix).max() < 1e-8
+
+
+def test_assemble_rejects_coefficients_no_closed_form_gives():
+    wn = wei_norman_params(params(1.1, 4), 0.8)
+    assemble_propagator(wn)
+    for bad in (replace(wn, w=wn.w + 1e-12j), replace(wn, f_minus=wn.f_plus + 1e-12)):
+        with pytest.raises(ValueError, match="real w and f_"):
+            assemble_propagator(bad)
+    # the integrated coefficients are complex to rounding
+    with pytest.raises(ValueError):
+        assemble_propagator(ode_oracle(params(1.1, 4), [0.0, 0.8])[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,15 @@ def test_certificate_passes_at_critical_loss(n):
     assert cert.nilpotency_ratios[n - 1] > 1e-4
 
 
+@pytest.mark.parametrize("n", [1, 10, 80, 100, 200])
+def test_certificate_is_exact_at_any_n(n):
+    # the powers overflowed at N >= 100, and the ratio test failed from N = 80
+    cert = certify_ep(build_hamiltonian(params(2.0, n)))
+    assert cert.passed and np.isfinite(cert.nilpotency_ratios).all()
+    # one ulp off the critical loss the EP is gone
+    assert not certify_ep(build_hamiltonian(params(np.nextafter(2.0, 3.0), n))).passed
+
+
 def test_certificate_kappa_scale_free():
     # same normalized ratios for rescaled kappa (and gamma = 2*kappa); the
     # final ratio is pure roundoff, so it is only bounded, not compared

@@ -13,7 +13,8 @@ states take the SVD form; the sweep checks its error estimate and
 Horner's bound against the reference, and that every z is accurate to
 ERROR_LIMIT or refused.  The operator's columns take the SVD form too,
 with a rerun by a per-column scaled form where their bound flags them;
-every column is checked against the reference and its own bound.
+every column is checked against the reference and its own bound, and so
+are the columns of the assembled Wei-Norman product, built the same way.
 """
 
 import math
@@ -32,17 +33,23 @@ from epbs._sympower import (
     _horner_rows,
     _spin_basis,
     _svd_rows,
-    _sym_power,
 )
 from epbs.propagator import (
     ERROR_LIMIT,
     _core_matrix,
     _g1_core,
+    _g1_cs,
+    assemble_propagator,
     evolution_operator,
     evolve_grid,
+    wei_norman_params,
 )
 
 DPS = 40
+# Largest N for which DPS digits are the default.  At N = 1000, 0.25 Gamma_c,
+# kappa z = 0.76 the dense seeded state's log I reads 171.0 at 40 digits,
+# -12.64 at 80 and -42.26 (the float engine's value to 1.7e-15) at 400.
+DPS_MAX_N = 400
 
 
 def params(gamma, n, omega0=1.0, kappa=1.0):
@@ -64,39 +71,60 @@ def exact_core_g1(kappa, gamma, z):
     return mp.mpc(c + g * s / 2), mp.mpc(0, -k * s), mp.mpc(c - g * s / 2)
 
 
+def digits(n, dps):
+    """``dps``, or ``DPS`` when it is None and N <= ``DPS_MAX_N``."""
+    if dps is None:
+        if n > DPS_MAX_N:
+            raise ValueError(f"N={n} > {DPS_MAX_N}: pass the digits, {DPS} are too few")
+        return DPS
+    return dps
+
+
 def times_linear(poly, a, b):
     """poly(x, y) * (a x + b y) on coefficient lists indexed by the power of y."""
-    out = [mp.mpc(0)] * (len(poly) + 1)
+    out = [0] * (len(poly) + 1)
     for j, p in enumerate(poly):
         out[j] += p * a
         out[j + 1] += p * b
     return out
 
 
-def exact_core(n, kappa, gamma, z):
-    """Sym^N of g1's core as a complex128 matrix: column m holds X^(N-m) Y^m."""
-    with mp.workdps(DPS):
+def exact_core(n, kappa, gamma, z, dps=None):
+    """Sym^N of g1's core as a complex128 matrix: column m holds X^(N-m) Y^m.
+
+    The core is D R D with D = diag(1, -i) and R = [[u, kappa s], [kappa s,
+    -t]] real, so Sym^N(R) is composed in real arithmetic and entry (k, m)
+    takes the phase (-i)^(k+m).  The composition cancels more digits as N
+    grows, so beyond N = ``DPS_MAX_N`` the caller must pass ``dps``.
+    """
+    with mp.workdps(digits(n, dps)):
         u, v, t = exact_core_g1(kappa, gamma, z)
-        x_pow, y_pow = [[mp.mpc(1)]], [[mp.mpc(1)]]
+        u, ks, t = u.real, -v.imag, -t.real
+        x_pow, y_pow = [[mp.mpf(1)]], [[mp.mpf(1)]]
         for _ in range(n):
-            x_pow.append(times_linear(x_pow[-1], u, v))
-            y_pow.append(times_linear(y_pow[-1], v, t))
+            x_pow.append(times_linear(x_pow[-1], u, ks))
+            y_pow.append(times_linear(y_pow[-1], ks, t))
         roots = [mp.sqrt(math.comb(n, m)) for m in range(n + 1)]
-        out = np.empty((n + 1, n + 1), dtype=complex)
+        out = np.empty((n + 1, n + 1))
         for m in range(n + 1):
             a, b = x_pow[n - m], y_pow[m]
             for k in range(n + 1):
                 # coefficient of x^(N-k) y^k in X^(N-m) Y^m: sum over i + j = k
                 lo, hi = max(0, k - m), min(k, n - m)
-                col = mp.fdot(a[lo : hi + 1], [b[k - i] for i in range(lo, hi + 1)])
-                out[k, m] = complex(col * roots[m] / roots[k])
-        return out
+                col = mp.fdot(a[lo : hi + 1], b[k - hi : k - lo + 1][::-1])
+                out[k, m] = float(col * roots[m] / roots[k])
+        phase = np.array([1, -1j, -1, 1j])[np.arange(n + 1) % 4]  # (-1j)**k, exactly
+        return out * np.multiply.outer(phase, phase)
 
 
-def exact_evolve(p, amplitudes, z):
-    """(log I, P) of G_N(z) psi by Horner composition at high precision."""
+def exact_evolve(p, amplitudes, z, dps=None):
+    """(log I, P) of G_N(z) psi by Horner composition at high precision.
+
+    The composition cancels more digits as N grows, so beyond N =
+    ``DPS_MAX_N`` the caller must pass ``dps``.
+    """
     n = p.n_photons
-    with mp.workdps(DPS):
+    with mp.workdps(digits(n, dps)):
         u, v, t = exact_core_g1(p.kappa, p.gamma, z)
         roots = [mp.sqrt(math.comb(n, m)) for m in range(n + 1)]
         coeffs = [mp.mpc(complex(a)) * roots[m] for m, a in enumerate(amplitudes)]
@@ -128,6 +156,13 @@ def test_reference_matches_closed_form_at_one_photon():
     np.testing.assert_allclose(evolution_operator(p, z).core, g1, atol=1e-15)
 
 
+def g1_core_matrix(p, z):
+    """``_core_matrix`` on g1's entries at z, as ``evolution_operator`` passes them."""
+    c, s, log_scale = (float(x) for x in _g1_cs(p.kappa, p.gamma, z))
+    theta = 0.5 * math.sqrt(abs(4.0 * p.kappa**2 - p.gamma**2)) * z
+    return _core_matrix(p.n_photons, z, theta, c, p.kappa * s, 0.5 * p.gamma * s, log_scale)
+
+
 def column_errors(core, ref):
     """||col - ref|| / ||ref|| per column, each column scaled first so no square overflows."""
     scale = np.abs(ref).max(axis=0)
@@ -140,7 +175,7 @@ def test_operator_columns_against_reference(n, ratio):
     # the Horner-only operator lost 9.7e-7 of a column at N=80, Gamma=0, z=3.68
     p = params(2.0 * ratio, n)
     for z in np.random.default_rng([n, int(10 * ratio)]).uniform(0.0, 5.0, 3):
-        core, estimate, _ = _core_matrix(p, z)
+        core, estimate, _ = g1_core_matrix(p, z)
         assert np.array_equal(evolution_operator(p, z).core, core)
         col_err = column_errors(core, exact_core(n, p.kappa, p.gamma, z))
         if ratio == 0.0:
@@ -153,6 +188,21 @@ def test_operator_columns_against_reference(n, ratio):
         assert estimate.max() <= ERROR_LIMIT
 
 
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0, 1.2])
+@pytest.mark.parametrize("n", [80, 200])
+def test_assembled_columns_against_reference(n, ratio):
+    # composed by Horner, the assembly lost 1.3e-6 of a column here at N=80,
+    # Gamma=0, and 1.3e-8 (Gamma=0) and 0.18 (Gamma_c/2) at N=200; |w| >= 0.1
+    # keeps the cancellation in the product's entry 1/w - f^2 w small
+    p = params(2.0 * ratio, n)
+    zs = np.random.default_rng([n, int(10 * ratio)]).uniform(0.05, 5.0, 8)
+    zs = [z for z in zs if abs(wei_norman_params(p, z).w) >= 0.1][: 2 if n == 80 else 1]
+    assert zs
+    for z in zs:
+        core = assemble_propagator(wei_norman_params(p, z)).core
+        assert column_errors(core, exact_core(n, p.kappa, p.gamma, z)).max() <= 1e-10
+
+
 @pytest.mark.parametrize("ratio", [0.95, 1.0, 2.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_column_bound_holds_at_small_n(n, ratio):
@@ -160,7 +210,7 @@ def test_column_bound_holds_at_small_n(n, ratio):
     # 1.8-fold at N=2, 0.95 Gamma_c, kappa z = 29.3
     p = params(2.0 * ratio, n)
     for z in np.append(np.random.default_rng([n, int(100 * ratio)]).uniform(0.0, 30.0, 20), 29.3):
-        core, estimate, _ = _core_matrix(p, z)
+        core, estimate, _ = g1_core_matrix(p, z)
         assert np.all(column_errors(core, exact_core(n, p.kappa, p.gamma, z)) <= estimate)
 
 
@@ -171,7 +221,7 @@ def test_no_column_refused_on_benchmark_inputs(n, gamma):
     z_max = 30.0 if n == 10 else 10.0
     p = params(gamma, n)
     for z in z_max - np.random.default_rng([n, int(10 * gamma)]).uniform(0.0, z_max, 50):
-        _, estimate, _ = _core_matrix(p, z)
+        _, estimate, _ = g1_core_matrix(p, z)
         assert estimate.max() <= ERROR_LIMIT
 
 
@@ -190,7 +240,6 @@ def test_operator_at_z0_is_the_identity(n, monkeypatch):
     def fail(*args):
         raise AssertionError("no form runs at z = 0")
 
-    monkeypatch.setattr(propagator, "_sym_power", fail)
     monkeypatch.setattr(propagator, "_svd_form", fail)
     for ratio in (0.0, 0.5, 1.0, 1.2):
         core = evolution_operator(params(2.0 * ratio, n), 0.0).core
@@ -203,13 +252,10 @@ def test_operator_core_near_the_double_range_limit():
     p = params(3.0, 10)
     z = 63.25
     core = evolution_operator(p, z).core
-    u, v, t, log_scale = _g1_core(p.kappa, p.gamma, np.array([z]))
-    with np.errstate(over="ignore"):
-        psi, log_norm = _sym_power(u, v, v, t, np.eye(11, dtype=complex))
-        horner = psi.T * np.exp(10 * (log_scale + log_norm))
-    assert np.isfinite(horner).all() and np.abs(horner).max() > 1e307
-    core, horner = core / 1e300, horner / 1e300  # squares of the entries overflow
-    col_err = np.linalg.norm(core - horner, axis=0) / np.linalg.norm(horner, axis=0)
+    ref = exact_core(10, p.kappa, p.gamma, z)
+    assert np.isfinite(ref).all() and np.abs(ref).max() > 1e307
+    core, ref = core / 1e300, ref / 1e300  # squares of the entries overflow
+    col_err = np.linalg.norm(core - ref, axis=0) / np.linalg.norm(ref, axis=0)
     assert col_err.max() <= 1e-12
 
 
