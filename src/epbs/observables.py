@@ -20,8 +20,9 @@ rather than a silent 0/0 unless the caller opts out.
 Three diagnostics quantify what the dynamics encode: a log-log slope fit of
 exp(N*Gamma*z) * I(z), which approaches 2N at the critical loss; period
 detection of the occupation oscillations below threshold (the exact period
-2*pi/Delta_lambda is independent of N); and steady-state onset detection
-above and at threshold.
+2*pi/Delta_lambda is independent of N), whose candidates come from an
+autocorrelation formed by FFT; and steady-state onset detection above and
+at threshold, which evaluates each distinct scan z once.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ INTENSITY_FLOOR_LOG = math.log(1e-300)
 
 # Steady-state criterion: occupations at z and z + 1/kappa agree to this.
 STEADY_THRESHOLD = 1e-6
-# Scan steps evaluated per batch by steady_state_onset.
+# Scan steps per batch of steady_state_onset.  A batch evaluates each of its
+# steps, and each step + 1/kappa that is not itself one of them, once.
 _ONSET_CHUNK = 256
 # Cap on the parabolic refinement steps per periodicity candidate.
 _REFINE_STEPS = 20
@@ -261,11 +263,31 @@ class PeriodicityResult(NamedTuple):
     deviation: float  # |detected - 2*pi/Delta_lambda|
 
 
+def _autocorrelation(sig: np.ndarray) -> np.ndarray:
+    """Unbiased autocorrelation of the columns of ``sig``, summed over columns.
+
+    Returned for lags 0 .. n_z // 2 - 1; longer lags carry too few samples
+    to be trustworthy.  The transform of an autocorrelation is the power
+    spectrum (Wiener-Khinchin), so one zero-padded real FFT over all
+    columns, |F|^2 summed over the columns and one inverse FFT give every
+    lag in O(n_z log n_z).  Padding to n_z + n_lag - 1 points or more keeps
+    the circular wrap-around out of the lags returned.
+    """
+    n_z = sig.shape[0]
+    n_lag = n_z // 2
+    size = 1 << (n_z + n_lag - 2).bit_length()  # a power of two >= n_z + n_lag - 1
+    spec = np.fft.rfft(sig, n=size, axis=0)
+    power = (spec.real**2 + spec.imag**2).sum(axis=1)
+    return np.fft.irfft(power, n=size)[:n_lag] / (n_z - np.arange(n_lag))
+
+
 def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     """Detect the oscillation period of the occupations below threshold.
 
-    The mean-centered occupation series are autocorrelated (averaged over
-    m) and candidate lag peaks are sharpened by quadratic interpolation.
+    The mean-centered occupation series are autocorrelated (unbiased,
+    summed over m) from one zero-padded FFT power spectrum of all m at once,
+    in O(n log n) for n grid points, and candidate lag peaks are sharpened
+    by quadratic interpolation.
     Each candidate T is refined on the profile mismatch, the summed squares
     of P(m; z + T) - P(m; z) at six probe z, which near a period is an exact
     parabola with its zero there: parabolic vertex steps, each from one
@@ -304,15 +326,7 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     sig = trace.occupations - trace.occupations.mean(axis=0)
     if np.abs(sig).max() < 1e-12:
         raise ValueError("occupations are constant along the grid; no period to detect")
-    n_z = sig.shape[0]
-    # unbiased autocorrelation averaged over the m-resolved series; lags
-    # beyond half the span carry too few samples to be trustworthy
-    n_lag = n_z // 2
-    corr = np.zeros(n_lag)
-    for col in sig.T:
-        corr += np.correlate(col, col, mode="full")[n_z - 1 :][:n_lag]
-    counts = n_z - np.arange(n_lag)
-    corr /= counts
+    corr = _autocorrelation(sig)
 
     # candidate peaks: local maxima past the zero-lag lobe, ascending lag
     below = np.flatnonzero(corr < 0)
@@ -387,24 +401,36 @@ def steady_state_onset(
     large z where the surviving intensity underflows; the scan therefore
     reads the normalized profile past the floor, where it remains exact.
     The scan steps z = 0, dz, 2*dz, ... (accumulated one addition at a time)
-    are evaluated in batches of ``_ONSET_CHUNK`` and the scan stops at the
-    first batch that holds a hit.
+    are evaluated in batches of ``_ONSET_CHUNK``, and the scan stops at the
+    first batch that holds a hit.  Each distinct z of a batch is evaluated
+    once: a z + 1/kappa that is bit for bit a step of the batch (every step
+    but the last two at kappa = 1 with the default dz) reuses that step's
+    profile.  Raises ``ValueError`` unless dz is finite and positive and
+    z_max finite and non-negative.
     """
     if dz is None:
         dz = 0.5 / params.kappa
-    if dz <= 0 or z_max < 0:
-        raise ValueError("dz must be positive, z_max non-negative")
+    if not (math.isfinite(dz) and math.isfinite(z_max)) or dz <= 0 or z_max < 0:
+        raise ValueError("dz must be finite and positive, z_max finite and non-negative")
     gap = 1.0 / params.kappa
     z = 0.0
     while z <= z_max:
-        steps = []
-        while z <= z_max and len(steps) < _ONSET_CHUNK:
-            steps.append(z)
-            z += dz
-        here = np.array(steps)
-        occ = evolve_grid(params, state0.amplitudes, np.concatenate([here, here + gap]))[1]
-        drift = np.abs(occ[: here.size] - occ[here.size :]).max(axis=1)
+        # cumsum adds one step at a time, so the steps are z, z + dz,
+        # (z + dz) + dz, ... to the bit
+        steps = np.full(_ONSET_CHUNK, dz, dtype=float)
+        steps[0] = z
+        steps = np.cumsum(steps)
+        z = steps[-1] + dz
+        here = steps[: np.searchsorted(steps, z_max, side="right")]
+        ahead = here + gap
+        # both halves ascend, so a binary search finds each z + gap that is
+        # already a step, by exact equality; only the others are evaluated
+        at = np.minimum(np.searchsorted(here, ahead), here.size - 1)
+        fresh = here[at] != ahead
+        at[fresh] = here.size + np.arange(np.count_nonzero(fresh))
+        occ = evolve_grid(params, state0.amplitudes, np.concatenate([here, ahead[fresh]]))[1]
+        drift = np.abs(occ[: here.size] - occ[at]).max(axis=1)
         hits = np.flatnonzero(drift < STEADY_THRESHOLD)
         if hits.size:
-            return steps[hits[0]]
+            return float(here[hits[0]])
     return None

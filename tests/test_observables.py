@@ -4,10 +4,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from epbs import observables
 from epbs.errors import IntensityUnderflowError
 from epbs.fock_core import BeamsplitterParams, build_hamiltonian, build_operators
 from epbs.observables import (
     STEADY_THRESHOLD,
+    _autocorrelation,
     fit_ep_order,
     intensity,
     make_input,
@@ -16,6 +18,7 @@ from epbs.observables import (
     steady_state_onset,
     trace_evolution,
 )
+from epbs.propagator import evolve_grid
 from oracles import matrix_exp_oracle
 
 
@@ -384,6 +387,44 @@ def test_periodicity_rejects_stationary_input():
         periodicity_check(tr)
 
 
+def correlate_reference(sig):
+    """The direct per-column autocorrelation sum the FFT form must reproduce."""
+    n_z = sig.shape[0]
+    n_lag = n_z // 2
+    corr = np.zeros(n_lag)
+    for col in sig.T:
+        corr += np.correlate(col, col, mode="full")[n_z - 1 :][:n_lag]
+    return corr / (n_z - np.arange(n_lag))
+
+
+def candidate_peaks(corr):
+    """periodicity_check's candidate lags: local maxima past the zero-lag lobe."""
+    below = np.flatnonzero(corr < 0)
+    if below.size == 0:
+        return []
+    interior = np.arange(below[0] + 1, corr.size - 1)
+    is_max = (corr[interior] >= corr[interior - 1]) & (corr[interior] >= corr[interior + 1])
+    return interior[is_max & (corr[interior] > 0)].tolist()
+
+
+@pytest.mark.parametrize(
+    "n,gamma", [(1, 0.0), (1, 1.0), (1, 1.9), (10, 0.0), (10, 1.0), (10, 1.9), (40, 0.0), (40, 1.0)]
+)
+def test_autocorrelation_matches_direct_sum(n, gamma):
+    # the FFT sums in another order, so the tolerance is set from the dtype
+    # beforehand; the candidate lags that periodicity_check refines must
+    # not change
+    rng = np.random.default_rng(1000 * n + int(10 * gamma))
+    span = 10.0 if n == 40 else 30.0
+    grid = np.linspace(rng.uniform(0.0, 0.1), span * rng.uniform(0.8, 1.0), 2000)
+    occ = trace_evolution(make_input("noon", n), params(gamma, n), grid).occupations
+    sig = occ - occ.mean(axis=0)
+    want = correlate_reference(sig)
+    got = _autocorrelation(sig)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert candidate_peaks(got) == candidate_peaks(want)
+
+
 def test_occupations_exactly_periodic_below_threshold():
     # the spectrum is an equidistant real ladder on a common decay, so the
     # normalized occupations repeat exactly after 2*pi/Delta_lambda
@@ -423,6 +464,36 @@ def test_steady_state_onset_not_reached():
     assert steady_state_onset(s, p, z_max=10.0) is None
 
 
+@pytest.mark.parametrize("kappa", [1.0, 0.7])
+def test_steady_state_onset_evaluates_each_z_once(monkeypatch, kappa):
+    # each batch asks for exactly the z the scalar scan evaluates for its
+    # steps, the steps and the steps + 1/kappa, and for each only once; at
+    # kappa = 1 with dz = 0.5, z + 1 is bit for bit the step two places
+    # later, so a 256-step batch needs 258 z, not 512
+    p = params(2.0 * kappa, 5, kappa=kappa)
+    s = make_input("noon", 5)
+    want = scalar_onset(s, p, 1000.0 / kappa)
+    requested = []
+
+    def recording(p, amplitudes, z):
+        requested.append(np.array(z))
+        return evolve_grid(p, amplitudes, z)
+
+    monkeypatch.setattr(observables, "evolve_grid", recording)
+    assert steady_state_onset(s, p, z_max=1000.0 / kappa) == want
+    steps, z = [], 0.0
+    while len(steps) < 256 * len(requested):
+        steps.append(z)
+        z += 0.5 / kappa
+    for i, asked in enumerate(requested):
+        chunk = steps[256 * i : 256 * (i + 1)]
+        expected = set(chunk) | {x + 1.0 / kappa for x in chunk}
+        assert asked.size == len(expected)
+        assert set(asked.tolist()) == expected
+        if kappa == 1.0:
+            assert asked.size == 258
+
+
 def scalar_onset(state, p, z_max, dz=None):
     """The point-by-point scan the batched steady_state_onset must reproduce."""
     dz = 0.5 / p.kappa if dz is None else dz
@@ -437,15 +508,24 @@ def scalar_onset(state, p, z_max, dz=None):
     return None
 
 
+ONSET_SCANS = [
+    (2.0, 900.0, 1.0, 1.0), (2.4, 900.0, 1.0, 1.0), (2.0, 900.0, None, 1.0),
+    (2.4, 40.0, None, 1.0), (2.4, 40.0, 0.1, 1.0), (2.0, 10.0, 0.1, 1.0),
+    # dz = 0.5/0.7 and 1/0.7 are not binary fractions: z + 1/kappa is bit
+    # for bit a step only where the roundings agree (421 of 2099 steps)
+    (1.4, 1500.0, None, 0.7),
+]
+
+
 @pytest.mark.parametrize(
-    "gamma,z_max,dz",
-    [(2.0, 900.0, 1.0), (2.4, 900.0, 1.0), (2.0, 900.0, None), (2.4, 40.0, None),
-     (2.4, 40.0, 0.1), (2.0, 10.0, 0.1)],
+    "gamma,z_max,dz,kappa",
+    ONSET_SCANS,
+    ids=[f"{g}-{zm}-{d}" + ("" if k == 1.0 else f"-kappa{k}") for g, zm, d, k in ONSET_SCANS],
 )
-def test_steady_state_onset_matches_scalar_scan(gamma, z_max, dz):
+def test_steady_state_onset_matches_scalar_scan(gamma, z_max, dz, kappa):
     # same z sequence (accumulated dz, not a binary fraction for 0.1), same
     # answer to the bit, including None when the criterion is never met
-    p = params(gamma, 5)
+    p = params(gamma, 5, kappa=kappa)
     s = make_input("noon", 5)
     got = steady_state_onset(s, p, z_max=z_max, dz=dz)
     want = scalar_onset(s, p, z_max, dz)
@@ -461,6 +541,13 @@ def test_steady_state_onset_validation():
         steady_state_onset(s, p, z_max=-1.0)
     with pytest.raises(ValueError):
         steady_state_onset(s, p, z_max=10.0, dz=0.0)
+    # z_max = inf below threshold would scan forever; nan would return None
+    below = params(1.0, 5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            steady_state_onset(s, below, z_max=bad)
+        with pytest.raises(ValueError):
+            steady_state_onset(s, below, z_max=10.0, dz=bad)
 
 
 # ---------------------------------------------------------------------------
