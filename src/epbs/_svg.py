@@ -7,8 +7,6 @@ data (no timestamps, no randomness), so files are byte-reproducible.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _WIDTH = 640
@@ -73,18 +71,14 @@ def line_plot(series, x_label: str = "", y_label: str = "") -> str:
 
     parts = _axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label)
     for idx, (xs, ys) in enumerate(series):
-        xs = np.asarray(xs, float)
         ys = np.asarray(ys, float)
-        pts = []
-        for x, y in zip(xs, ys):
-            if not math.isfinite(y):
-                continue
-            px = m + (x - x_lo) / (x_hi - x_lo or 1.0) * (w - 2 * m)
-            py = h - m - (y - y_lo) / (y_hi - y_lo) * (h - 2 * m)
-            pts.append(f"{_fmt(px)},{_fmt(py)}")
+        keep = np.isfinite(ys)
+        px = m + (np.asarray(xs, float)[keep] - x_lo) / (x_hi - x_lo or 1.0) * (w - 2 * m)
+        py = h - m - (ys[keep] - y_lo) / (y_hi - y_lo) * (h - 2 * m)
+        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px.tolist(), py.tolist()))
         color = _COLORS[idx % len(_COLORS)]
         parts.append(
-            f'<polyline points="{" ".join(pts)}" fill="none" '
+            f'<polyline points="{pts}" fill="none" '
             f'stroke="{color}" stroke-width="1.4"/>'
         )
     body = "\n".join(parts)
@@ -112,14 +106,12 @@ def heatmap(values, x_lo: float, x_hi: float, x_label: str = "", y_label: str = 
     parts = _axes(x_lo, x_hi, -0.5, n_y - 0.5, x_label, y_label)
     cell_w = (w - 2 * m) / n_x
     cell_h = (h - 2 * m) / n_y
-    for iy in range(n_y):
-        for ix in range(n_x):
-            px = m + ix * cell_w
-            py = h - m - (iy + 1) * cell_h
-            parts.append(
-                f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w + 0.35)}" '
-                f'height="{_fmt(cell_h + 0.35)}" fill="{_shade(vals[iy, ix] / v_max)}"/>'
-            )
+    xs = [_fmt(m + ix * cell_w) for ix in range(n_x)]
+    size = f'width="{_fmt(cell_w + 0.35)}" height="{_fmt(cell_h + 0.35)}"'
+    # Python floats: np.power on the array differs from ** in the last bit
+    for iy, row in enumerate((vals / v_max).tolist()):
+        y = _fmt(h - m - (iy + 1) * cell_h)
+        parts += [f'<rect x="{x}" y="{y}" {size} fill="{_shade(v)}"/>' for x, v in zip(xs, row)]
     body = "\n".join(parts)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '

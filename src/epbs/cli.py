@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import logging
 import math
@@ -120,20 +119,8 @@ class RunConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
 
     def echo(self) -> dict:
-        """Normalized plain-dict form, sufficient to reproduce the run."""
-        doc: dict = {"scenario": self.scenario, "params": asdict(self.params)}
-        if self.input_state is not None:
-            spec = {"kind": self.input_state.kind}
-            if self.input_state.amplitudes is not None:
-                spec["amplitudes"] = [list(a) if isinstance(a, (list, tuple)) else a
-                                      for a in self.input_state.amplitudes]
-            doc["input_state"] = spec
-        if self.z_grid is not None:
-            doc["z_grid"] = asdict(self.z_grid)
-        if self.gamma_grid is not None:
-            doc["gamma_grid"] = asdict(self.gamma_grid)
-        doc["output"] = asdict(self.output)
-        return doc
+        """Normalized plain-dict form, sufficient to reproduce the run; unset fields left out."""
+        return asdict(self, dict_factory=lambda items: {k: v for k, v in items if v is not None})
 
 
 @dataclass(frozen=True)
@@ -404,16 +391,13 @@ def validate(
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _csv_bytes(header: list[str], rows) -> bytes:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-    return buf.getvalue().encode()
+def _csv_bytes(header: list[str], *columns: np.ndarray) -> bytes:
+    """One line per row of equal-length columns: integers as they are, floats to 17 digits."""
+    cells = [
+        list(map(("{}" if col.dtype.kind == "i" else "{:.17g}").format, col.tolist()))
+        for col in columns
+    ]
+    return "".join(",".join(row) + "\n" for row in [header, *zip(*cells)]).encode()
 
 
 def _json_bytes(payload: dict) -> bytes:
@@ -439,21 +423,21 @@ def _trace_report(scenario: str, trace) -> dict:
 def _run_spectrum_flow(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
     p = cfg.params
     flow = eigenvalue_flow(p.omega0, p.kappa, p.n_photons, cfg.gamma_grid.to_array())
-    rows = []
-    r_values = np.arange(p.n_photons + 1) - p.n_photons / 2.0
-    for g, lams in zip(flow.gammas, flow.eigenvalues):
-        for r, lam in zip(r_values, lams):
-            rows.append((float(g), float(r), float(lam.real), float(lam.imag)))
-    re_series = [(flow.gammas, flow.eigenvalues[:, k].real) for k in range(p.n_photons + 1)]
-    im_series = [(flow.gammas, flow.eigenvalues[:, k].imag) for k in range(p.n_photons + 1)]
+    lam = flow.eigenvalues
+    gamma = np.repeat(flow.gammas, p.n_photons + 1)
+    r = np.tile(np.arange(p.n_photons + 1) - p.n_photons / 2.0, flow.gammas.size)
+    re_series = [(flow.gammas, lam[:, k].real) for k in range(p.n_photons + 1)]
+    im_series = [(flow.gammas, lam[:, k].imag) for k in range(p.n_photons + 1)]
     return {
-        "spectrum_flow.csv": lambda: _csv_bytes(["gamma", "r", "re_lambda", "im_lambda"], rows),
+        "spectrum_flow.csv": lambda: _csv_bytes(
+            ["gamma", "r", "re_lambda", "im_lambda"], gamma, r, lam.real.ravel(), lam.imag.ravel()
+        ),
         "report.json": lambda: _json_bytes(
             {
                 "scenario": cfg.scenario,
                 "gamma_critical": p.gamma_critical,
                 "n_photons": p.n_photons,
-                "rows": len(rows),
+                "rows": lam.size,
             }
         ),
         "spectrum_flow_re.svg": lambda: line_plot(re_series, "gamma", "Re lambda").encode(),
@@ -463,11 +447,10 @@ def _run_spectrum_flow(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
 
 def _run_ep_certify(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
     cert = certify_ep(build_hamiltonian(cfg.params))
-    ratios = cert.nilpotency_ratios
+    ratios = np.asarray(cert.nilpotency_ratios, dtype=float)
+    k = np.arange(1, ratios.size + 1)
     return {
-        "nilpotency_ratios.csv": lambda: _csv_bytes(
-            ["k", "normalized_norm_ratio"], [(k + 1, float(v)) for k, v in enumerate(ratios)]
-        ),
+        "nilpotency_ratios.csv": lambda: _csv_bytes(["k", "normalized_norm_ratio"], k, ratios),
         "report.json": lambda: _json_bytes(
             {
                 "scenario": cfg.scenario,
@@ -477,22 +460,20 @@ def _run_ep_certify(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
                 "gamma": cert.gamma,
                 "gamma_critical": cfg.params.gamma_critical,
                 "regime": classify_regime(cfg.params.kappa, cfg.params.gamma),
-                "nilpotency_ratios": list(ratios),
+                "nilpotency_ratios": ratios.tolist(),
                 "passed": cert.passed,
             }
         ),
         "nilpotency_ratios.svg": lambda: line_plot(
-            [(np.arange(1, len(ratios) + 1), np.asarray(ratios))], "k", "normalized ||M^k||"
+            [(k, ratios)], "k", "normalized ||M^k||"
         ).encode(),
     }
 
 
 def _intensity_csv(trace) -> bytes:
-    rows = [
-        (float(z), float(i), float(li))
-        for z, i, li in zip(trace.z_grid, trace.intensity, trace.log_intensity)
-    ]
-    return _csv_bytes(["z", "intensity", "log_intensity"], rows)
+    return _csv_bytes(
+        ["z", "intensity", "log_intensity"], trace.z_grid, trace.intensity, trace.log_intensity
+    )
 
 
 def _run_intensity_decay(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
@@ -532,11 +513,9 @@ def _run_order_fit(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
 
 
 def _occupations_csv(trace) -> bytes:
-    rows = []
-    for k, z in enumerate(trace.z_grid):
-        for m, p_m in enumerate(trace.occupations[k]):
-            rows.append((float(z), m, float(p_m)))
-    return _csv_bytes(["z", "m", "p"], rows)
+    n_z, dim = trace.occupations.shape
+    z, m = np.repeat(trace.z_grid, dim), np.tile(np.arange(dim), n_z)
+    return _csv_bytes(["z", "m", "p"], z, m, trace.occupations.ravel())
 
 
 def _occupations_svg(trace) -> bytes:
@@ -576,11 +555,9 @@ def _run_occupation_dynamics(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
 def _trace_csv(trace) -> bytes:
     n = trace.params.n_photons
     header = ["z", "intensity", "log_intensity"] + [f"p{m}" for m in range(n + 1)]
-    columns = zip(trace.z_grid, trace.intensity, trace.log_intensity, trace.occupations)
-    rows = [
-        (float(z), float(i), float(li)) + tuple(float(v) for v in occ) for z, i, li, occ in columns
-    ]
-    return _csv_bytes(header, rows)
+    return _csv_bytes(
+        header, trace.z_grid, trace.intensity, trace.log_intensity, *trace.occupations.T
+    )
 
 
 def _run_custom_evolve(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
@@ -686,10 +663,7 @@ def main(argv=None) -> int:
 
     try:
         manifest = run(config)
-    except SimulationError as exc:
-        print(f"epbs: {config.scenario} failed: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (SimulationError, ValueError) as exc:
         print(f"epbs: {config.scenario} failed: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -87,7 +87,10 @@ def make_input(kind: str, n_photons: int, custom=None) -> InputState:
 
     'all_in_a' puts every photon in the neutral guide (m=0), 'all_in_b' in
     the lossy guide (m=N), 'noon' is the balanced superposition of the two,
-    and 'custom' normalizes a caller-supplied length-(N+1) vector.
+    and 'custom' normalizes a caller-supplied length-(N+1) vector: any
+    finite, non-zero one.  It is first scaled by a power of two that puts
+    its largest entry in [1/2, 1), so that its norm neither overflows nor
+    underflows.
     """
     if kind not in INPUT_KINDS:
         raise ValueError(f"unknown input kind {kind!r}; expected one of {INPUT_KINDS}")
@@ -102,13 +105,17 @@ def make_input(kind: str, n_photons: int, custom=None) -> InputState:
     elif kind == "noon":
         amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
     else:
-        amp = np.asarray(custom, dtype=complex)
+        amp = np.ascontiguousarray(custom, dtype=complex)
         if amp.shape != (dim,):
             raise ValueError(f"custom amplitudes have shape {amp.shape}, expected ({dim},)")
-        norm = np.linalg.norm(amp)
-        if norm == 0.0:
+        parts = amp.view(float)
+        if not np.isfinite(parts).all():
+            raise ValueError("custom amplitudes must be finite")
+        if not parts.any():
             raise ValueError("custom amplitudes must not be the zero vector")
-        amp = amp / norm
+        # an exact scaling, so a vector whose norm is representable keeps its bits
+        amp = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
+        amp = amp / np.linalg.norm(amp)
     amp.setflags(write=False)
     return InputState(amplitudes=amp, label=kind)
 
@@ -135,6 +142,12 @@ def _evolve(
     return log_i, occ
 
 
+def _intensity_of(log_i: np.ndarray) -> np.ndarray:
+    """I from log I: at most 1, as G is a contraction, and 0.0 below the double range."""
+    with np.errstate(under="ignore"):
+        return np.where(log_i > -745.0, np.exp(np.minimum(log_i, 0.0)), 0.0)
+
+
 def intensity(
     state0: InputState,
     params: BeamsplitterParams,
@@ -144,11 +157,10 @@ def intensity(
 
     The log value is exact even where the probability itself underflows
     (e.g. deep in the algebraic tail at the critical loss); the plain value
-    then reads 0.0.
+    then reads 0.0.  The value is the one ``trace_evolution`` gives at z.
     """
-    log_i = float(evolve_grid(params, state0.amplitudes, [z])[0][0])
-    value = math.exp(log_i) if log_i > -745.0 else 0.0
-    return IntensityValue(value=value, log_value=log_i)
+    log_i = _evolve_grid(params, state0.amplitudes, [z], False)[0]
+    return IntensityValue(value=float(_intensity_of(log_i)[0]), log_value=float(log_i[0]))
 
 
 def occupations(
@@ -207,11 +219,9 @@ def trace_evolution(
         log_i, occ = _evolve(state0, params, grid, True)
     else:
         log_i, occ = _evolve_grid(params, state0.amplitudes, grid, False)
-    with np.errstate(under="ignore"):
-        inten = np.where(log_i > -745.0, np.exp(np.minimum(log_i, 0.0)), 0.0)
     return EvolutionTrace(
         z_grid=grid,
-        intensity=inten,
+        intensity=_intensity_of(log_i),
         log_intensity=log_i,
         occupations=occ,
         methods=(METHOD,) * grid.size,
@@ -394,7 +404,8 @@ def steady_state_onset(
     Steady is declared at z once max_m |P(m; z) - P(m; z + 1/kappa)| drops
     below ``STEADY_THRESHOLD``; the scan step defaults to 0.5/kappa, which
     is also the resolution of the answer.  Returns ``None`` when the
-    criterion is never met.
+    criterion is not met by z_max.  Below threshold (gamma < 2*kappa) the
+    profile oscillates forever, so such a call raises ``ValueError``.
 
     At the critical loss the profile converges only algebraically (the
     propagator is polynomial in z there), so tight thresholds are reached at
@@ -408,6 +419,8 @@ def steady_state_onset(
     profile.  Raises ``ValueError`` unless dz is finite and positive and
     z_max finite and non-negative.
     """
+    if classify_regime(params.kappa, params.gamma) == "unbroken":
+        raise ValueError("the profile oscillates below threshold (gamma < 2*kappa); no onset")
     if dz is None:
         dz = 0.5 / params.kappa
     if not (math.isfinite(dz) and math.isfinite(z_max)) or dz <= 0 or z_max < 0:

@@ -264,10 +264,10 @@ def evolve_grid(
     the z its error estimate flags.  The z values may come in any order;
     they are worked through in blocks, so the working set stays a few
     block x (N+1) arrays.  Raises ``ValueError`` for a negative or
-    non-finite z, ``OverflowGuardError`` if any computed value is not
-    finite, and ``PrecisionError`` where neither form is certified to
-    ``ERROR_LIMIT`` or log I breaks the contraction (unitarity at Gamma = 0)
-    of G_N by more than ``ERROR_LIMIT``.
+    non-finite z or a non-finite amplitude, ``OverflowGuardError`` if any
+    computed value is not finite, and ``PrecisionError`` where neither form
+    is certified to ``ERROR_LIMIT`` or log I breaks the contraction
+    (unitarity at Gamma = 0) of G_N by more than ``ERROR_LIMIT``.
     """
     return _evolve_grid(params, amplitudes, z_grid, True)
 
@@ -291,6 +291,9 @@ def _evolve_grid(params: BeamsplitterParams, amplitudes, z_grid, with_occupation
         rows, block = _edge_rows, max(1, min(_EDGE_BLOCK, _EDGE_ENTRIES // (n + 1)))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_norm2 = float(np.log(np.vdot(amps, amps).real))
+    # a NaN or inf amplitude makes ||a||^2 NaN or inf; a finite one may overflow it
+    if not log_norm2 < math.inf and not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
     log_i = np.empty(z.size)
     occ = np.empty((z.size, n + 1)) if with_occupations else None
     for lo in range(0, z.size, block):

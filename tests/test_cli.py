@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,11 @@ import numpy as np
 import pytest
 
 import epbs
+from epbs import _svg
 from epbs.cli import GridSpec, _json_bytes, main, run, validate
+from epbs.fock_core import build_hamiltonian
+from epbs.observables import trace_evolution
+from epbs.spectral import certify_ep, eigenvalue_flow
 
 
 # the directory holding the package, for subprocesses that import it
@@ -267,6 +272,92 @@ def test_csv_full_precision_roundtrip(tmp_path):
             assert cell == format(float(cell), ".17g")
 
 
+def _reference_csv(header, rows):
+    """Per-value reference: floats to 17 significant digits, integers as str."""
+    lines = [",".join(header)] + [
+        ",".join(format(float(v), ".17g") if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
+def _reference_csvs(cfg):
+    """Every CSV of a scenario, formatted value by value from the library's results."""
+    p, n = cfg.params, cfg.params.n_photons
+    if cfg.scenario == "spectrum-flow":
+        flow = eigenvalue_flow(p.omega0, p.kappa, n, cfg.gamma_grid.to_array())
+        rows = [(float(g), float(m - n / 2.0), float(lam.real), float(lam.imag))
+                for g, lams in zip(flow.gammas, flow.eigenvalues) for m, lam in enumerate(lams)]
+        header = ["gamma", "r", "re_lambda", "im_lambda"]
+        return {"spectrum_flow.csv": _reference_csv(header, rows)}
+    if cfg.scenario == "ep-certify":
+        ratios = certify_ep(build_hamiltonian(p)).nilpotency_ratios
+        rows = [(k + 1, float(v)) for k, v in enumerate(ratios)]
+        return {"nilpotency_ratios.csv": _reference_csv(["k", "normalized_norm_ratio"], rows)}
+    state = cfg.input_state.to_state(n)
+    with_occ = cfg.scenario in ("occupation-dynamics", "custom-evolve")
+    trace = trace_evolution(state, p, cfg.z_grid.to_array(), with_occupations=with_occ)
+    scalars = [(float(z), float(i), float(li))
+               for z, i, li in zip(trace.z_grid, trace.intensity, trace.log_intensity)]
+    if cfg.scenario == "custom-evolve":
+        header = ["z", "intensity", "log_intensity"] + [f"p{m}" for m in range(n + 1)]
+        rows = [row + tuple(float(v) for v in occ) for row, occ in zip(scalars, trace.occupations)]
+        return {"trace.csv": _reference_csv(header, rows)}
+    csvs = {"intensity.csv": _reference_csv(["z", "intensity", "log_intensity"], scalars)}
+    if with_occ:
+        rows = [(float(z), m, float(v))
+                for z, occ in zip(trace.z_grid, trace.occupations) for m, v in enumerate(occ)]
+        csvs["occupations.csv"] = _reference_csv(["z", "m", "p"], rows)
+    return csvs
+
+
+@pytest.mark.parametrize("scenario", sorted(_EXPECTED_FILES))
+def test_csv_bytes_match_per_value_reference(tmp_path, scenario):
+    out = tmp_path / "out"
+    cfg, errors = validate(json.dumps(_cfg_for(scenario, out)))
+    assert errors == []
+    run(cfg)
+    want = _reference_csvs(cfg)
+    assert set(want) == {name for name in _EXPECTED_FILES[scenario] if name.endswith(".csv")}
+    for name, text in want.items():
+        assert (out / name).read_bytes() == text.encode(), name
+
+
+def test_line_plot_matches_per_point_reference():
+    xs = np.linspace(0.0, 3.0, 7)
+    ys = np.array([0.5, -1.25, math.nan, 2.0, 0.0, 1.0 / 3.0, 4.5])
+    xs2, ys2 = np.arange(4.0), np.array([1.0, 2.0, 3.0, 4.0])
+    svg = _svg.line_plot([(xs, ys), (xs2, ys2)], "x", "y")
+    w, h, m = _svg._WIDTH, _svg._HEIGHT, _svg._MARGIN
+    x_lo, x_hi, y_lo, y_hi = 0.0, 3.0, -1.25, 4.5
+
+    def points(xs, ys):
+        pts = []
+        for x, y in zip(xs, ys):
+            if math.isfinite(y):  # the NaN point is left out of the polyline
+                px = m + (x - x_lo) / (x_hi - x_lo) * (w - 2 * m)
+                py = h - m - (y - y_lo) / (y_hi - y_lo) * (h - 2 * m)
+                pts.append(f"{px:.3f},{py:.3f}")
+        return " ".join(pts)
+
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == [points(xs, ys), points(xs2, ys2)]
+
+
+def test_heatmap_matches_per_cell_reference():
+    vals = np.random.default_rng(7).random((4, 9)) ** 3
+    svg = _svg.heatmap(vals, 0.0, 2.0, "z", "m")
+    w, h, m = _svg._WIDTH, _svg._HEIGHT, _svg._MARGIN
+    cell_w, cell_h = (w - 2 * m) / 9, (h - 2 * m) / 4
+    v_max = float(vals.max())
+    cells = [
+        f'<rect x="{m + ix * cell_w:.3f}" y="{h - m - (iy + 1) * cell_h:.3f}" '
+        f'width="{cell_w + 0.35:.3f}" height="{cell_h + 0.35:.3f}" '
+        f'fill="{_svg._shade(vals[iy, ix] / v_max)}"/>'
+        for iy in range(4) for ix in range(9)
+    ]
+    assert re.findall(r'<rect [^>]*fill="#[0-9a-f]{6}"/>', svg) == cells
+
+
 def test_svg_outputs(tmp_path):
     out = tmp_path / "out"
     doc = _cfg_for("occupation-dynamics", out)
@@ -445,6 +536,19 @@ def test_non_finite_amplitudes_exit_1(tmp_path, capsys, amplitude):
     assert main(["custom-evolve", "--config", write_config(tmp_path, doc)]) == 1
     assert "input_state.amplitudes[1]: must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("amplitudes", [[1e308, 1e308, 0], [1e-320, 0, 1e-320]],
+                         ids=["norm-overflows", "norm-underflows"])
+def test_custom_state_of_any_finite_scale_runs(tmp_path, amplitudes):
+    # the plain norm of these vectors overflows or underflows
+    out = tmp_path / "out"
+    doc = base_config("custom-evolve", out, z_grid={"start": 0.0, "stop": 1.0, "count": 3},
+                      input_state={"kind": "custom", "amplitudes": amplitudes})
+    doc["params"]["n_photons"] = 2
+    assert main(["custom-evolve", "--config", write_config(tmp_path, doc)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["final_log_intensity"] < 0.0
 
 
 @pytest.mark.parametrize("where, value", [

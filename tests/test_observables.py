@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -84,6 +85,21 @@ def test_make_input_errors():
         make_input("custom", 3, custom=[0, 0, 0, 0])  # zero vector
     with pytest.raises(ValueError):
         make_input("custom", 3, custom=[1, 0])  # wrong length
+
+
+@pytest.mark.parametrize("custom, want", [
+    ([1e308, 1e308, 0.0], [2**-0.5, 2**-0.5, 0.0]),  # the plain norm overflows
+    ([1e-320, 0.0, 1e-320], [2**-0.5, 0.0, 2**-0.5]),  # the plain norm underflows
+    ([1.0, math.nan, 0.0], None),
+    ([1.0, 0.0, complex(0.0, math.inf)], None),
+])
+def test_make_input_custom_any_finite_scale(custom, want):
+    if want is None:
+        with pytest.raises(ValueError, match="must be finite"):
+            make_input("custom", 2, custom=custom)
+        return
+    s = make_input("custom", 2, custom=custom)
+    np.testing.assert_allclose(s.amplitudes, want, rtol=1e-15, atol=0.0)
 
 
 def test_input_amplitudes_read_only():
@@ -437,6 +453,21 @@ def test_occupations_exactly_periodic_below_threshold():
         assert np.abs(a - b).max() < 1e-8
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 2.4])
+def test_intensity_is_the_trace_value(gamma):
+    # one expression reads I off log I: clamped at 1 (at Gamma = 0 log I
+    # rounds above 0 at about half the z) and 0.0 below the double range
+    z = np.linspace(0.0, 30.0, 200)
+    for n in (1, 5, 10, 40):
+        p = params(gamma, n)
+        for kind in ("noon", "all_in_a", "all_in_b"):
+            s = make_input(kind, n)
+            for zk in z.tolist():
+                got = intensity(s, p, zk).value
+                want = trace_evolution(s, p, [zk], with_occupations=False).intensity[0]
+                assert got == want and got <= 1.0, (n, kind, zk, got, want)
+
+
 # ---------------------------------------------------------------------------
 # steady state
 
@@ -532,6 +563,18 @@ def test_steady_state_onset_matches_scalar_scan(gamma, z_max, dz, kappa):
     assert got == want
     if (gamma, dz) in ((2.0, 1.0), (2.4, 1.0)):
         assert got == {2.0: 685.0, 2.4: 10.0}[gamma]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_steady_state_onset_refuses_unbroken_regime(gamma):
+    # below threshold the profile oscillates forever, so a scan to 1e300
+    # would not end; the call returns at once whatever z_max is
+    s = make_input("noon", 5)
+    for z_max in (10.0, 1e300):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="below threshold"):
+            steady_state_onset(s, params(gamma, 5), z_max=z_max)
+        assert time.perf_counter() - started < 1.0
 
 
 def test_steady_state_onset_validation():

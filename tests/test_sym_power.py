@@ -382,10 +382,10 @@ def test_intensity_only_trace_allocates_no_occupations():
 
 
 def test_non_finite_values_raise():
-    with pytest.raises(OverflowGuardError, match="double-precision range"):
-        evolve_grid(params(1.0, 3), [1.0, math.nan, 0.0, 0.0], [0.0, 1.0])
-    # a non-finite distance is the caller's error, not the engine's
+    # a non-finite amplitude or distance is the caller's error, not the engine's
     for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            evolve_grid(params(1.0, 3), [1.0, bad, 0.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValueError, match="finite distances"):
             evolve_grid(params(1.0, 3), make_input("noon", 3).amplitudes, [0.0, bad])
         with pytest.raises(ValueError, match="finite distance"):
