@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     EigensolverError,
-    IntensityUnderflowError,
     OverflowGuardError,
     PoleProximityError,
     PrecisionError,
@@ -89,6 +88,6 @@ __all__ = [
     "trace_evolution", "fit_ep_order", "periodicity_check",
     "steady_state_onset",
     # errors
-    "SimulationError", "PoleProximityError", "EigensolverError", "IntensityUnderflowError",
-    "OverflowGuardError", "PrecisionError",
+    "SimulationError", "PoleProximityError", "EigensolverError", "OverflowGuardError",
+    "PrecisionError",
 ]

@@ -3,7 +3,8 @@
 Validation mistakes (bad photon counts, dimension mismatches, malformed
 grids) raise plain ``ValueError``; the classes below mark conditions that
 arise *during* a structurally valid computation; the command-line runner
-reports any of them as a failed run (exit code 2) with its message.
+reports any of them as a failed run (exit code 2) with its message.  A
+small post-selection weight is none of them: log I and P stay exact.
 """
 
 
@@ -32,22 +33,6 @@ class PoleProximityError(SimulationError):
 
 class EigensolverError(SimulationError):
     """The dense nonsymmetric eigensolver failed to converge."""
-
-
-class IntensityUnderflowError(SimulationError):
-    """Post-selection weight fell below the representable floor.
-
-    Normalized occupations are a 0/0 at this point; the log-intensity of the
-    trace remains finite and is the quantity to work with instead.
-    """
-
-    def __init__(self, z: float, log_intensity: float):
-        super().__init__(
-            f"post-selection intensity underflows at z={z!r} "
-            f"(log I = {log_intensity:.1f} < log 1e-300); occupations undefined"
-        )
-        self.z = z
-        self.log_intensity = log_intensity
 
 
 class OverflowGuardError(SimulationError):

@@ -12,10 +12,9 @@ in log space.  Every entry point evaluates whole z arrays at once through
 the symmetric-power engine (``propagator.evolve_grid``), which updates the
 input state without forming the propagator and carries the decay and the
 scale of the single-photon propagator as logarithms; single points are a
-batch of one.  Occupations are scale-free and stay exact arbitrarily deep
-in the tail, but they stop being physically meaningful once the
-post-selection weight underflows entirely, which is reported as an error
-rather than a silent 0/0 unless the caller opts out.
+batch of one.  Occupations are scale-free and stay exact at any depth of
+the tail, long after I has underflowed: at the critical loss that tail is
+where the exceptional point shows.
 
 Three diagnostics quantify what the dynamics encode: a log-log slope fit of
 exp(N*Gamma*z) * I(z), which approaches 2N at the critical loss; period
@@ -33,7 +32,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IntensityUnderflowError
 from .fock_core import BeamsplitterParams
 from .propagator import METHOD, _evolve_grid, evolve_grid
 from .spectral import classify_regime, delta_lambda
@@ -45,7 +43,6 @@ __all__ = [
     "OrderFit",
     "PeriodicityResult",
     "INPUT_KINDS",
-    "INTENSITY_FLOOR_LOG",
     "make_input",
     "intensity",
     "occupations",
@@ -56,10 +53,6 @@ __all__ = [
 ]
 
 INPUT_KINDS = ("all_in_a", "all_in_b", "noon", "custom")
-
-# Below this log-intensity the post-selected manifold carries no
-# representable weight and normalized occupations are undefined.
-INTENSITY_FLOOR_LOG = math.log(1e-300)
 
 # Steady-state criterion: occupations at z and z + 1/kappa agree to this.
 STEADY_THRESHOLD = 1e-6
@@ -125,23 +118,6 @@ class IntensityValue(NamedTuple):
     log_value: float
 
 
-def _evolve(
-    state0: InputState, params: BeamsplitterParams, z: np.ndarray, enforce_floor: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """log I and occupations at each z.
-
-    With ``enforce_floor`` the first z, in the order given, whose
-    post-selection weight is below the floor raises
-    ``IntensityUnderflowError``.
-    """
-    log_i, occ = evolve_grid(params, state0.amplitudes, z)
-    if enforce_floor:
-        below = np.flatnonzero(log_i < INTENSITY_FLOOR_LOG)
-        if below.size:
-            raise IntensityUnderflowError(float(z[below[0]]), float(log_i[below[0]]))
-    return log_i, occ
-
-
 def _intensity_of(log_i: np.ndarray) -> np.ndarray:
     """I from log I: at most 1, as G is a contraction, and 0.0 below the double range."""
     with np.errstate(under="ignore"):
@@ -171,13 +147,11 @@ def occupations(
 ) -> np.ndarray:
     """Normalized occupation vector P(m; z); sums to one.
 
-    Raises ``IntensityUnderflowError`` once the post-selection weight falls
-    below the representable floor.  The normalized ratio itself stays exact
-    arbitrarily deep in the tail (the decay is carried as a logarithm), so
-    diagnostics that legitimately probe past the floor, like steady-state
-    detection at the critical loss, pass ``enforce_floor=False``.
+    The ratio is exact at any depth of the tail, since the decay is carried
+    as a logarithm.  ``enforce_floor`` has no effect; it is kept only for
+    callers that still pass it.
     """
-    return _evolve(state0, params, np.array([float(z)]), enforce_floor)[1][0]
+    return evolve_grid(params, state0.amplitudes, [float(z)])[1][0]
 
 
 @dataclass(frozen=True)
@@ -202,23 +176,15 @@ def trace_evolution(
     """Evaluate intensity (and optionally occupations) along a z grid.
 
     The grid must be non-negative and ascending and is evaluated in one
-    batch.  With occupations, the first z whose post-selection weight is
-    below the floor raises ``IntensityUnderflowError``; pass
-    ``with_occupations=False`` for deep-tail intensity work.
+    batch.  Occupations are exact at every z, also where I reads 0.0;
+    ``with_occupations=False`` skips them for intensity-only work.
     """
     grid = np.asarray(z_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("z grid must be a non-empty 1-D sequence")
     if grid[0] < 0 or np.any(np.diff(grid) < 0):
         raise ValueError("z grid must be non-negative and ascending")
-    if state0.dim != params.n_photons + 1:
-        raise ValueError(
-            f"input state dimension {state0.dim} != N+1 = {params.n_photons + 1}"
-        )
-    if with_occupations:
-        log_i, occ = _evolve(state0, params, grid, True)
-    else:
-        log_i, occ = _evolve_grid(params, state0.amplitudes, grid, False)
+    log_i, occ = _evolve_grid(params, state0.amplitudes, grid, with_occupations)
     return EvolutionTrace(
         z_grid=grid,
         intensity=_intensity_of(log_i),
@@ -355,12 +321,12 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     # essentially vanishes (the fundamental precedes its multiples)
     probe_span = peaks[0] * dz
     probes = z[0] + np.linspace(0.0, 0.9, 6) * probe_span
-    base = _evolve(trace.input_state, params, probes, True)[1]
+    base = evolve_grid(params, trace.input_state.amplitudes, probes)[1]
 
     def mismatch(t: float, h: float) -> np.ndarray:
         """Profile mismatch at t - h, t and t + h, from one batched evaluation."""
         shifted = np.concatenate([probes + (t - h), probes + t, probes + (t + h)])
-        occ = _evolve(trace.input_state, params, shifted, True)[1]
+        occ = evolve_grid(params, trace.input_state.amplitudes, shifted)[1]
         return ((occ.reshape(3, *base.shape) - base) ** 2).sum(axis=(1, 2))
 
     for k in peaks:
@@ -409,8 +375,8 @@ def steady_state_onset(
 
     At the critical loss the profile converges only algebraically (the
     propagator is polynomial in z there), so tight thresholds are reached at
-    large z where the surviving intensity underflows; the scan therefore
-    reads the normalized profile past the floor, where it remains exact.
+    large z where the surviving intensity underflows; the normalized
+    profile the scan reads stays exact there.
     The scan steps z = 0, dz, 2*dz, ... (accumulated one addition at a time)
     are evaluated in batches of ``_ONSET_CHUNK``, and the scan stops at the
     first batch that holds a hit.  Each distinct z of a batch is evaluated

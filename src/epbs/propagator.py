@@ -94,6 +94,9 @@ _EDGE_ENTRIES = 1 << 17
 # |w(z)| below which the factored form is rejected as pole-adjacent.
 POLE_TOLERANCE = 1e-6
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+# ln 2 split as in fdlibm: k * _LN2_HI is exact for |k| < 2^20
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 @dataclass(frozen=True)
@@ -263,11 +266,13 @@ def evolve_grid(
     O(N) binomial form; any other state takes the SVD form, with Horner on
     the z its error estimate flags.  The z values may come in any order;
     they are worked through in blocks, so the working set stays a few
-    block x (N+1) arrays.  Raises ``ValueError`` for a negative or
-    non-finite z or a non-finite amplitude, ``OverflowGuardError`` if any
-    computed value is not finite, and ``PrecisionError`` where neither form
-    is certified to ``ERROR_LIMIT`` or log I breaks the contraction
-    (unitarity at Gamma = 0) of G_N by more than ``ERROR_LIMIT``.
+    block x (N+1) arrays.  Amplitudes whose ||a||^2 leaves the normal range
+    are first scaled by a power of two.  Raises ``ValueError`` for a
+    negative or non-finite z or a non-finite amplitude,
+    ``OverflowGuardError`` if any computed value is not finite, and
+    ``PrecisionError`` where neither form is certified to ``ERROR_LIMIT``
+    or log I breaks the contraction (unitarity at Gamma = 0) of G_N by more
+    than ``ERROR_LIMIT``.
     """
     return _evolve_grid(params, amplitudes, z_grid, True)
 
@@ -289,11 +294,19 @@ def _evolve_grid(params: BeamsplitterParams, amplitudes, z_grid, with_occupation
         rows, block = _interior_rows, max(1, _SVD_ENTRIES // (n + 1))
     else:
         rows, block = _edge_rows, max(1, min(_EDGE_BLOCK, _EDGE_ENTRIES // (n + 1)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_norm2 = float(np.log(np.vdot(amps, amps).real))
+    norm2 = float(np.vdot(amps, amps).real)
     # a NaN or inf amplitude makes ||a||^2 NaN or inf; a finite one may overflow it
-    if not log_norm2 < math.inf and not np.isfinite(amps).all():
+    if not norm2 < math.inf and not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite")
+    exp = 0
+    if not _TINY <= norm2 < math.inf:
+        # the exact power-of-two scaling of make_input, which log I gets back
+        parts = np.ascontiguousarray(amps).view(float)
+        exp = math.frexp(np.abs(parts).max())[1]
+        amps = np.ldexp(parts, -exp).view(complex)
+        norm2 = float(np.vdot(amps, amps).real)
+    with np.errstate(divide="ignore"):
+        log_norm2 = float(np.log(norm2))
     log_i = np.empty(z.size)
     occ = np.empty((z.size, n + 1)) if with_occupations else None
     for lo in range(0, z.size, block):
@@ -305,6 +318,10 @@ def _evolve_grid(params: BeamsplitterParams, amplitudes, z_grid, with_occupation
         log_i[lo : lo + zb.size] = li
         if occ is not None:
             occ[lo : lo + zb.size] = pb
+    if exp:
+        # 2 exp ln 2 in two parts, so that it adds a single rounding
+        log_i += 2 * exp * _LN2_LO
+        log_i += 2 * exp * _LN2_HI
     return log_i, occ
 
 

@@ -240,7 +240,7 @@ def test_criterion_7_noon_dynamics():
     steady_ok = onset_c is not None
     argmax_ok = False
     if steady_ok:
-        profile = occupations(noon5, p_c, onset_c, enforce_floor=False)
+        profile = occupations(noon5, p_c, onset_c)
         argmax_ok = int(np.argmax(profile)) <= 5 / 2
 
     # past the transition the profile settles exponentially, so earlier

@@ -16,6 +16,7 @@ from epbs.cli import GridSpec, _json_bytes, main, run, validate
 from epbs.fock_core import build_hamiltonian
 from epbs.observables import trace_evolution
 from epbs.spectral import certify_ep, eigenvalue_flow
+from test_sym_power import exact_evolve
 
 
 # the directory holding the package, for subprocesses that import it
@@ -549,6 +550,32 @@ def test_custom_state_of_any_finite_scale_runs(tmp_path, amplitudes):
     assert main(["custom-evolve", "--config", write_config(tmp_path, doc)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["final_log_intensity"] < 0.0
+
+
+def test_critical_trace_past_floor_exits_0(tmp_path):
+    # I falls below 1e-300 near kappa*z = 38.4; the trace and its occupations run on
+    out = tmp_path / "out"
+    doc = base_config("occupation-dynamics", out, input_state={"kind": "noon"},
+                      z_grid={"start": 0.0, "stop": 40.0, "count": 400})
+    doc["params"].update(gamma=2.0, n_photons=10)
+    assert main(["occupation-dynamics", "--config", write_config(tmp_path, doc)]) == 0
+    tables = {}
+    for name in ("occupations.csv", "intensity.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        tables[name] = np.array([[float(x) for x in row.split(",")] for row in rows])
+        assert np.isfinite(tables[name]).all()
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert tables["intensity.csv"][-1, 2] < math.log(1e-300)
+    p = epbs.BeamsplitterParams(1.0, 1.0, 2.0, 10)
+    amps = epbs.make_input("noon", 10).amplitudes
+    occ = tables["occupations.csv"].reshape(400, 11, 3)
+    for row in occ[-5:]:
+        ref_p = exact_evolve(p, amps, row[0, 0])[1]
+        assert np.abs(row[:, 2] - ref_p).max() <= 1e-10
 
 
 @pytest.mark.parametrize("where, value", [

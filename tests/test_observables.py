@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from epbs import observables
-from epbs.errors import IntensityUnderflowError
 from epbs.fock_core import BeamsplitterParams, build_hamiltonian, build_operators
 from epbs.observables import (
     STEADY_THRESHOLD,
@@ -21,6 +20,7 @@ from epbs.observables import (
 )
 from epbs.propagator import evolve_grid
 from oracles import matrix_exp_oracle
+from test_sym_power import exact_evolve
 
 
 def params(gamma, n, omega0=1.0, kappa=1.0):
@@ -194,13 +194,17 @@ def test_occupations_normalized(gamma, z):
     assert np.all(occ >= 0.0)
 
 
-def test_occupations_underflow_error_and_override():
+def test_occupations_past_floor_match_reference():
+    # P is scale-free and log I a logarithm, so both stay exact where I < 1e-300
     p = params(2.0, 5)
     s = make_input("noon", 5)
-    with pytest.raises(IntensityUnderflowError):
-        occupations(s, p, 200.0)
-    occ = occupations(s, p, 200.0, enforce_floor=False)
-    assert occ.sum() == pytest.approx(1.0, abs=1e-10)
+    for z in (100.0, 200.0, 400.0):
+        ref_li, ref_p = exact_evolve(p, s.amplitudes, z)
+        assert ref_li < math.log(1e-300)
+        assert abs(intensity(s, p, z).log_value - ref_li) <= 1e-10
+        occ = occupations(s, p, z)
+        assert np.abs(occ - ref_p).max() <= 1e-10
+        assert occ.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_occupations_match_matrix_exp():
@@ -218,7 +222,7 @@ def test_occupations_critical_loss_settles_in_low_loss_region():
     n = 5
     p = params(2.0, n)
     s = make_input("noon", n)
-    occ = occupations(s, p, 400.0, enforce_floor=False)
+    occ = occupations(s, p, 400.0)
     # weight concentrated at or below the chain midpoint, none beyond it wins
     assert int(np.argmax(occ)) <= n / 2
     assert occ[: n // 2 + 1].sum() > occ[n // 2 + 1 :].sum()
@@ -264,11 +268,18 @@ def test_trace_grid_validation():
         trace_evolution(make_input("noon", 4), p, [0.0, 1.0])
 
 
-def test_trace_underflow_raises_with_occupations():
+def test_trace_past_floor_matches_reference():
+    # the trace runs on past the first z with I < 1e-300, exact in log I and P
     p = params(2.0, 5)
     s = make_input("noon", 5)
-    with pytest.raises(IntensityUnderflowError):
-        trace_evolution(s, p, np.linspace(0.0, 200.0, 11))
+    grid = np.linspace(0.0, 200.0, 11)
+    tr = trace_evolution(s, p, grid)
+    first = int(np.argmax(tr.log_intensity < math.log(1e-300)))
+    assert 0 < first < grid.size - 1
+    for k in range(first, grid.size):
+        ref_li, ref_p = exact_evolve(p, s.amplitudes, grid[k])
+        assert abs(tr.log_intensity[k] - ref_li) <= 1e-10
+        assert np.abs(tr.occupations[k] - ref_p).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +542,8 @@ def scalar_onset(state, p, z_max, dz=None):
     gap = 1.0 / p.kappa
     z = 0.0
     while z <= z_max:
-        here = occupations(state, p, z, enforce_floor=False)
-        ahead = occupations(state, p, z + gap, enforce_floor=False)
+        here = occupations(state, p, z)
+        ahead = occupations(state, p, z + gap)
         if np.abs(here - ahead).max() < STEADY_THRESHOLD:
             return z
         z += dz

@@ -24,9 +24,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from epbs.errors import IntensityUnderflowError, OverflowGuardError, PrecisionError
+from epbs.errors import OverflowGuardError, PrecisionError
 from epbs.fock_core import BeamsplitterParams
-from epbs.observables import INTENSITY_FLOOR_LOG, make_input, occupations, trace_evolution
+from epbs.observables import make_input, occupations, trace_evolution
 from epbs import propagator
 from epbs._sympower import (
     _check_rows,
@@ -293,13 +293,16 @@ def test_n40_broken_regime_noon_trace_completes():
     for k in (100, 274, 400):
         ref_li, ref_p = exact_evolve(p, state.amplitudes, grid[k])
         assert abs(tr.log_intensity[k] - ref_li) <= 1e-10
-        occ = occupations(state, p, grid[k], enforce_floor=False)
+        occ = occupations(state, p, grid[k])
         assert np.abs(occ - ref_p).max() <= 1e-10
-    # with occupations the trace stops where the weight leaves double range
-    first_below = grid[np.argmax(tr.log_intensity < INTENSITY_FLOOR_LOG)]
-    with pytest.raises(IntensityUnderflowError) as err:
-        trace_evolution(state, p, grid)
-    assert err.value.z == first_below
+    # with occupations the trace runs on past the first z with I < 1e-300
+    full = trace_evolution(state, p, grid)
+    first = int(np.argmax(full.log_intensity < math.log(1e-300)))
+    assert 0 < first < grid.size - 1
+    for k in (first, (first + grid.size) // 2, grid.size - 1):
+        ref_li, ref_p = exact_evolve(p, state.amplitudes, grid[k])
+        assert abs(full.log_intensity[k] - ref_li) <= 1e-10
+        assert np.abs(full.occupations[k] - ref_p).max() <= 1e-10
 
 
 def test_grid_values_equal_single_point_values():
@@ -396,6 +399,22 @@ def test_non_finite_values_raise():
         evolution_operator(p, 700.0)
     log_i, _ = evolve_grid(p, make_input("all_in_a", 10).amplitudes, [700.0])
     assert np.isfinite(log_i).all()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("amplitudes", [[1e200, 1, 0], [1e-170, 1e-170, 0], [1e-160, 1e-160, 0]],
+                         ids=["norm-overflows", "norm-underflows", "norm-subnormal"])
+def test_amplitudes_of_any_finite_scale(amplitudes, gamma):
+    # these were refused, or (the subnormal ||a||^2 at Gamma = kappa) off by 1.4e-3 in log I
+    p = params(gamma, 2)
+    grid = np.linspace(0.0, 3.0, 7)
+    log_i, occ = evolve_grid(p, amplitudes, grid)
+    ref_li, ref_p = evolve_grid(p, make_input("custom", 2, amplitudes).amplitudes, grid)
+    with mp.workdps(40):
+        log_norm2 = mp.log(mp.fsum(mp.mpf(a) ** 2 for a in amplitudes))
+        excess = [float(mp.mpf(li) - log_norm2) for li in log_i]
+    np.testing.assert_allclose(excess, ref_li, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(occ, ref_p, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
