@@ -5,8 +5,11 @@ evaluated once per z; a state is then mapped in one of three forms, chosen
 by its amplitudes:
 
 - edge: a state on |0) and |N) only maps to a_0 X^N + a_N Y^N, two
-  binomial expansions, O(N) per z.  Term magnitudes are formed in log
-  space, so the weights sqrt(C(N, m)) never overflow.
+  binomial expansions, O(N) per z.  The core's off-diagonal is -i kappa s
+  with its other entries real, so each term is real up to a fixed phase
+  and a sign per (z, m): the kernel works in real arithmetic, with the
+  magnitudes formed in log space, so the weights sqrt(C(N, m)) never
+  overflow.  A single term's log I is closed-form.
 - SVD: any other state.  The core factors as B(phi) diag(lambda, 1/lambda)
   B(phi) with B(phi) = exp(-i phi sigma_x), so Sym^N of it is
   E diag(lambda^(N-2m)) E, E = Q diag(e^(-i phi mu)) Q^T, with Q the real
@@ -18,8 +21,9 @@ by its amplitudes:
   bound exceeds ``ERROR_LIMIT`` too, the update is refused with
   ``PrecisionError``.  This fallback is Horner's only use.
 
-Each form returns (log I, P) per z; ``_check_rows`` then holds every
-result to finiteness and to G_N's contraction (unitarity at Gamma = 0).
+Each form returns log I per z and writes P, in (z, m) order, into the
+array it is given; ``_check_rows`` then holds every result to finiteness
+and to G_N's contraction (unitarity at Gamma = 0).
 
 ``propagator`` builds G_N's matrix, and the Wei-Norman product's, with the
 same SVD form: ``_svd_factors`` and ``_svd_form`` take any real core
@@ -41,7 +45,8 @@ from .fock_core import BeamsplitterParams
 ERROR_LIMIT = 1e-10
 # Constant of both error estimates: 16 (N+1) eps per unit of magnitude.
 _EST_FACTOR = 16.0 * np.finfo(float).eps
-# Log magnitude given to a zero entry, so that its powers underflow to 0.
+# Log magnitude given to a zero entry, so that its powers underflow to 0
+# (their logs are its multiples).
 _LOG_ZERO = -1e4
 # Entries per block of the SVD form, _SVD_ENTRIES // (N+1) columns (z points
 # of a state, or basis states at one z), so each of its few (N+1) x block
@@ -135,51 +140,96 @@ def _running_powers(first: np.ndarray, ratio: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _edge_terms(p: np.ndarray, q: np.ndarray, n: int, weight: np.ndarray) -> np.ndarray:
-    """weight * sqrt(C(N, m)) p^(N-m) q^m for m = 0..N, one column per entry of p and q.
-
-    With |p|^2 + |q|^2 = 1 the terms of a unit weight have unit norm: the
-    image of x^N under x -> p x + q y.  Each magnitude is formed in log
-    space and the whole block takes one exp, so no binomial weight
-    overflows at any N; the phase is unit_p^N times powers of the unit
-    phase of q/p.  A zero p or q (z = 0) gets the log _LOG_ZERO, whose
-    powers underflow to exactly 0.
-    """
+@functools.lru_cache(maxsize=16)
+def _edge_exponents(n: int) -> np.ndarray:
+    """Rows N - m, m, ln sqrt(C(N, m)), 1 and (-1)^m, m = 0..N: ``_edge_rows``' right factors."""
     m = np.arange(n + 1.0)
-    abs_p, abs_q = np.abs(p), np.abs(q)
-    log_p = np.log(abs_p, out=np.full(abs_p.shape, _LOG_ZERO), where=abs_p > 0)
-    log_q = np.log(abs_q, out=np.full(abs_q.shape, _LOG_ZERO), where=abs_q > 0)
-    log_mag = np.multiply.outer(n - m, log_p)
-    log_mag += np.multiply.outer(m, log_q)
-    log_mag += _half_log_binomial(n)[:, None]
-    unit_p = np.divide(p, abs_p, out=np.ones_like(p), where=abs_p > 0)
-    unit_q = np.divide(q, abs_q, out=np.ones_like(q), where=abs_q > 0)
-    terms = _running_powers(weight * unit_p**n, unit_q * unit_p.conj(), n)
-    terms *= np.exp(log_mag, out=log_mag)
-    return terms
+    out = np.stack((n - m, m, _half_log_binomial(n), np.ones(n + 1), 1.0 - 2.0 * (m % 2)))
+    out.setflags(write=False)
+    return out
 
 
-def _edge_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
-    """(log I, P) at each z of a state on |0) and |N) only: O(N) per z.
+def _edge_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, out=None):
+    """log I at each z of a state on |0) and |N) only, O(N) per z; P goes into ``out``, if given.
 
-    The image is a_0 X^N + a_N Y^N with X = u x + v y and Y = v x + t y,
-    two binomial expansions.  Each column (u, v), (v, t) is scaled to unit
-    norm, which is exactly the norm of its power's image, and the row keeps
-    the larger scale of the columns it uses, so light in either column
-    stays in range.
+    The core is [[u, -i w], [-i w, t]] with u, t and w = kappa s real, so
+    the image of a_0 x^N + a_N y^N has the amplitudes psi_m = sqrt(C(N, m))
+    (-i)^m [a_0 u^(N-m) w^m + b (-1)^m w^(N-m) t^m], b = (-i)^N a_N.  The
+    (-i)^m drops out of |psi_m|^2, and each term is real up to the phase of
+    its amplitude, so |psi_m|^2 = (A_m + cos(D) s_m B_m)^2 + (sin(D) B_m)^2
+    with A_m, B_m >= 0 the terms' magnitudes, D the phase of b over a_0
+    and s_m = +-1 the sign of their product, from the parities of m and N
+    and the signs of u, w and t.  The magnitudes come from one exp of a
+    (rows, 4) x (4, N+1) product of logs: the entries of each column
+    (u, w), (w, t) over its norm, which is exactly the norm of its power's
+    image, so no binomial weight overflows at any N.  The signs come from
+    a (z, 2) x (2, N+1) product with the rows 1 and (-1)^m.  Every array
+    is real and in (z, m) order, and P is formed in ``out`` itself.  The
+    term with the larger image keeps unit norm, so light in either column
+    stays in range.  A zero entry gets the log _LOG_ZERO, whose multiples
+    underflow to 0.  A single term needs no sum for log I: its image has
+    norm |a| col^N.
     """
     n = params.n_photons
-    u, v, t, log_scale = _g1_core(params.kappa, params.gamma, z)
-    col_x, col_y = np.hypot(abs(u), abs(v)), np.hypot(abs(v), abs(t))
-    log_x, log_y = np.log(col_x), np.log(col_y)
-    a_x, a_y = amps[0], amps[n]
-    log_col = np.maximum(log_x if a_x else -np.inf, log_y if a_y else -np.inf)
-    psi = np.zeros((n + 1, z.size), dtype=complex)
-    for a, p, q, col, log_c in ((a_x, u, v, col_x, log_x), (a_y, v, t, col_y, log_y)):
-        if a:
-            psi += _edge_terms(p / col, q / col, n, a * np.exp(n * (log_c - log_col)))
-    log_i, occ, _ = _observe(psi.T, n * (2.0 * (log_scale + log_col) - params.gamma * z))
-    return log_i, occ
+    c, s, log_scale = _g1_cs(params.kappa, params.gamma, z)
+    w, y = params.kappa * s, 0.5 * params.gamma * s
+    a0, b = complex(amps[0]), complex(amps[n]) * (1, -1j, -1, 1j)[n % 4]
+    # the terms in use: a_0 on the column (u, w), b on (w, t)
+    lo, hi = (0 if a0 else 1), (2 if b else 1)
+    if lo == hi:
+        return np.full(z.size, -np.inf)
+    entries = np.array((c + y, w, c - y))
+    p, q = entries[lo:hi], entries[lo + 1 : hi + 1]
+    col = np.hypot(p, q)
+    logs = n * np.log(col)
+    for row, a in zip(logs, (a0, b)[lo:hi]):
+        row += math.log(abs(a))
+    top = logs.max(axis=0)
+    gain = 2.0 * top + n * (2.0 * log_scale - params.gamma * z)
+    if hi - lo == 1 and out is None:
+        return gain
+    ratios = np.abs(np.array((p, q)) / col).reshape(2, -1)
+    left = np.empty((4, ratios.shape[1]))
+    # a zero entry's log -inf becomes _LOG_ZERO
+    np.maximum(np.log(ratios, out=left[:2]), _LOG_ZERO, out=left[:2])
+    left[2] = 1.0
+    left[3] = (logs - top).ravel()
+    exponents = _edge_exponents(n)
+    if hi - lo == 1:
+        # |psi_m|^2 in one exp, from doubled logs, straight into out
+        left *= 2.0
+        weights = np.matmul(left.T, exponents[:4], out=out)
+        np.exp(weights, out=weights)
+        weights /= np.einsum("zm->z", weights)[:, None]
+        return gain
+    b_mag = left[:, z.size :].T @ exponents[:4]
+    np.exp(b_mag, out=b_mag)
+    # out holds the signs first, then |psi|^2
+    weights = np.empty((z.size, n + 1)) if out is None else out
+    phase = b * a0.conjugate()
+    phase /= abs(phase)
+    if phase.real:
+        # s_m = (sign(u) sign(w))^N (-sign(u) sign(t))^m goes into B, and
+        # with it cos(D) when that is +-1: a constant per z, times (-1)^m
+        # where sign(u) = sign(t), as one product with the last two rows
+        su, sw, st = np.copysign(1.0, entries)
+        even = su * sw if n % 2 else np.ones(z.size)
+        if not phase.imag:
+            even *= phase.real
+        flip = su == st
+        b_mag *= np.matmul(np.array((even * ~flip, even * flip)).T, exponents[3:], out=weights)
+    np.matmul(left[:, : z.size].T, exponents[:4], out=weights)
+    np.exp(weights, out=weights)
+    if phase.real:
+        weights += phase.real * b_mag if phase.imag else b_mag
+    np.square(weights, out=weights)
+    if phase.imag:
+        b_mag *= phase.imag
+        weights += np.square(b_mag, out=b_mag)
+    total = np.einsum("zm->z", weights)
+    if out is not None:
+        weights /= total[:, None]
+    return np.log(total) + gain
 
 
 def _real_matmul(mat: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -317,8 +367,8 @@ def _horner_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
     return log_i, occ, factor * np.linalg.norm(magnitude, axis=1) / psi_norm
 
 
-def _interior_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
-    """(log I, P) at each z of a state with light on |1) ... |N-1).
+def _interior_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, out=None):
+    """log I at each z of a state with light on |1) ... |N-1); P goes into ``out``, if given.
 
     The SVD form runs on every z; the z whose estimate exceeds
     ``ERROR_LIMIT`` are recomputed by Horner, and refused with
@@ -336,31 +386,38 @@ def _interior_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
                 f"SVD estimate {estimate[flagged[k]]:.1e} and Horner bound {bound[k]:.1e} "
                 f"both exceed {ERROR_LIMIT:g} (N={params.n_photons})",
             )
-    return log_i, occ
+    if out is not None:
+        out[...] = occ
+    return log_i
 
 
 def _check_rows(params: BeamsplitterParams, z, log_i, occ, log_norm2: float) -> None:
     """Raise for the first z whose values are not finite or break an invariant.
 
-    G_N is a contraction for Gamma >= 0 (its anti-Hermitian part
-    -i Gamma (N/2 + J_z) is negative semidefinite) and unitary at Gamma = 0,
-    so log I never exceeds ln ||a||^2 and equals it without loss.
+    ``occ`` is None when no occupations were formed.  A finite P lies in
+    [0, 1], so one sum over all of it is finite exactly when every entry
+    is; the rows are searched only when it is not.  G_N is a contraction
+    for Gamma >= 0 (its anti-Hermitian part -i Gamma (N/2 + J_z) is
+    negative semidefinite) and unitary at Gamma = 0, so log I never
+    exceeds ln ||a||^2 and equals it without loss.
     """
     n = params.n_photons
-    bad = np.flatnonzero(~(np.isfinite(log_i) & np.isfinite(occ).all(axis=1)))
-    if bad.size:
+    finite = np.isfinite(log_i)
+    if occ is not None and not np.isfinite(occ.sum()):
+        finite &= np.isfinite(occ).all(axis=1)
+    if not finite.all():
+        k = np.argmin(finite)
         raise OverflowGuardError(
             f"state update leaves double-precision range at "
-            f"z={float(z[bad[0]])!r} (N={n}, log I = {log_i[bad[0]]})"
+            f"z={float(z[k])!r} (N={n}, log I = {log_i[k]})"
         )
     excess = log_i - log_norm2
-    broken = np.flatnonzero(
-        (excess > ERROR_LIMIT) | ((params.gamma == 0.0) & (excess < -ERROR_LIMIT))
-    )
-    if broken.size:
-        k = broken[0]
+    if params.gamma == 0.0:
+        excess = np.abs(excess, out=excess)
+    if excess.max(initial=-np.inf) > ERROR_LIMIT:
+        k = np.argmax(excess > ERROR_LIMIT)
         law = "unitary at Gamma = 0" if params.gamma == 0.0 else "a contraction"
         raise PrecisionError(
             float(z[k]),
-            f"log I - ln||a||^2 = {excess[k]:.3g}, but G_N is {law} (N={n})",
+            f"log I - ln||a||^2 = {log_i[k] - log_norm2:.3g}, but G_N is {law} (N={n})",
         )

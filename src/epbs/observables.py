@@ -17,7 +17,9 @@ the tail, long after I has underflowed: at the critical loss that tail is
 where the exceptional point shows.
 
 Three diagnostics quantify what the dynamics encode: a log-log slope fit of
-exp(N*Gamma*z) * I(z), which approaches 2N at the critical loss; period
+exp(N*Gamma*z) * I(z), which approaches 2N at the critical loss (2(N-1) for
+noon at N = 2 mod 4 and the other states on |0) and |N) with
+a_0 + (-i)^N a_N = 0); period
 detection of the occupation oscillations below threshold (the exact period
 2*pi/Delta_lambda is independent of N), whose candidates come from an
 autocorrelation formed by FFT; and steady-state onset detection above and
@@ -206,13 +208,32 @@ class OrderFit:
     residual: float
 
 
+def _chain_depth(amplitudes: np.ndarray) -> int:
+    """d, the largest k with M^k a != 0 at the critical loss, for a state a on N photons.
+
+    There g1's core is I + kappa z n with n = [[1, -i], [-i, -1]] nilpotent,
+    so a state on |0) and |N) maps to a polynomial in z whose z^N
+    coefficient is (a_0 + (-i)^N a_N) (kappa z)^N (x - i y)^N and whose
+    z^(N-1) coefficient is N a_0 (kappa z)^(N-1) (x - i y)^N where the
+    former vanishes: d = N - 1 exactly when a_0 + (-i)^N a_N = 0 (noon at
+    N = 2 mod 4), N otherwise.  Any other state is given d = N.
+    """
+    n = amplitudes.size - 1
+    if not amplitudes[1:n].any() and amplitudes[0] + (1, -1j, -1, 1j)[n % 4] * amplitudes[n] == 0:
+        return n - 1
+    return n
+
+
 def fit_ep_order(trace: EvolutionTrace) -> OrderFit:
     """Extract the algebraic-growth exponent from a critical-loss trace.
 
     At the critical loss the rescaled intensity exp(N*Gamma*z)*I(z) grows
-    like z^(2N), so the fitted slope reads off twice the photon number (one
-    power per coalesced mode pair).  The fit window is kappa*z in [10, 100]
-    (the asymptotic regime) and must hold at least a decade of the trace.
+    like z^(2d), d the largest power of the nilpotent M = H_N - tr(H_N)/(N+1)
+    that does not annihilate the input: d = N (one power per coalesced mode
+    pair) but for the states on |0) and |N) with a_0 + (-i)^N a_N = 0, where
+    d = N - 1.  ``expected_slope`` is 2d.  The fit window is kappa*z in
+    [10, 100] (the asymptotic regime) and must hold at least a decade of
+    the trace.
     """
     kz = trace.z_grid * trace.params.kappa
     sel = (kz >= 10.0) & (kz <= 100.0)
@@ -228,7 +249,7 @@ def fit_ep_order(trace: EvolutionTrace) -> OrderFit:
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return OrderFit(
         fitted_slope=float(slope),
-        expected_slope=2.0 * n,
+        expected_slope=2.0 * _chain_depth(trace.input_state.amplitudes),
         window=(float(z[0]), float(z[-1])),
         residual=resid,
     )

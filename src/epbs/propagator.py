@@ -14,10 +14,10 @@ on |m) = |N-m>_a |m>_b is the polynomial P(x, y) = sum_m c_m sqrt(C(N, m))
 x^(N-m) y^m, and G_N maps it to P(u x + v y, v x + t y) times the scalar
 prefactor.  ``evolve_grid`` applies that map over whole z grids without
 forming G_N, in one of three forms chosen by the amplitudes (``_sympower``):
-an O(N) binomial form for states on |0) and |N) only (``all_in_a``,
-``all_in_b``, ``noon``), an SVD form with three real matrix products per
-block of z for any other state, and Horner composition with Higham's
-bound on the z whose SVD error estimate exceeds ``ERROR_LIMIT``.  A z
+an O(N) binomial form in real arithmetic for states on |0) and |N) only
+(``all_in_a``, ``all_in_b``, ``noon``), an SVD form with three real matrix
+products per block of z for any other state, and Horner composition with
+Higham's bound on the z whose SVD error estimate exceeds ``ERROR_LIMIT``.  A z
 that neither form certifies raises ``PrecisionError``, as does a log I
 that breaks G_N's contraction (unitarity at Gamma = 0).
 ``evolution_operator`` builds the matrix with the same SVD form, applied
@@ -84,13 +84,12 @@ __all__ = [
 
 # Label of the single evaluation path, reported with every operator and trace.
 METHOD = "symmetric_power"
-# z points per block of the O(N) update of states on |0) and |N): at most
-# _EDGE_BLOCK, and _EDGE_ENTRIES // (N+1) at large N, so each of its few
-# block x (N+1) complex arrays stays at most 2 MB.  A 4096-entry budget, as
-# on the SVD path, made 2000-point noon traces 1.4x slower at N=10 and 2.4x
-# slower at N=40.
-_EDGE_BLOCK = 512
-_EDGE_ENTRIES = 1 << 17
+# Entries per block of the O(N) update of states on |0) and |N):
+# _EDGE_ENTRIES // (N+1) z points, so each of its few block x (N+1) real
+# arrays stays at most 256 kB and a 2000-point trace at N <= 15 is one
+# block.  A budget four times larger raised the peak memory of a
+# paper-traces benchmark process by 0.5 MB and saved no time.
+_EDGE_ENTRIES = 1 << 15
 # |w(z)| below which the factored form is rejected as pole-adjacent.
 POLE_TOLERANCE = 1e-6
 _EPS = np.finfo(float).eps
@@ -280,7 +279,9 @@ def evolve_grid(
 def _evolve_grid(params: BeamsplitterParams, amplitudes, z_grid, with_occupations: bool):
     """``evolve_grid``; without occupations it returns (log I, None).
 
-    The per-block occupations are then dropped, so no (z, N+1) array is
+    The kernels write each block's occupations straight into the result.
+    Without occupations the edge form builds none for a single term, and
+    otherwise they are dropped per block, so no (z, N+1) array is
     allocated.
     """
     n = params.n_photons
@@ -288,12 +289,13 @@ def _evolve_grid(params: BeamsplitterParams, amplitudes, z_grid, with_occupation
     if amps.shape != (n + 1,):
         raise ValueError(f"state has shape {amps.shape}, expected ({n + 1},)")
     z = np.asarray(z_grid, dtype=float)
-    if z.ndim != 1 or not np.all(np.isfinite(z) & (z >= 0)):
+    # NaN fails both comparisons
+    if z.ndim != 1 or not (z.min(initial=0.0) >= 0.0 and z.max(initial=0.0) < math.inf):
         raise ValueError("z must be a 1-D array of finite distances >= 0")
     if amps[1:n].any():
         rows, block = _interior_rows, max(1, _SVD_ENTRIES // (n + 1))
     else:
-        rows, block = _edge_rows, max(1, min(_EDGE_BLOCK, _EDGE_ENTRIES // (n + 1)))
+        rows, block = _edge_rows, max(1, _EDGE_ENTRIES // (n + 1))
     norm2 = float(np.vdot(amps, amps).real)
     # a NaN or inf amplitude makes ||a||^2 NaN or inf; a finite one may overflow it
     if not norm2 < math.inf and not np.isfinite(amps).all():
@@ -305,19 +307,16 @@ def _evolve_grid(params: BeamsplitterParams, amplitudes, z_grid, with_occupation
         exp = math.frexp(np.abs(parts).max())[1]
         amps = np.ldexp(parts, -exp).view(complex)
         norm2 = float(np.vdot(amps, amps).real)
-    with np.errstate(divide="ignore"):
-        log_norm2 = float(np.log(norm2))
+    log_norm2 = math.log(norm2) if norm2 > 0 else -math.inf
     log_i = np.empty(z.size)
     occ = np.empty((z.size, n + 1)) if with_occupations else None
-    for lo in range(0, z.size, block):
-        zb = z[lo : lo + block]
-        # out-of-range intermediates surface as non-finite values, caught below
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            li, pb = rows(params, amps, zb)
-        _check_rows(params, zb, li, pb, log_norm2)
-        log_i[lo : lo + zb.size] = li
-        if occ is not None:
-            occ[lo : lo + zb.size] = pb
+    # out-of-range intermediates surface as non-finite values, caught by _check_rows
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for lo in range(0, z.size, block):
+            zb, hi = z[lo : lo + block], lo + block
+            pb = None if occ is None else occ[lo:hi]
+            log_i[lo:hi] = rows(params, amps, zb, pb)
+            _check_rows(params, zb, log_i[lo:hi], pb, log_norm2)
     if exp:
         # 2 exp ln 2 in two parts, so that it adds a single rounding
         log_i += 2 * exp * _LN2_LO

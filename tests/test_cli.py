@@ -515,9 +515,8 @@ def test_precision_error_exits_2_with_reason(tmp_path, capsys, monkeypatch):
 
     edge_rows = propagator._edge_rows
 
-    def amplified(params, amps, z):
-        log_i, occ = edge_rows(params, amps, z)
-        return log_i + 1e-6, occ
+    def amplified(*args):
+        return edge_rows(*args) + 1e-6
 
     monkeypatch.setattr(propagator, "_edge_rows", amplified)
     out = tmp_path / "out"

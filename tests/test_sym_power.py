@@ -42,6 +42,7 @@ from epbs.propagator import (
     assemble_propagator,
     evolution_operator,
     evolve_grid,
+    first_pole,
     wei_norman_params,
 )
 
@@ -341,6 +342,32 @@ def test_edge_supported_states_match_both_references(kind, n, gamma):
         np.testing.assert_allclose(occ[k], weights / weights.sum(), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0, 1.2])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 40, 41])
+def test_edge_real_form_every_sign_case(n, ratio):
+    # the edge form sums the real and imaginary parts of two signed real
+    # terms; the signs follow the parities of m and N and the signs of u, w
+    # and t.  States: two random complex (a_0, a_N), one with b = (-i)^N a_N
+    # in phase with a_0 (only the real part) and one in quadrature (no
+    # cross term).  z: 0, a grid, and both sides of the zero of u below
+    # threshold, where the Wei-Norman pole lies
+    p = params(2.0 * ratio, n)
+    rng = np.random.default_rng(100 * n + int(10 * ratio))
+    ends = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2)]
+    ends += [(0.8, -0.6 * 1j**n), (0.6, 0.8j * 1j**n)]
+    z = [0.0, 0.4, 3.3, 11.7]
+    pole = first_pole(p)
+    if pole is not None:
+        z += [pole * (1.0 + d) for d in (-1e-3, -1e-9, 1e-9, 1e-3)]
+    for a0, an in ends:
+        amps = make_input("custom", n, np.r_[a0, np.zeros(n - 1), an]).amplitudes
+        log_i, occ = evolve_grid(p, amps, z)
+        for k, zk in enumerate(z):
+            ref_li, ref_p = exact_evolve(p, amps, zk)
+            assert abs(log_i[k] - ref_li) <= 1e-10, (a0, an, zk)
+            assert np.abs(occ[k] - ref_p).max() <= 1e-10, (a0, an, zk)
+
+
 @pytest.mark.parametrize("gamma", [2.0, 2.4])
 @pytest.mark.parametrize("n", [600, 1000])
 def test_all_in_b_at_large_n_matches_single_column_form(n, gamma):
@@ -356,22 +383,24 @@ def test_all_in_b_at_large_n_matches_single_column_form(n, gamma):
 
 
 def test_edge_blocks_do_not_change_values(monkeypatch):
-    # blocks are capped by entries at large N (65 z at N=2000, 512 below N=256)
+    # blocks hold _EDGE_ENTRIES // (N+1) z (16 at N=2000); one whole-grid
+    # block and 7-z blocks give the same values to the bit
     n = 2000
     p = params(1.0, n)
     amps = make_input("noon", n).amplitudes
     grid = np.linspace(0.0, 6.0, 600)
     log_i, occ = evolve_grid(p, amps, grid)
-    for entries, block in ((1 << 30, 512), (1 << 30, 7)):
+    for entries in (1 << 30, 7 * (n + 1)):
         monkeypatch.setattr(propagator, "_EDGE_ENTRIES", entries)
-        monkeypatch.setattr(propagator, "_EDGE_BLOCK", block)
         li_b, occ_b = evolve_grid(p, amps, grid)
         assert np.array_equal(li_b, log_i) and np.array_equal(occ_b, occ)
 
 
 def test_intensity_only_trace_allocates_no_occupations():
     # a (z, N+1) occupation array would take 32 MB here; with 512-z blocks
-    # the edge form's temporaries alone reached 78 MB
+    # the former edge form's temporaries alone reached 78 MB.  A single
+    # term's log I is closed-form, so the trace allocates no (z, N+1) array,
+    # not even one block of it: ten z-length vectors hold fewer entries
     n, size = 2000, 2000
     grid = np.linspace(0.0, 5.0, size)
     tracemalloc.start()
@@ -382,6 +411,7 @@ def test_intensity_only_trace_allocates_no_occupations():
         tracemalloc.stop()
     assert tr.occupations is None and np.isfinite(tr.log_intensity).all()
     assert peak < size * (n + 1) * 8 / 2
+    assert peak < 10 * size * 8
 
 
 def test_non_finite_values_raise():
@@ -559,6 +589,12 @@ def test_invariant_guards_name_z():
     assert err.value.z == 0.5
     # the norm of the amplitudes as given is the reference
     _check_rows(p1, z, np.array([math.log(4.0), 0.0]), occ, math.log(4.0))
+    # a non-finite occupation names its own z, also beside finite log I
+    for bad in (math.nan, math.inf):
+        occ_bad = occ.copy()
+        occ_bad[1, 2] = bad
+        with pytest.raises(OverflowGuardError, match="z=1.5"):
+            _check_rows(p1, z, np.array([-0.1, -1.0]), occ_bad, 0.0)
 
 
 # ---------------------------------------------------------------------------
