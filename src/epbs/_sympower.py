@@ -14,8 +14,8 @@ by its amplitudes:
   B(phi) with B(phi) = exp(-i phi sigma_x), so Sym^N of it is
   E diag(lambda^(N-2m)) E, E = Q diag(e^(-i phi mu)) Q^T, with Q the real
   eigenbasis of 2 J_x (built once per N).  A block of z costs three real
-  matrix products; 16 (N+1) eps ||a|| / ||psi|| estimates the relative
-  error of each image psi.
+  matrix products, or one without P (E is unitary); 16 (N+1) eps ||a|| /
+  ||psi|| estimates the relative error of each image psi.
 - Horner: the z whose SVD estimate exceeds ``ERROR_LIMIT`` are recomposed
   homogeneous-Horner style, O(N^2) per z, with Higham's bound; where that
   bound exceeds ``ERROR_LIMIT`` too, the update is refused with
@@ -26,8 +26,7 @@ array it is given; ``_check_rows`` then holds every result to finiteness
 and to G_N's contraction (unitarity at Gamma = 0).
 
 ``propagator`` builds G_N's matrix, and the Wei-Norman product's, with the
-same SVD form: ``_svd_factors`` and ``_svd_form`` take any real core
-e^log_scale [[c + y, -i ks], [-i ks, c - y]] of unit determinant.
+same ``_svd_form``, from factors scaled for each basis column.
 """
 
 from __future__ import annotations
@@ -49,9 +48,9 @@ _EST_FACTOR = 16.0 * np.finfo(float).eps
 # (their logs are its multiples).
 _LOG_ZERO = -1e4
 # Entries per block of the SVD form, _SVD_ENTRIES // (N+1) columns (z points
-# of a state, or basis states at one z), so each of its few (N+1) x block
-# arrays stays at most 64 kB: blocks eight times larger saved little time
-# and raised a process's peak memory.
+# of a state, or basis states at one z, each with its own factors), so each
+# of its few (N+1) x block arrays stays at most 64 kB: blocks eight times
+# larger saved little time and raised a process's peak memory.
 _SVD_ENTRIES = 1 << 12
 # SVD-form scalings below e^_LOG_FLUSH are set to 0: they change an image by
 # far less than its error estimate, and subnormal products slow the GEMMs.
@@ -69,13 +68,13 @@ def _g1_cs(kappa: float, gamma: float, z: np.ndarray):
     dl2 = 4.0 * kappa * kappa - gamma * gamma
     if dl2 > 0:
         half = 0.5 * math.sqrt(dl2)
-        return np.cos(half * z), np.sin(half * z) / half, np.zeros_like(z)
+        return np.cos(half * z), np.sin(half * z) / half, 0.0 * z
     if dl2 < 0:
         half = 0.5 * math.sqrt(-dl2)
         log_scale = half * z
         c = 0.5 * (1.0 + np.exp(-2.0 * log_scale))
         return c, -0.5 * np.expm1(-2.0 * log_scale) / half, log_scale
-    return np.ones_like(z), z, np.zeros_like(z)
+    return 0.0 * z + 1.0, z, 0.0 * z
 
 
 def _g1_core(kappa: float, gamma: float, z: np.ndarray):
@@ -114,22 +113,24 @@ def _spin_basis(n: int) -> np.ndarray:
     return q
 
 
-def _observe(psi: np.ndarray, log_gain: np.ndarray):
-    """(log I, P, ||psi||) of states psi, one per row, whose true image is exp(log_gain / 2) psi."""
+def _observe(psi: np.ndarray, log_gain: np.ndarray, out=None):
+    """(log I, ||psi||) of rows psi whose true image is e^(log_gain/2) psi; P goes into ``out``."""
     weights = psi.real**2
     weights += psi.imag**2
-    total = weights.sum(axis=1)
-    weights /= total[:, None]
-    return np.log(total) + log_gain, weights, np.sqrt(total)
+    total = np.einsum("zm->z", weights)
+    if out is not None:
+        np.divide(weights, total[:, None], out=out)
+    return np.log(total) + log_gain, np.sqrt(total)
 
 
-def _running_powers(first: np.ndarray, ratio: np.ndarray, n: int) -> np.ndarray:
-    """first * ratio^m for m = 0..N, one column per entry, by repeated doubling.
+def _running_powers(first: np.ndarray, ratio: np.ndarray, n: int, out=None) -> np.ndarray:
+    """first * ratio^m for m = 0..N along a new first axis, by repeated doubling, into ``out``.
 
     Rows m < 2^k are multiplied by ratio^(2^k) into rows 2^k ... 2^(k+1) - 1:
     log2(N) vectorised products instead of N.
     """
-    out = np.empty((n + 1, ratio.size), dtype=ratio.dtype)
+    if out is None:
+        out = np.empty((n + 1,) + ratio.shape, dtype=ratio.dtype)
     out[0] = first
     step, size = ratio, 1
     while size <= n:
@@ -142,7 +143,7 @@ def _running_powers(first: np.ndarray, ratio: np.ndarray, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _edge_exponents(n: int) -> np.ndarray:
-    """Rows N - m, m, ln sqrt(C(N, m)), 1 and (-1)^m, m = 0..N: ``_edge_rows``' right factors."""
+    """Rows N - m, m, ln sqrt(C(N, m)), 1, (-1)^m, m = 0..N: the edge and SVD forms' exponents."""
     m = np.arange(n + 1.0)
     out = np.stack((n - m, m, _half_log_binomial(n), np.ones(n + 1), 1.0 - 2.0 * (m % 2)))
     out.setflags(write=False)
@@ -248,24 +249,23 @@ def _svd_factors(n: int, c, ks, y, log_scale):
     """(phase, scaling, ln lambda) of the SVD form of Sym^N of a core, one column per entry.
 
     The unit-determinant core e^log_scale [[c + y, -i ks], [-i ks, c - y]]
-    (c, ks, y real; y >= 0 where log_scale > 0) factors as B(phi)
-    diag(lambda, 1/lambda) B(phi), B(phi) = exp(-i phi sigma_x), with
-    2 phi = atan2(ks, c) and ln lambda = asinh(y e^log_scale).  So Sym^N of
-    it is E diag(lambda^(N-2m)) E with E = Q diag(e^(-i phi mu)) Q^T.
-    Returns phase = e^(-i phi mu) and scaling = lambda^(N-2m) / max(lambda,
-    1/lambda)^N <= 1, whose scale N |ln lambda| the callers keep apart.
+    (c, ks, y real; y >= 0 where log_scale > 0) is B(phi) diag(lambda,
+    1/lambda) B(phi), B(phi) = exp(-i phi sigma_x), 2 phi = atan2(ks, c),
+    ln lambda = asinh(y e^log_scale); Sym^N of it is E diag(lambda^(N-2m)) E,
+    E = Q diag(e^(-i phi mu)) Q^T, phase = e^(-i phi mu) and scaling =
+    lambda^(N-2m) / max(lambda, 1/lambda)^N <= 1 (N |ln lambda| kept apart).
     """
-    phi = 0.5 * np.arctan2(ks, c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # asinh of the unscaled y; where log_scale > 0 the scale is
-        # factored out of the argument first
-        log_lam = np.where(
-            log_scale > 0,
-            log_scale + np.log(y + np.hypot(y, np.exp(-log_scale))),
-            np.arcsinh(y),
-        )
-    phase = _running_powers(np.exp(1j * n * phi), np.exp(-2j * phi), n)
-    scaling = np.multiply.outer(n - 2.0 * np.arange(n + 1), log_lam) - n * np.abs(log_lam)
+    phi, above = 0.5 * np.arctan2(ks, c), log_scale.any()
+    # asinh of the unscaled y, whose scale is factored out first above threshold (y >= 0)
+    log_lam = log_scale + np.log(y + np.hypot(y, np.exp(-log_scale))) if above else np.arcsinh(y)
+    # e^(-i phi mu) = h^mu, h = e^(-i phi): powers of h^2 for mu >= 0, conjugates below
+    h, half = np.exp(-1j * phi), n // 2
+    phase = np.empty((n + 1, phi.size), dtype=complex)
+    _running_powers(h if n % 2 else np.ones_like(h), h * h, half, out=phase[n - half :])
+    np.conjugate(phase[n:half:-1], out=phase[: n - half])
+    # (N-2m) ln lambda - N |ln lambda| as (N-m)(l - |l|) - m (l + |l|), 0 at its top
+    lam = np.abs(log_lam)
+    scaling = _edge_exponents(n)[:2].T @ np.array([log_lam - lam, -log_lam - lam])
     scaling[scaling < _LOG_FLUSH] = -np.inf
     return phase, np.exp(scaling, out=scaling), log_lam
 
@@ -274,34 +274,38 @@ def _svd_form(q: np.ndarray, x: np.ndarray, left, right, scaling: np.ndarray):
     """E(left) diag(scaling) E(right), E(phase) = Q diag(phase) Q^T, on the columns Q^T x.
 
     The factors hold one column per z (x one state) or per column of x, or
-    are one column (one z, a block of states); x must be C-contiguous.  Two
-    phase multiplies, one diagonal scaling and three real GEMMs on the real
-    and imaginary parts at once.
+    are one column (one z, a block of states).  Two phase multiplies, one
+    diagonal scaling and three real GEMMs on the real and imaginary parts
+    at once.  Without ``left`` it stops at diag(scaling) E(right) x after one
+    GEMM: E(left) is unitary, so the columns have the whole form's norms.
     """
-    x = right * x
+    x = np.multiply(right, x, order="C")
     out = _real_matmul(q, x)
     out *= scaling
+    if left is None:
+        return out
     _real_matmul(q.T, out, out=x)
     x *= left
     return _real_matmul(q, x, out=out)
 
 
-def _svd_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
-    """(log I, P, error estimate) at each z by the SVD form of Sym^N(g1).
+def _svd_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, out=None):
+    """(log I, error estimate) at each z by the SVD form of Sym^N(g1); P goes into ``out``.
 
     The scale N |ln lambda| goes into log I.  The form is normwise
     backward stable, so 16 (N+1) eps ||a|| / ||psi|| estimates the
-    relative error of each image psi.
+    relative error of each image psi; without P the form stops early.
     """
     n = params.n_photons
     q = _spin_basis(n)
     c, s, log_scale = _g1_cs(params.kappa, params.gamma, z)
     ks, y = params.kappa * s, 0.5 * params.gamma * s
     phase, scaling, log_lam = _svd_factors(n, c, ks, y, log_scale)
-    out = _svd_form(q, _real_matmul(q.T, amps[:, None]), phase, phase, scaling)
+    x = _real_matmul(q.T, amps[:, None])
+    psi = _svd_form(q, x, None if out is None else phase, phase, scaling)
     del phase, scaling
-    log_i, occ, norm = _observe(out.T, n * (2.0 * np.abs(log_lam) - params.gamma * z))
-    return log_i, occ, _EST_FACTOR * (n + 1) * np.linalg.norm(amps) / norm
+    log_i, norm = _observe(psi.T, n * (2.0 * np.abs(log_lam) - params.gamma * z), out)
+    return log_i, _EST_FACTOR * (n + 1) * np.linalg.norm(amps) / norm
 
 
 def _horner(u, v, t, coeffs: np.ndarray) -> np.ndarray:
@@ -361,7 +365,8 @@ def _horner_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
     # part by part: a complex division by a real root is not exact for poly = root
     psi = np.empty_like(poly)
     psi.real, psi.imag = poly.real / roots, poly.imag / roots
-    log_i, occ, psi_norm = _observe(psi, n * (2.0 * (log_scale + np.log(norm)) - params.gamma * z))
+    occ = np.empty(psi.shape)
+    log_i, psi_norm = _observe(psi, n * (2.0 * (log_scale + np.log(norm)) - params.gamma * z), occ)
     magnitude = _horner(abs(u), abs(v), abs(t), abs(amps * roots)) / roots
     factor = _EST_FACTOR * (n + 1) + 2.0 * np.max(np.spacing(roots) / roots)
     return log_i, occ, factor * np.linalg.norm(magnitude, axis=1) / psi_norm
@@ -374,10 +379,12 @@ def _interior_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, 
     ``ERROR_LIMIT`` are recomputed by Horner, and refused with
     ``PrecisionError`` where Horner's bound exceeds it too.
     """
-    log_i, occ, estimate = _svd_rows(params, amps, z)
+    log_i, estimate = _svd_rows(params, amps, z, out)
     flagged = np.flatnonzero(estimate > ERROR_LIMIT)
     if flagged.size:
-        log_i[flagged], occ[flagged], bound = _horner_rows(params, amps, z[flagged])
+        log_i[flagged], occ, bound = _horner_rows(params, amps, z[flagged])
+        if out is not None:
+            out[flagged] = occ
         refused = np.flatnonzero(bound > ERROR_LIMIT)
         if refused.size:
             k = refused[0]
@@ -386,8 +393,6 @@ def _interior_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, 
                 f"SVD estimate {estimate[flagged[k]]:.1e} and Horner bound {bound[k]:.1e} "
                 f"both exceed {ERROR_LIMIT:g} (N={params.n_photons})",
             )
-    if out is not None:
-        out[...] = occ
     return log_i
 
 

@@ -46,8 +46,8 @@ class PrecisionError(SimulationError):
     """A state update or operator column could not be certified to the engine's error limit.
 
     Raised, naming z, when neither the SVD form's estimate nor the Horner
-    bound meets the limit, when a column of ``evolution_operator`` or
-    ``assemble_propagator`` stays above it after its rerun, or when log I
+    bound meets the limit, when the bound of a column of
+    ``evolution_operator`` or ``assemble_propagator`` exceeds it, or when log I
     breaks an invariant of the exact dynamics: G_N is a contraction for
     Gamma >= 0 and unitary at Gamma = 0.
     """

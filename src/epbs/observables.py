@@ -135,7 +135,8 @@ def intensity(
 
     The log value is exact even where the probability itself underflows
     (e.g. deep in the algebraic tail at the critical loss); the plain value
-    then reads 0.0.  The value is the one ``trace_evolution`` gives at z.
+    then reads 0.0.  It is an intensity-only ``trace_evolution``'s value at
+    z, which a trace with occupations matches to rounding (2.3e-13 in log I).
     """
     log_i = _evolve_grid(params, state0.amplitudes, [z], False)[0]
     return IntensityValue(value=float(_intensity_of(log_i)[0]), log_value=float(log_i[0]))

@@ -16,16 +16,15 @@ prefactor.  ``evolve_grid`` applies that map over whole z grids without
 forming G_N, in one of three forms chosen by the amplitudes (``_sympower``):
 an O(N) binomial form in real arithmetic for states on |0) and |N) only
 (``all_in_a``, ``all_in_b``, ``noon``), an SVD form with three real matrix
-products per block of z for any other state, and Horner composition with
-Higham's bound on the z whose SVD error estimate exceeds ``ERROR_LIMIT``.  A z
-that neither form certifies raises ``PrecisionError``, as does a log I
-that breaks G_N's contraction (unitarity at Gamma = 0).
-``evolution_operator`` builds the matrix with the same SVD form, applied
-to blocks of basis columns at one z; a column whose error bound exceeds
-``ERROR_LIMIT`` is run again by a form scaled for that column alone, and
-refused with ``PrecisionError`` if it is still above.  g1 is entire in z,
-so there are no poles.  Its scale is kept in log space with the decay
--Gamma*N*z, so nothing overflows.
+products per block of z for any other state (one without occupations),
+and Horner composition with Higham's bound on the z whose SVD error
+estimate exceeds ``ERROR_LIMIT``.  A z that neither form certifies raises
+``PrecisionError``, as does a log I that breaks G_N's contraction
+(unitarity at Gamma = 0).  ``evolution_operator`` builds the matrix with
+the same SVD form on blocks of basis columns at one z, each column scaled
+for itself; a column bound above ``ERROR_LIMIT`` raises ``PrecisionError``.
+g1 is entire in z, so there are no poles.  Its scale is kept in log space
+with the decay -Gamma*N*z, so nothing overflows.
 
 The paper's closed form factorizes the same operator as
 e^{-i(omega0 - i*Gamma/2) N z} e^{-i f_+ J_+} e^{-i f_z J_z} e^{-i f_- J_-}
@@ -44,6 +43,7 @@ integration of the coefficient system (``tests/oracles.py``).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,7 +61,6 @@ from ._sympower import (
     _interior_rows,
     _running_powers,
     _spin_basis,
-    _svd_factors,
     _svd_form,
 )
 from .errors import OverflowGuardError, PoleProximityError, PrecisionError
@@ -96,6 +95,7 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 # ln 2 split as in fdlibm: k * _LN2_HI is exact for |k| < 2^20
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_HALF_SUMS = np.array([[0.5, 0.5], [0.5, -0.5]])  # (a2, a1) -> (p1, p2) = (a2 +/- a1) / 2
 
 
 @dataclass(frozen=True)
@@ -324,132 +324,126 @@ def _evolve_grid(params: BeamsplitterParams, amplitudes, z_grid, with_occupation
     return log_i, occ
 
 
-def _column_factors(n: int, c: float, ks: float, y: float, log_scale: float, columns):
-    """(left, right, scaling, log scale) of basis columns k, each by its own scaled SVD form.
+@functools.lru_cache(maxsize=4)
+def _column_grid(n: int) -> np.ndarray:
+    """Rows (2f - 1) / sqrt(f (1 - f)), N/2, k/2 and (-1)^k, k = 0..N, f = k/N kept off 0 and 1."""
+    k = np.arange(n + 1.0)
+    frac = np.clip(k / n, 1e-12, 1.0 - 1e-12)
+    skew = (2.0 * frac - 1.0) / np.sqrt(frac * (1.0 - frac))
+    out = np.array([skew, np.full(n + 1, 0.5 * n), 0.5 * k, 1.0 - 2.0 * (k % 2)])
+    out.setflags(write=False)
+    return out
 
-    Column k of Sym^N(g) is alpha^-k times that of Sym^N(g diag(1, alpha)).
-    With the core e^log_scale [[u, -i ks], [-i ks, t]], u, t = c +/- y,
-    g diag(1, alpha) = B(p1) diag(s1, s2) B(p2) sigma_z by the closed-form
-    real SVD of R = [[u, ks alpha], [ks, -t alpha]] (Golub & Van Loan,
-    Sec. 8.6), so column k is (-1)^k alpha^-k s1^N E(p1) diag((s2/s1)^m)
-    E(p2) e_k; s2 comes from det R.  alpha_k puts R's top right singular
-    vector at weight k/N on y, near |k).
+
+def _column_factors(n: int, c: float, ks: float, y: float, log_scale: float):
+    """(first, step, half log scale, half log size) of each basis column k's own scaled SVD form.
+
+    Column k of Sym^N(g) is alpha^-k times that of Sym^N(g diag(1, alpha)),
+    g = e^log_scale [[u, -i ks], [-i ks, t]], u, t = c +/- y, and g diag(1,
+    alpha) = B(p1) diag(s1, s2) B(p2) sigma_z by the closed-form 2x2 SVD
+    (Golub & Van Loan, Sec. 8.6).  alpha_k, 1 at Gamma = 0, puts the top
+    right singular vector at weight k/N on y.  Rows of first and step: e^(i
+    N p1), e^(i N p2), (-1)^k; e^(-2i p1), e^(-2i p2), s2/s1 (s2 from det).
+    Also halved: the log scale N (ln s1 + log_scale) - k ln alpha_k and the
+    log size, the sum of the magnitudes of its two terms.
     """
     u, t = c + y, c - y
-    # A, C, B of the quadratic below; det R / alpha
-    a, cc, b = u * u + ks * ks, ks * ks + t * t, abs(2.0 * ks * y)
-    det = -math.exp(-2.0 * log_scale)
-    # on the few flagged columns, scalar math costs less than array calls
-    m = columns.size
-    p, ratio, log_col = np.empty(2 * m), np.empty(m), np.empty(m)
-    for i, k in enumerate(columns.tolist()):
-        # beta = alpha^2 solves C^2 f(1-f) beta^2 - (2 A C f(1-f) + d^2) beta + A^2 f(1-f) = 0,
-        # d = B (1 - 2f); the larger root belongs to f >= 1/2, the smaller is (A/C)^2 over it
-        frac = min(max(k / n, 1e-12), 1.0 - 1e-12)
-        ff, d = frac * (1.0 - frac), b * (1.0 - 2.0 * frac)
-        big = (2.0 * a * cc * ff + d * d + abs(d) * math.sqrt(4.0 * a * cc * ff + d * d)) / (
-            2.0 * cc * cc * ff
-        )
-        alpha = math.sqrt(big if frac >= 0.5 else (a / cc) ** 2 / big)
-        e, f = 0.5 * (u - t * alpha), 0.5 * (u + t * alpha)
-        g, h = 0.5 * ks * (1.0 + alpha), 0.5 * ks * (1.0 - alpha)
-        s1 = math.hypot(e, h) + math.hypot(f, g)
-        a1, a2 = math.atan2(g, f), math.atan2(h, e)
-        p[i], p[m + i] = 0.5 * (a2 + a1), 0.5 * (a2 - a1)
-        ratio[i] = det * alpha / (s1 * s1)
-        log_col[i] = n * (math.log(s1) + log_scale) - k * math.log(alpha)
-    # one table of powers for the phases e^(-i p1 mu), e^(-i p2 mu) and (s2/s1)^m
-    first = np.concatenate((np.exp((1j * n) * p), np.ones(m)))
-    first[:m] *= np.where(columns % 2, -1.0, 1.0)
-    table = _running_powers(first, np.concatenate((np.exp(-2j * p), ratio)), n)
-    scaling = table[:, 2 * m :].real
-    scaling[np.abs(scaling) < math.exp(_LOG_FLUSH)] = 0.0
-    return table[:, :m], table[:, m : 2 * m], scaling, log_col
-
-
-def _column_estimate(cols: np.ndarray, n: int, theta: float, log_col):
-    """Relative error bound of SVD-form columns ``cols`` with scales ``log_col``, not yet applied.
-
-    16 (N+1) eps / ||col|| for the form, whose scaled operator has norm 1,
-    plus 2 (N+1) eps (theta + |log_col| / N + 1) for rounding g1's
-    argument theta and the scale.
-    """
-    slack = (2.0 * (n + 1) * _EPS) * (theta + abs(log_col) / n + 1.0)
-    return _EST_FACTOR * (n + 1) / np.linalg.norm(cols, axis=0) + slack
+    # numpy scalars, so that entries beyond the double range give inf, not exceptions
+    a, cc = np.float64(u * u + ks * ks), np.float64(ks * ks + t * t)
+    grid = _column_grid(n)
+    # rows ln s1 + log_scale and ln alpha, then their terms of the log scale
+    logs = np.empty((2, n + 1))
+    np.arcsinh(np.multiply(grid[0], abs(ks * y) / np.sqrt(a * cc), out=logs[1]), out=logs[1])
+    logs[1] += 0.5 * np.log(a / cc)
+    alpha = np.exp(logs[1])
+    # rows e + i h, f + i g with e, f = (u -/+ t alpha) / 2 and h, g = ks (1 -/+ alpha) / 2
+    w = np.multiply.outer(np.array((-0.5 * (t + 1j * ks), 0.5 * (t + 1j * ks))), alpha)
+    w += 0.5 * (u + 1j * ks)
+    s1 = np.add(*np.abs(w))
+    # a2 = atan2(h, e), a1 = atan2(g, f)
+    p = _HALF_SUMS @ np.arctan2(w.imag, w.real)
+    factors = np.empty((2, 3, n + 1), dtype=complex)
+    np.exp(np.multiply.outer(np.array([1j * n, -2j]), p), out=factors[:, :2])
+    factors[0, 2] = grid[3]
+    np.divide(alpha, s1 * s1, out=factors[1, 2])
+    factors[1, 2] *= -math.exp(-2.0 * log_scale)
+    np.log(s1, out=logs[0])
+    logs[0] += log_scale
+    logs *= grid[1:3]
+    half_log_col = logs[0] - logs[1]
+    np.abs(logs, out=logs)
+    return factors[0], factors[1], half_log_col, logs[0] + logs[1]
 
 
 def _core_matrix(n: int, z: float, theta: float, c: float, ks: float, y: float, log_scale):
-    """(core, estimate, rescued): Sym^N of a core at one z, column error bounds, rerun columns.
+    """(core, estimate): Sym^N of a core at one z and the relative error bounds of its columns.
 
     The core is e^log_scale [[c + y, -i ks], [-i ks, c - y]] with real
     entries and unit determinant, from an argument theta (g1's, or 0 for
-    given entries).  Column k is the image of |k).  Blocks of
-    ``_SVD_ENTRIES`` columns take the SVD form with the core's own factors;
-    columns whose bound exceeds ``ERROR_LIMIT`` are run again, each by its
-    own scaled form.  Scales are applied last, in two halves.  Raises
-    ``OverflowGuardError`` when the core leaves the double range and
-    ``PrecisionError`` when a rerun column's bound still exceeds
+    given entries).  Column k, the image of |k), takes its own scaled SVD
+    form, one pass per block of ``_SVD_ENTRIES`` entries, and its scale last,
+    in two halves.  Its bound, ||col|| before the scale: 16 (N+1) eps /
+    ||col|| for the form, whose scaled operator has norm 1; 20 N eps /
+    ||col|| for the 2x2 SVD of ``_column_factors``, whose s1, s2/s1, p1 and
+    p2 are exact for a matrix within 20 eps s1 of g diag(1, alpha) (3.4 from
+    e, f, g, h, 3 from each angle, 8 from s2/s1, 2 from s1), moved at most
+    N-fold by Sym^N; and 2 (N+1) eps (theta + log size / N + 1) for rounding
+    theta and the scale.  Raises ``OverflowGuardError`` when the core leaves
+    the double range and ``PrecisionError`` when a bound exceeds
     ``ERROR_LIMIT``.  At z = 0 the core is I.
     """
     if z == 0:
-        return np.eye(n + 1, dtype=complex), np.zeros(n + 1), np.arange(0)
-    q = _spin_basis(n)
-    phase, scaling, log_lam = _svd_factors(n, *np.array([c, ks, y, log_scale])[:, None])
-    core = np.empty((n + 1, n + 1), dtype=complex)
+        return np.eye(n + 1, dtype=complex), np.zeros(n + 1)
+    q, core = _spin_basis(n), np.empty((n + 1, n + 1), dtype=complex)
     width = max(1, _SVD_ENTRIES // (n + 1))
-    for lo in range(0, n + 1, width):
-        core[:, lo : lo + width] = _svd_form(q, q[lo : lo + width].T.copy(), phase, phase, scaling)
-    log_col = n * abs(float(log_lam[0]))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        estimate = _column_estimate(core, n, theta, log_col)
-        rescued = np.flatnonzero(estimate > ERROR_LIMIT)
-        if rescued.size:
-            log_col = np.full(n + 1, log_col)
-        for lo in range(0, rescued.size, width):
-            cols = rescued[lo : lo + width]
-            left, right, col_scaling, log_col[cols] = _column_factors(n, c, ks, y, log_scale, cols)
-            core[:, cols] = _svd_form(q, q[cols].T.copy(), left, right, col_scaling)
-            estimate[cols] = _column_estimate(core[:, cols], n, theta, log_col[cols])
+        first, step, half_log_col, half_log_size = _column_factors(n, c, ks, y, log_scale)
+        for lo in range(0, n + 1, width):
+            cols = slice(lo, lo + width)
+            table = _running_powers(first[:, cols], step[:, cols], n)
+            scaling = table[:, 2].real
+            # |s2/s1| <= 1, so the last row holds each column's smallest scaling
+            if np.abs(scaling[-1]).min() < math.exp(_LOG_FLUSH):
+                scaling[np.abs(scaling) < math.exp(_LOG_FLUSH)] = 0.0
+            core[:, cols] = _svd_form(q, q[cols].T, table[:, 0], table[:, 1], scaling)
+        squares = np.einsum("ij,ij->j", core.view(float), core.view(float))
+        slack = 2.0 * (n + 1) * _EPS
+        estimate = (_EST_FACTOR * (n + 1) + 20.0 * n * _EPS) / np.sqrt(squares[::2] + squares[1::2])
+        estimate += half_log_size * (2.0 * slack / n) + slack * (theta + 1.0)
         # in two halves, so that only entries beyond the double range overflow
-        half_scale = np.exp(0.5 * log_col)
+        half_scale = np.exp(half_log_col)
         core *= half_scale
         core *= half_scale
     if not np.isfinite(core).all():
         raise OverflowGuardError(
             f"N-photon propagator leaves double-precision range at z={z!r} (N={n})"
         )
-    # only a rerun column can still exceed the limit
-    if rescued.size and estimate.max() > ERROR_LIMIT:
+    if estimate.max() > ERROR_LIMIT:
         k = np.argmax(estimate > ERROR_LIMIT)
         raise PrecisionError(
             float(z),
             f"column {k} of the N-photon propagator has error bound {estimate[k]:.1e} "
             f"> {ERROR_LIMIT:g} (N={n})",
         )
-    return core, estimate, rescued
+    return core, estimate
 
 
 def evolution_operator(params: BeamsplitterParams, z: float) -> PropagatorMatrix:
     """G(z) = exp(prefactor_exponent) * core, the core being Sym^N of g1's core.
 
     The core has unit determinant; column k is the image of |k), the
-    coefficients of X^(N-k) Y^k.  It is built by the SVD form of
-    ``evolve_grid`` on blocks of basis columns, O(N^3) in three real matrix
-    products per block.  Each column carries a bound on its relative
-    error, 16 (N+1) eps / ||col|| (norm before the scale) plus 2 (N+1) eps
-    (theta + |log scale| / N + 1) for the rounding of g1's argument theta
-    and of the applied scale.  A column above ``ERROR_LIMIT`` is run again
-    through the same form of Sym^N(g1 diag(1, alpha_k)), whose column k is
-    alpha_k^k times the core's, with alpha_k chosen for that column; if its
-    bound still exceeds ``ERROR_LIMIT``, ``PrecisionError`` names z, N and
-    the column.  At z = 0 the core is I.  Raises ``OverflowGuardError``
-    when the core itself leaves the double range (the log intensities of
-    ``evolve_grid`` never do), and ``ValueError`` for a negative or
-    non-finite z.
+    coefficients of X^(N-k) Y^k, built by the SVD form of Sym^N(g1 diag(1,
+    alpha_k)), whose column k is alpha_k^k times the core's, O(N^3) in three
+    real matrix products per block of columns.  A column whose error bound
+    (``_core_matrix``) exceeds ``ERROR_LIMIT`` raises ``PrecisionError``
+    naming z, N and the column.  At z = 0 the core is I.  Raises
+    ``OverflowGuardError`` when the core itself leaves the double range (the
+    log intensities of ``evolve_grid`` never do), and ``ValueError`` for a
+    negative or non-finite z.
     """
     _check_z(z)
     kappa, gamma = params.kappa, params.gamma
-    c, s, log_scale = (float(x) for x in _g1_cs(kappa, gamma, z))
+    c, s, log_scale = map(float, _g1_cs(kappa, gamma, z))
     theta = 0.5 * math.sqrt(abs(4.0 * kappa**2 - gamma**2)) * z
     core = _core_matrix(params.n_photons, z, theta, c, kappa * s, 0.5 * gamma * s, log_scale)[0]
     return PropagatorMatrix(

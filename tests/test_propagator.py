@@ -188,6 +188,14 @@ def test_assemble_overflow_guard():
     p = params(3.0, 10)
     with pytest.raises(OverflowGuardError):
         assemble_propagator(wei_norman_params(p, 700.0))
+    # hand-made coefficients whose core leaves the double range: the column
+    # factors take inf or 0 there, and the former builder raised
+    # ZeroDivisionError at w = 1e-100 and at f = 1e150
+    wn = wei_norman_params(params(1.0, 10), 0.5)
+    for w in (1e-100, 1e-200, 1e250, -1e-200):
+        for f in (0.0, 0.5, 1e150):
+            with pytest.raises(OverflowGuardError):
+                assemble_propagator(replace(wn, w=complex(w), f_plus=f, f_minus=f))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ against the reference and against the operator's columns, and at large N
 (beyond the former sqrt(C(N, m)) overflow) against closed forms.  Other
 states take the SVD form; the sweep checks its error estimate and
 Horner's bound against the reference, and that every z is accurate to
-ERROR_LIMIT or refused.  The operator's columns take the SVD form too,
-with a rerun by a per-column scaled form where their bound flags them;
-every column is checked against the reference and its own bound, and so
-are the columns of the assembled Wei-Norman product, built the same way.
+ERROR_LIMIT or refused; intensity-only traces, which stop the form after
+its first product, are checked against full ones.  The operator's
+columns take the SVD form too, each scaled for its own column in one pass
+per block; every column is checked against the reference and its own
+bound, and so are the columns of the assembled Wei-Norman product, built
+the same way.
 """
 
 import math
@@ -176,15 +178,14 @@ def test_operator_columns_against_reference(n, ratio):
     # the Horner-only operator lost 9.7e-7 of a column at N=80, Gamma=0, z=3.68
     p = params(2.0 * ratio, n)
     for z in np.random.default_rng([n, int(10 * ratio)]).uniform(0.0, 5.0, 3):
-        core, estimate, _ = g1_core_matrix(p, z)
+        core, estimate = g1_core_matrix(p, z)
         assert np.array_equal(evolution_operator(p, z).core, core)
         col_err = column_errors(core, exact_core(n, p.kappa, p.gamma, z))
         if ratio == 0.0:
             assert col_err.max() <= 1e-12
         if n <= 40:
             assert col_err.max() <= 1e-11
-        # every column, rerun by its own scaled form or not, is within its
-        # bound, and no bound exceeds the limit
+        # every column is within its bound, and no bound exceeds the limit
         assert np.all(col_err <= estimate)
         assert estimate.max() <= ERROR_LIMIT
 
@@ -204,14 +205,15 @@ def test_assembled_columns_against_reference(n, ratio):
         assert column_errors(core, exact_core(n, p.kappa, p.gamma, z)).max() <= 1e-10
 
 
-@pytest.mark.parametrize("ratio", [0.95, 1.0, 2.0])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 0.95, 1.0, 1.2, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_column_bound_holds_at_small_n(n, ratio):
     # without the rounding of theta and of the scale, the bound was exceeded
-    # 1.8-fold at N=2, 0.95 Gamma_c, kappa z = 29.3
+    # 1.8-fold at N=2, 0.95 Gamma_c, kappa z = 29.3; without the rounding of
+    # the closed-form 2x2 SVD, 1.1-fold at N=2, 0.95 Gamma_c, kappa z = 29.70
     p = params(2.0 * ratio, n)
     for z in np.append(np.random.default_rng([n, int(100 * ratio)]).uniform(0.0, 30.0, 20), 29.3):
-        core, estimate, _ = g1_core_matrix(p, z)
+        core, estimate = g1_core_matrix(p, z)
         assert np.all(column_errors(core, exact_core(n, p.kappa, p.gamma, z)) <= estimate)
 
 
@@ -222,12 +224,12 @@ def test_no_column_refused_on_benchmark_inputs(n, gamma):
     z_max = 30.0 if n == 10 else 10.0
     p = params(gamma, n)
     for z in z_max - np.random.default_rng([n, int(10 * gamma)]).uniform(0.0, z_max, 50):
-        _, estimate, _ = g1_core_matrix(p, z)
+        _, estimate = g1_core_matrix(p, z)
         assert estimate.max() <= ERROR_LIMIT
 
 
 def test_refused_column_names_z_n_and_column(monkeypatch):
-    # below 16 (N+1) eps every column fails the limit, rerun or not
+    # below 16 (N+1) eps every column fails the limit
     monkeypatch.setattr(propagator, "ERROR_LIMIT", 1e-14)
     with pytest.raises(PrecisionError) as err:
         evolution_operator(params(2.0, 10), 1.5)
@@ -245,6 +247,26 @@ def test_operator_at_z0_is_the_identity(n, monkeypatch):
     for ratio in (0.0, 0.5, 1.0, 1.2):
         core = evolution_operator(params(2.0 * ratio, n), 0.0).core
         assert core.dtype == complex and np.array_equal(core, np.eye(n + 1))
+
+
+@pytest.mark.parametrize("n, gamma", [(40, 1.0), (40, 2.0), (40, 2.4), (200, 2.0)])
+def test_one_form_pass_per_column_block(n, gamma, monkeypatch):
+    # every column takes its own scaled form in the one pass over its
+    # block: _SVD_ENTRIES // (N+1) columns, one block at N=40 and eleven at
+    # N=200; nothing is run again
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].shape[1])
+        return svd_form(*args)
+
+    svd_form = propagator._svd_form
+    monkeypatch.setattr(propagator, "_svd_form", counted)
+    width = propagator._SVD_ENTRIES // (n + 1)
+    for z in (0.7, 3.1, 9.4):
+        calls.clear()
+        evolution_operator(params(gamma, n), z)
+        assert len(calls) == -(-(n + 1) // width) and sum(calls) == n + 1
 
 
 def test_operator_core_near_the_double_range_limit():
@@ -490,7 +512,8 @@ def test_interior_states_are_accurate_or_refused(n, ratio, kind, z):
     # log-space bookkeeping adds rounding of the size of the terms it sums
     slack = 8 * EPS * (abs(ref_li) + n * p.gamma * z)
     zs = np.array([z])
-    li, occ, estimate = _svd_rows(p, amps, zs)
+    occ = np.empty((1, n + 1))
+    li, estimate = _svd_rows(p, amps, zs, occ)
     d_li, d_p = _errors(li[0], occ[0], ref_li, ref_p)
     assert d_li <= estimate[0] + slack and d_p <= estimate[0]
     li, occ, bound = _horner_rows(p, amps, zs)
@@ -529,17 +552,37 @@ def test_flagged_rows_are_the_horner_rows():
     amps[n // 2] = 1e-6
     amps /= np.linalg.norm(amps)
     grid = np.linspace(0.0, 20.0, 41)
-    estimate = _svd_rows(p, amps, grid)[2]
-    flagged = estimate > ERROR_LIMIT
+    flagged = _svd_rows(p, amps, grid, np.empty((grid.size, n + 1)))[1] > ERROR_LIMIT
     assert 0 < flagged.sum() < grid.size
     log_i, occ = evolve_grid(p, amps, grid)
     horner_li, horner_occ, bound = _horner_rows(p, amps, grid[flagged])
     assert np.array_equal(log_i[flagged], horner_li)
     assert np.array_equal(occ[flagged], horner_occ)
     assert bound.max() <= ERROR_LIMIT
+    # the intensity-only form flags the same z and takes Horner's log I there
+    assert np.array_equal(_svd_rows(p, amps, grid)[1] > ERROR_LIMIT, flagged)
+    log_i_only, no_occ = propagator._evolve_grid(p, amps, grid, False)
+    assert no_occ is None
+    assert np.array_equal(log_i_only[flagged], horner_li)
     k = int(np.flatnonzero(flagged)[-1])
     ref_li, ref_p = exact_evolve(p, amps, grid[k])
     assert abs(log_i[k] - ref_li) <= 1e-10 and np.abs(occ[k] - ref_p).max() <= 1e-10
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 1.2])
+@pytest.mark.parametrize("n", [10, 40, 100])
+def test_intensity_only_trace_matches_full_trace(n, ratio):
+    # without occupations the SVD form stops at diag(scaling) E(phi) a, whose
+    # norm is the image's since E(phi) is unitary: one product of three
+    p = params(2.0 * ratio, n)
+    amps = interior_state("dense", n).amplitudes
+    grid = np.linspace(0.0, 10.0 if n <= 40 else 5.0, 101)
+    log_i, _ = evolve_grid(p, amps, grid)
+    log_i_only, occ = propagator._evolve_grid(p, amps, grid, False)
+    assert occ is None
+    np.testing.assert_allclose(log_i_only, log_i, rtol=0, atol=1e-13)
+    for k in (17, 58, 100):
+        assert abs(log_i_only[k] - exact_evolve(p, amps, grid[k])[0]) <= 1e-10
 
 
 def test_uncertified_z_is_refused():
