@@ -11,6 +11,10 @@ Six named experiments cover the quantities the library computes:
 
 Configuration is a single JSON document (file or stdin); scalar fields may
 be overridden from the command line with ``--param dotted.key=value``.
+The config dataclasses are its schema: their fields give each object's
+keys, JSON types and defaults, their ``__post_init__`` its invariants, and
+``make_input`` checks the input state.  ``validate`` reports every fault in
+one pass, unknown keys and a grid or input the scenario does not read too.
 Every run writes a ``manifest.json`` with the normalized config echo, tool
 version, wall time and a sha256 checksum per output file.  Data outputs are
 byte-deterministic for identical configs: CSV numbers are printed with 17
@@ -33,8 +37,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Callable
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +47,6 @@ from ._svg import heatmap, line_plot
 from .errors import SimulationError
 from .fock_core import BeamsplitterParams, build_hamiltonian
 from .observables import (
-    INPUT_KINDS,
     fit_ep_order,
     make_input,
     periodicity_check,
@@ -57,21 +60,6 @@ __all__ = ["RunConfig", "GridSpec", "InputSpec", "OutputSpec", "RunManifest",
 
 log = logging.getLogger("epbs")
 
-SCENARIOS = (
-    "spectrum-flow",
-    "ep-certify",
-    "intensity-decay",
-    "order-fit",
-    "occupation-dynamics",
-    "custom-evolve",
-)
-
-_DEFAULT_INPUT = {
-    "intensity-decay": "all_in_a",
-    "order-fit": "all_in_a",
-    "occupation-dynamics": "noon",
-}
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -79,6 +67,22 @@ class GridSpec:
     stop: float
     count: int
     spacing: str = "linear"  # or "log"
+
+    def __post_init__(self):
+        faults = [f"{k}: must be finite" for k in ("start", "stop")
+                  if not math.isfinite(getattr(self, k))]
+        if self.count < 1:
+            faults.append("count: must be an integer >= 1")
+        if self.spacing not in ("linear", "log"):
+            faults.append("spacing: must be 'linear' or 'log'")
+        if self.stop < self.start:
+            faults.append("stop: grid must be ascending (start <= stop)")
+        if self.spacing == "log" and self.start <= 0:
+            faults.append("start: log spacing requires start > 0")
+        elif self.start < 0:
+            faults.append("start: must be >= 0")
+        if faults:
+            raise ValueError("; ".join(faults))
 
     def to_array(self) -> np.ndarray:
         if self.spacing == "log":
@@ -89,15 +93,18 @@ class GridSpec:
 @dataclass(frozen=True)
 class InputSpec:
     kind: str
-    amplitudes: tuple | None = None  # entries are floats or [re, im] pairs
+    amplitudes: tuple | None = None  # entries are numbers or (re, im) pairs
+
+    def __post_init__(self):
+        for i, a in enumerate(self.amplitudes or ()):
+            parts = a if isinstance(a, (list, tuple)) and len(a) == 2 else [a]
+            if not all(_is_number(x) and math.isfinite(_float(x)) for x in parts):
+                raise ValueError(f"amplitudes[{i}]: must be finite, a number or [re, im]")
 
     def to_state(self, n_photons: int):
-        custom = None
-        if self.amplitudes is not None:
-            custom = np.array(
-                [complex(a[0], a[1]) if isinstance(a, (list, tuple)) else complex(a)
-                 for a in self.amplitudes]
-            )
+        custom = None if self.amplitudes is None else [
+            complex(*a) if isinstance(a, (list, tuple)) else a for a in self.amplitudes
+        ]
         return make_input(self.kind, n_photons, custom)
 
 
@@ -107,6 +114,10 @@ class OutputSpec:
     csv: bool = True
     json: bool = True
     svg: bool = False
+
+    def __post_init__(self):
+        if not self.directory:
+            raise ValueError("directory: must be a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -134,155 +145,62 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # validation
 
-def _finite_real(v, where: str, errors: list[str], what: str = "a number") -> float | None:
-    """``v`` as a float, or None after recording why it is not a finite real.
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-    json.loads accepts NaN and Infinity, and gives integers of any size,
-    which beyond the double range do not convert to a float.
-    """
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        errors.append(f"{where}: must be {what}")
-        return None
+
+def _float(v: int | float) -> float:
+    """A JSON number as a float; json.loads gives integers of any size, inf beyond doubles."""
     try:
-        x = float(v)
+        return float(v)
     except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        errors.append(f"{where}: must be finite")
-        return None
-    return x
+        return math.inf
 
 
-def _check_grid(raw, where: str, errors: list[str]) -> GridSpec | None:
+def _frozen(v):
+    """JSON arrays as tuples, so that a built config is immutable."""
+    return tuple(map(_frozen, v)) if isinstance(v, list) else v
+
+
+# the JSON values each field annotation of the config classes takes
+_JSON_TYPES = {
+    "float": (_is_number, "a number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple | None": (lambda v: v is None or isinstance(v, list), "a list"),
+}
+
+
+def _build(cls, raw, where: str, errors: list[str]):
+    """``cls`` built from the JSON object ``raw``, or None after recording every fault.
+
+    The field names, JSON types and defaults are the dataclass's own; its
+    ``__post_init__`` checks the invariants and reports each failed one as
+    "field: reason" in a single ``ValueError``, joined by "; ".
+    """
+    names = [f.name for f in fields(cls)]
     if not isinstance(raw, dict):
-        errors.append(f"{where}: must be an object with start/stop/count")
+        errors.append(f"{where}: must be an object with {'/'.join(names)}")
         return None
-    spec = {}
-    for key in ("start", "stop"):
-        v = _finite_real(raw.get(key), f"{where}.{key}", errors)
-        if v is not None:
-            spec[key] = v
-    count = raw.get("count")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        errors.append(f"{where}.count: must be an integer >= 1")
-    else:
-        spec["count"] = count
-    spacing = raw.get("spacing", "linear")
-    if spacing not in ("linear", "log"):
-        errors.append(f"{where}.spacing: must be 'linear' or 'log'")
-    else:
-        spec["spacing"] = spacing
-    unknown = set(raw) - {"start", "stop", "count", "spacing"}
+    unknown = set(raw) - set(names)
     if unknown:
         errors.append(f"{where}: unknown keys {sorted(unknown)}")
-    if len(spec) != 4:
-        return None
-    if spec["stop"] < spec["start"]:
-        errors.append(f"{where}: grid must be ascending (start <= stop)")
-        return None
-    if spec["spacing"] == "log" and spec["start"] <= 0:
-        errors.append(f"{where}.start: log spacing requires start > 0")
-        return None
-    if spec["start"] < 0:
-        errors.append(f"{where}.start: must be >= 0")
-        return None
-    return GridSpec(**spec)
-
-
-def _check_params(raw, errors: list[str]) -> BeamsplitterParams | None:
-    if not isinstance(raw, dict):
-        errors.append("params: must be an object with omega0/kappa/gamma/n_photons")
-        return None
-    vals = {}
-    for key in ("omega0", "kappa", "gamma"):
-        v = _finite_real(raw.get(key), f"params.{key}", errors)
-        if v is not None:
-            vals[key] = v
-    n = raw.get("n_photons")
-    if not isinstance(n, int) or isinstance(n, bool):
-        errors.append("params.n_photons: must be an integer")
-    else:
-        vals["n_photons"] = n
-    unknown = set(raw) - {"omega0", "kappa", "gamma", "n_photons"}
-    if unknown:
-        errors.append(f"params: unknown keys {sorted(unknown)}")
-    if len(vals) != 4:
-        return None
-    if vals["kappa"] <= 0:
-        errors.append("params.kappa: kappa must be positive")
-    if vals["gamma"] < 0:
-        errors.append("params.gamma: gamma must be non-negative")
-    if vals["n_photons"] < 1:
-        errors.append("params.n_photons: must be >= 1")
-    try:
-        return BeamsplitterParams(**vals)
-    except ValueError:
-        return None  # already reported above
-
-
-def _check_input(raw, scenario: str, n_photons: int | None, errors: list[str]) -> InputSpec | None:
-    if raw is None:
-        kind = _DEFAULT_INPUT.get(scenario)
-        if kind is None and scenario == "custom-evolve":
-            errors.append("input_state: required for scenario custom-evolve")
-            return None
-        return InputSpec(kind=kind) if kind else None
-    if not isinstance(raw, dict):
-        errors.append("input_state: must be an object with a 'kind' field")
-        return None
-    kind = raw.get("kind")
-    if kind not in INPUT_KINDS:
-        errors.append(f"input_state.kind: must be one of {list(INPUT_KINDS)}")
-        return None
-    amps = raw.get("amplitudes")
-    if (amps is not None) != (kind == "custom"):
-        errors.append("input_state.amplitudes: required exactly when kind='custom'")
-        return None
-    if amps is not None:
-        if not isinstance(amps, list) or not amps:
-            errors.append("input_state.amplitudes: must be a non-empty list")
-            return None
-        for i, a in enumerate(amps):
-            parts = a if isinstance(a, list) and len(a) == 2 else [a]
-            where = f"input_state.amplitudes[{i}]"
-            if any(_finite_real(x, where, errors, "a number or [re, im]") is None
-                   for x in parts):
-                return None
-        if n_photons is not None and len(amps) != n_photons + 1:
-            errors.append(
-                f"input_state.amplitudes: length {len(amps)} != n_photons+1 = {n_photons + 1}"
-            )
-            return None
-        if all((abs(a[0]) == 0 and abs(a[1]) == 0) if isinstance(a, list) else a == 0
-               for a in amps):
-            errors.append("input_state.amplitudes: must not be the zero vector")
-            return None
-        amps = tuple(tuple(a) if isinstance(a, list) else a for a in amps)
-    return InputSpec(kind=kind, amplitudes=amps)
-
-
-def _check_output(raw, errors: list[str]) -> OutputSpec:
-    if raw is None:
-        return OutputSpec()
-    if not isinstance(raw, dict):
-        errors.append("output: must be an object")
-        return OutputSpec()
-    spec = {}
-    directory = raw.get("directory", ".")
-    if not isinstance(directory, str) or not directory:
-        errors.append("output.directory: must be a non-empty string")
-    else:
-        spec["directory"] = directory
-    for key in ("csv", "json", "svg"):
-        v = raw.get(key, OutputSpec.__dataclass_fields__[key].default)
-        if not isinstance(v, bool):
-            errors.append(f"output.{key}: must be true or false")
+    values = {}
+    for f in fields(cls):
+        v = raw.get(f.name, f.default)
+        is_type, what = _JSON_TYPES[f.type]
+        if not is_type(v):
+            errors.append(f"{where}.{f.name}: must be {what}")
         else:
-            spec[key] = v
-    unknown = set(raw) - {"directory", "csv", "json", "svg"}
-    if unknown:
-        errors.append(f"output: unknown keys {sorted(unknown)}")
-    return OutputSpec(**spec)
+            values[f.name] = _float(v) if f.type == "float" else _frozen(v)
+    if len(values) < len(names):
+        return None
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        errors.extend(f"{where}.{fault}" for fault in str(exc).split("; "))
+        return None
 
 
 def _apply_overrides(doc: dict, overrides) -> list[str]:
@@ -318,7 +236,6 @@ def validate(
     partially constructed.  ``scenario`` (from the command line) must agree
     with the config's own scenario field when both are present.
     """
-    errors: list[str] = []
     try:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
@@ -326,66 +243,60 @@ def validate(
     if not isinstance(doc, dict):
         return None, ["config must be a JSON object"]
 
-    errors += _apply_overrides(doc, overrides)
+    errors = _apply_overrides(doc, overrides)
 
-    cfg_scenario = doc.get("scenario", scenario)
-    if cfg_scenario is None:
+    name = doc.get("scenario", scenario)
+    spec = _SCENARIOS[name] if name in SCENARIOS else None
+    if name is None:
         errors.append("scenario: missing (give it in the config or on the command line)")
-    elif cfg_scenario not in SCENARIOS:
-        errors.append(f"scenario: unknown {cfg_scenario!r}; expected one of {list(SCENARIOS)}")
-    elif scenario is not None and cfg_scenario != scenario:
-        errors.append(
-            f"scenario: config says {cfg_scenario!r} but the command line says {scenario!r}"
-        )
+    elif spec is None:
+        errors.append(f"scenario: unknown {name!r}; expected one of {list(SCENARIOS)}")
+    elif scenario is not None and name != scenario:
+        errors.append(f"scenario: config says {name!r} but the command line says {scenario!r}")
 
-    params = _check_params(doc.get("params"), errors)
-    n = params.n_photons if params is not None else None
+    params = _build(BeamsplitterParams, doc.get("params"), "params", errors)
 
-    # grids are validated whenever present so that every defect is reported
-    # in one pass, even when the scenario itself is missing or wrong
-    z_grid = gamma_grid = None
-    if "gamma_grid" in doc:
-        gamma_grid = _check_grid(doc["gamma_grid"], "gamma_grid", errors)
-    if "z_grid" in doc:
-        z_grid = _check_grid(doc["z_grid"], "z_grid", errors)
+    # without a known scenario every grid given is checked, so that one pass
+    # reports every defect
+    grids = {}
+    for key in ("z_grid", "gamma_grid"):
+        read = spec is None or key == spec.grid
+        if key in doc and not read:
+            errors.append(f"{key}: not used by scenario {name}")
+        elif key in doc:
+            grids[key] = _build(GridSpec, doc[key], key, errors)
+        elif read and spec is not None and spec.default_grid is None:
+            errors.append(f"{key}: required for scenario {name}")
+        elif read and spec is not None and params is not None:
+            grids[key] = _build(GridSpec, spec.default_grid(params), key, errors)
 
-    if cfg_scenario == "spectrum-flow" and "gamma_grid" not in doc:
-        errors.append("gamma_grid: required for scenario spectrum-flow")
-    if (
-        cfg_scenario in ("intensity-decay", "occupation-dynamics", "custom-evolve")
-        and "z_grid" not in doc
-    ):
-        errors.append(f"z_grid: required for scenario {cfg_scenario}")
-    if cfg_scenario == "order-fit" and "z_grid" not in doc and params is not None:
-        # asymptotic window kappa*z in [10, 100], 200 log-spaced points
-        z_grid = GridSpec(10.0 / params.kappa, 100.0 / params.kappa, 200, "log")
+    input_spec, raw_input = None, doc.get("input_state")
+    if spec is None or spec.input_kind is None:
+        if "input_state" in doc:
+            errors.append(f"input_state: not used by scenario {name}")
+    elif raw_input is None and spec.input_kind == "custom":
+        errors.append(f"input_state: required for scenario {name}")
+    else:
+        raw = {"kind": spec.input_kind} if raw_input is None else raw_input
+        input_spec = _build(InputSpec, raw, "input_state", errors)
+    # make_input checks the state itself: a named one's rules do not depend
+    # on N, and at N=1 it has two entries
+    if input_spec is not None and (input_spec.amplitudes is None or params is not None):
+        try:
+            input_spec.to_state(1 if input_spec.amplitudes is None else params.n_photons)
+        except ValueError as exc:
+            errors.append(f"input_state: {exc}")
 
-    input_spec = None
-    if cfg_scenario in ("intensity-decay", "order-fit", "occupation-dynamics", "custom-evolve"):
-        input_spec = _check_input(doc.get("input_state"), cfg_scenario, n, errors)
-    elif "input_state" in doc:
-        errors.append(f"input_state: not used by scenario {cfg_scenario}")
+    raw_output = doc.get("output")
+    output = _build(OutputSpec, {} if raw_output is None else raw_output, "output", errors)
 
-    output = _check_output(doc.get("output"), errors)
-
-    known = {"scenario", "params", "input_state", "z_grid", "gamma_grid", "output"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         errors.append(f"config: unknown keys {sorted(unknown)}")
 
     if errors:
         return None, errors
-    return (
-        RunConfig(
-            scenario=cfg_scenario,
-            params=params,
-            input_state=input_spec,
-            z_grid=z_grid,
-            gamma_grid=gamma_grid,
-            output=output,
-        ),
-        [],
-    )
+    return RunConfig(name, params, input_spec, output=output, **grids), []
 
 
 # ---------------------------------------------------------------------------
@@ -571,20 +482,32 @@ def _run_custom_evolve(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
     }
 
 
-_RUNNERS = {
-    "spectrum-flow": _run_spectrum_flow,
-    "ep-certify": _run_ep_certify,
-    "intensity-decay": _run_intensity_decay,
-    "order-fit": _run_order_fit,
-    "occupation-dynamics": _run_occupation_dynamics,
-    "custom-evolve": _run_custom_evolve,
+class _Scenario(NamedTuple):
+    """How a scenario runs, and what it reads beyond params and output: None reads nothing."""
+
+    runner: Callable[[RunConfig], dict[str, Callable[[], bytes]]]
+    grid: str | None = None  # "z_grid" or "gamma_grid", required unless default_grid gives it
+    input_kind: str | None = None  # the kind when input_state is absent; "custom" requires it
+    default_grid: Callable[[BeamsplitterParams], dict] | None = None
+
+
+_SCENARIOS = {
+    "spectrum-flow": _Scenario(_run_spectrum_flow, "gamma_grid"),
+    "ep-certify": _Scenario(_run_ep_certify),
+    "intensity-decay": _Scenario(_run_intensity_decay, "z_grid", "all_in_a"),
+    # asymptotic window kappa*z in [10, 100], 200 log-spaced points
+    "order-fit": _Scenario(_run_order_fit, "z_grid", "all_in_a", lambda p: {
+        "start": 10.0 / p.kappa, "stop": 100.0 / p.kappa, "count": 200, "spacing": "log"}),
+    "occupation-dynamics": _Scenario(_run_occupation_dynamics, "z_grid", "noon"),
+    "custom-evolve": _Scenario(_run_custom_evolve, "z_grid", "custom"),
 }
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def run(config: RunConfig) -> RunManifest:
     """Execute a validated config: compute, write outputs, write manifest."""
     started = time.perf_counter()
-    makers = _RUNNERS[config.scenario](config)
+    makers = _SCENARIOS[config.scenario].runner(config)
     flags = asdict(config.output)
     # keep a file when the flag its extension names is on; build all before writing any
     files = {name: makers[name]() for name in sorted(makers) if flags[name.rpartition(".")[2]]}

@@ -22,6 +22,7 @@ arrays are marked read-only, so values are safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,16 +63,26 @@ def basis_labels(n_photons: int) -> list[str]:
     return [f"|{n_photons - m},{m}>" for m in range(n_photons + 1)]
 
 
+def _n_photons_faults(n) -> list[str]:
+    """Why ``n`` is not a photon number N: a Python or numpy integer >= 1, not a bool."""
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1:
+        return []
+    return [f"n_photons: must be an integer >= 1, got {n!r}"]
+
+
 @dataclass(frozen=True)
 class BeamsplitterParams:
     """Physical inputs of the lossy beamsplitter.
 
     Attributes
     ----------
-    omega0 : common propagation constant of both guides (cm^-1).
-    kappa : inter-guide coupling (cm^-1), strictly positive.
-    gamma : dissipation coefficient of guide b (cm^-1), non-negative.
-    n_photons : total photon number N >= 1.
+    omega0 : common propagation constant of both guides (cm^-1), finite.
+    kappa : inter-guide coupling (cm^-1), finite and strictly positive.
+    gamma : dissipation coefficient of guide b (cm^-1), finite, non-negative.
+    n_photons : total photon number N >= 1, a Python or numpy integer, not a bool.
+
+    Construction raises one ``ValueError`` that lists every failed rule as
+    "field: reason", joined by "; ".
     """
 
     omega0: float
@@ -80,12 +91,15 @@ class BeamsplitterParams:
     n_photons: int
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be strictly positive, got {self.kappa}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
-        if int(self.n_photons) != self.n_photons or self.n_photons < 1:
-            raise ValueError(f"n_photons must be an integer >= 1, got {self.n_photons}")
+        finite = {k: math.isfinite(getattr(self, k)) for k in ("omega0", "kappa", "gamma")}
+        faults = [f"{k}: must be finite" for k, ok in finite.items() if not ok]
+        if finite["kappa"] and self.kappa <= 0:
+            faults.append(f"kappa: kappa must be positive, got {self.kappa}")
+        if finite["gamma"] and self.gamma < 0:
+            faults.append(f"gamma: gamma must be non-negative, got {self.gamma}")
+        faults += _n_photons_faults(self.n_photons)
+        if faults:
+            raise ValueError("; ".join(faults))
 
     @property
     def gamma_critical(self) -> float:
@@ -129,10 +143,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def build_operators(n_photons: int) -> OperatorSet:
     """Build the spin S = N/2 operator matrices in the |m) ordering.
 
-    Raises ``ValueError`` for n_photons < 1.
+    Raises ``ValueError`` unless n_photons is an integer >= 1, as
+    ``BeamsplitterParams`` requires.
     """
-    if int(n_photons) != n_photons or n_photons < 1:
-        raise ValueError(f"n_photons must be an integer >= 1, got {n_photons}")
+    if faults := _n_photons_faults(n_photons):
+        raise ValueError(faults[0])
     n = int(n_photons)
     dim = n + 1
     m = np.arange(dim)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock_core import BeamsplitterParams
+from .fock_core import BeamsplitterParams, _n_photons_faults
 from .propagator import METHOD, _evolve_grid, evolve_grid
 from .spectral import classify_regime, delta_lambda
 
@@ -85,24 +85,22 @@ def make_input(kind: str, n_photons: int, custom=None) -> InputState:
     and 'custom' normalizes a caller-supplied length-(N+1) vector: any
     finite, non-zero one.  It is first scaled by a power of two that puts
     its largest entry in [1/2, 1), so that its norm neither overflows nor
-    underflows.
+    underflows.  Every check, N's as in ``BeamsplitterParams``, runs before
+    anything of size N+1 is allocated; a failed one raises ``ValueError``.
     """
     if kind not in INPUT_KINDS:
         raise ValueError(f"unknown input kind {kind!r}; expected one of {INPUT_KINDS}")
     if (custom is not None) != (kind == "custom"):
         raise ValueError("custom amplitudes must be given exactly when kind='custom'")
+    if faults := _n_photons_faults(n_photons):
+        raise ValueError(faults[0])
     dim = n_photons + 1
-    amp = np.zeros(dim, dtype=complex)
-    if kind == "all_in_a":
-        amp[0] = 1.0
-    elif kind == "all_in_b":
-        amp[-1] = 1.0
-    elif kind == "noon":
-        amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
-    else:
+    if kind == "custom":
         amp = np.ascontiguousarray(custom, dtype=complex)
         if amp.shape != (dim,):
-            raise ValueError(f"custom amplitudes have shape {amp.shape}, expected ({dim},)")
+            raise ValueError(
+                f"custom amplitudes have shape {amp.shape}, expected (n_photons+1,) = ({dim},)"
+            )
         parts = amp.view(float)
         if not np.isfinite(parts).all():
             raise ValueError("custom amplitudes must be finite")
@@ -111,6 +109,14 @@ def make_input(kind: str, n_photons: int, custom=None) -> InputState:
         # an exact scaling, so a vector whose norm is representable keeps its bits
         amp = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
         amp = amp / np.linalg.norm(amp)
+    else:
+        amp = np.zeros(dim, dtype=complex)
+        if kind == "all_in_a":
+            amp[0] = 1.0
+        elif kind == "all_in_b":
+            amp[-1] = 1.0
+        else:
+            amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
     amp.setflags(write=False)
     return InputState(amplitudes=amp, label=kind)
 

@@ -38,11 +38,7 @@ __all__ = [
     "numeric_spectrum",
     "eigenvalue_flow",
     "certify_ep",
-    "REGIME_TOLERANCE",
 ]
-
-# Relative half-width of the "exceptional" label around gamma = 2*kappa.
-REGIME_TOLERANCE = 1e-9
 
 
 def delta_lambda(kappa: float, gamma: float) -> complex:
@@ -57,11 +53,12 @@ def delta_lambda(kappa: float, gamma: float) -> complex:
 def classify_regime(kappa: float, gamma: float) -> str:
     """Classify the loss regime: 'unbroken', 'exceptional' or 'broken'.
 
-    'exceptional' covers a relative half-width ``REGIME_TOLERANCE`` around
-    gamma = 2*kappa.
+    'exceptional' holds exactly when gamma == 2*kappa, where ``certify_ep``
+    passes; doubling a float is exact, and the engine's sign of
+    4*kappa^2 - gamma^2 agrees with this rule to the last ulp.
     """
     gc = 2.0 * kappa
-    if abs(gamma - gc) / gc < REGIME_TOLERANCE:
+    if gamma == gc:
         return "exceptional"
     return "unbroken" if gamma < gc else "broken"
 
@@ -84,18 +81,16 @@ def analytic_spectrum(params: BeamsplitterParams) -> Spectrum:
     """Evaluate the eigenvalue ladder for the given parameters.
 
     For gamma < 2*kappa every eigenvalue shares the imaginary part
-    -gamma*N/2; for gamma > 2*kappa every real part equals omega0*N.
+    -gamma*N/2; for gamma > 2*kappa every real part equals omega0*N.  The
+    ladder is ``eigenvalue_flow``'s row at gamma.
     """
-    n = params.n_photons
-    dl = delta_lambda(params.kappa, params.gamma)
-    r = np.arange(n + 1) - n / 2.0
-    lam = (params.omega0 - 0.5j * params.gamma) * n + r * dl
-    lam.setflags(write=False)
+    p = params
+    lam = eigenvalue_flow(p.omega0, p.kappa, p.n_photons, [p.gamma]).eigenvalues[0]
     return Spectrum(
         eigenvalues=lam,
-        delta_lambda=dl,
-        gamma_critical=params.gamma_critical,
-        regime=classify_regime(params.kappa, params.gamma),
+        delta_lambda=delta_lambda(p.kappa, p.gamma),
+        gamma_critical=p.gamma_critical,
+        regime=classify_regime(p.kappa, p.gamma),
     )
 
 
@@ -132,15 +127,15 @@ def eigenvalue_flow(
     Real parts exhibit level attraction that closes at gamma = 2*kappa;
     imaginary parts stay degenerate below the transition and split above it.
     """
+    BeamsplitterParams(omega0, kappa, 0.0, n_photons)  # raises for a bad omega0, kappa or N
     gammas = np.asarray(gamma_grid, dtype=float)
-    if gammas.size == 0:
-        raise ValueError("gamma grid must be non-empty")
-    if np.any(gammas < 0):
-        raise ValueError("gamma grid values must be >= 0")
-    rows = np.empty((gammas.size, n_photons + 1), dtype=complex)
-    for i, g in enumerate(gammas):
-        p = BeamsplitterParams(omega0=omega0, kappa=kappa, gamma=float(g), n_photons=n_photons)
-        rows[i] = analytic_spectrum(p).eigenvalues
+    if gammas.ndim != 1 or gammas.size == 0:
+        raise ValueError("gamma grid must be a non-empty 1-D sequence")
+    if not (np.isfinite(gammas) & (gammas >= 0)).all():
+        raise ValueError("gamma grid values must be finite and >= 0")
+    dl = np.sqrt((4.0 * kappa * kappa - gammas * gammas).astype(complex))
+    r = np.arange(n_photons + 1) - n_photons / 2.0
+    rows = (omega0 - 0.5j * gammas[:, None]) * n_photons + r * dl[:, None]
     rows.setflags(write=False)
     return EigenvalueFlow(gammas=gammas, eigenvalues=rows, n_photons=n_photons)
 

@@ -9,10 +9,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import epbs
 from epbs import _svg
-from epbs.cli import GridSpec, _json_bytes, main, run, validate
+from epbs.cli import GridSpec, OutputSpec, _json_bytes, main, run, validate
 from epbs.fock_core import build_hamiltonian
 from epbs.observables import trace_evolution
 from epbs.spectral import certify_ep, eigenvalue_flow
@@ -132,6 +134,66 @@ def test_param_overrides():
     assert any("expected key=value" in e for e in errors)
 
 
+@pytest.mark.parametrize("doc, error", [
+    ({"input_state": {"kind": "noon", "amplitude": [1, 0, 0, 0, 1]}},
+     "input_state: unknown keys ['amplitude']"),
+    ({"gamma_grid": {"start": 0.0, "stop": 4.0, "count": 5}},
+     "gamma_grid: not used by scenario intensity-decay"),
+], ids=["input-key", "unread-grid"])
+def test_validate_rejects_what_the_scenario_ignores(doc, error):
+    # both were accepted and ignored; the grid was even echoed to the manifest
+    full = base_config("intensity-decay", ".", z_grid={"start": 0.0, "stop": 1.0, "count": 3})
+    cfg, errors = validate(json.dumps({**full, **doc}))
+    assert cfg is None and errors == [error]
+
+
+@pytest.mark.parametrize("scenario, grid", [
+    ("spectrum-flow", "z_grid"), ("ep-certify", "z_grid"), ("ep-certify", "gamma_grid"),
+    ("order-fit", "gamma_grid"), ("custom-evolve", "gamma_grid"),
+])
+def test_validate_rejects_unread_grid_of_each_scenario(scenario, grid):
+    doc = _cfg_for(scenario, ".")
+    doc[grid] = {"start": 0.0, "stop": 1.0, "count": 3}
+    cfg, errors = validate(json.dumps(doc))
+    assert cfg is None and f"{grid}: not used by scenario {scenario}" in errors
+
+
+def test_validate_null_output_means_defaults():
+    doc = _cfg_for("ep-certify", ".")
+    doc["output"] = None
+    cfg, errors = validate(json.dumps(doc))
+    assert errors == [] and cfg.output == OutputSpec()
+
+
+@pytest.mark.parametrize("value", [{"a": 1}, ["spectrum-flow"], 3])
+def test_validate_scenario_of_any_json_type(value):
+    cfg, errors = validate(json.dumps({**_cfg_for("ep-certify", "."), "scenario": value}))
+    assert cfg is None and any(e.startswith("scenario: unknown") for e in errors)
+
+
+@pytest.mark.parametrize("kind, amplitudes", [
+    ("noon", None), ("all_in_b", None), ("custom", [1, 0, 1]),
+])
+def test_validate_allocates_nothing_of_size_n(kind, amplitudes):
+    # a billion photons is a valid N; only a run may build the state
+    import tracemalloc
+
+    doc = base_config("custom-evolve", ".", z_grid={"start": 0.0, "stop": 1.0, "count": 3},
+                      input_state={"kind": kind, "amplitudes": amplitudes})
+    doc["params"]["n_photons"] = 10**9
+    tracemalloc.start()
+    try:
+        cfg, errors = validate(json.dumps(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (cfg is None) == (amplitudes is not None)
+    if amplitudes is not None:
+        assert errors == ["input_state: custom amplitudes have shape (3,), "
+                          "expected (n_photons+1,) = (1000000001,)"]
+
+
 # ---------------------------------------------------------------------------
 # runs
 
@@ -197,6 +259,65 @@ def test_run_scenarios_and_manifest(tmp_path, scenario):
     manifest_doc = json.loads((out / "manifest.json").read_text())
     assert manifest_doc["config"]["scenario"] == scenario
     assert manifest_doc["version"]
+
+
+@pytest.mark.parametrize("scenario", sorted(_EXPECTED_FILES))
+def test_validate_roundtrip_every_scenario(scenario):
+    cfg, errors = validate(json.dumps(_cfg_for(scenario, "out")))
+    assert errors == [] and cfg.scenario == scenario
+    again, errors = validate(json.dumps(cfg.echo()))
+    assert errors == [] and again == cfg
+
+
+# values a fuzzed config may hold: non-finite and out-of-range numbers, every
+# JSON type, names of kinds and scenarios, and photon numbers up to a billion
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), True, False, None,
+                     "", "x", "log", "linear", "noon", "custom", "all_in_a", "order-fit",
+                     -0.0, 1e-310, 1e308, 10**9]),
+    st.integers(-3, 10**9),
+    st.floats(-1e3, 1e3),
+    st.lists(st.one_of(st.integers(-2, 2), st.floats(-2.0, 2.0),
+                       st.lists(st.integers(-1, 1), min_size=2, max_size=2)), max_size=6),
+    st.dictionaries(st.sampled_from(["kind", "start", "a"]), st.integers(0, 3), max_size=2),
+)
+_FUZZ_KEYS = ["scenario", "params", "input_state", "z_grid", "gamma_grid", "output", "kappa",
+              "gamma", "n_photons", "start", "stop", "count", "spacing", "kind", "amplitudes",
+              "directory", "svg", "extra"]
+
+
+def _slots(node):
+    """Every (container, key) pair of a JSON document, nested ones included."""
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def _mutated_configs(draw):
+    doc = _cfg_for(draw(st.sampled_from(sorted(_EXPECTED_FILES))), "out")
+    for _ in range(draw(st.integers(1, 3))):
+        node, key = draw(st.sampled_from(list(_slots(doc))))
+        if isinstance(node, dict) and draw(st.booleans()):
+            key = draw(st.sampled_from(_FUZZ_KEYS))  # maybe new to this object
+        if isinstance(node, dict) and draw(st.integers(0, 4)) == 0:
+            node.pop(key, None)
+        else:
+            node[key] = draw(_FUZZ_VALUES)
+    return doc
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_configs())
+def test_validate_fuzzed_configs(doc):
+    # validation never raises, and what it accepts it writes back as it read it
+    cfg, errors = validate(json.dumps(doc))
+    assert (cfg is None) == bool(errors)
+    if cfg is not None:
+        again, errors = validate(json.dumps(cfg.echo()))
+        assert errors == [] and again == cfg
 
 
 _SVG_FILES = {

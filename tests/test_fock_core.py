@@ -66,6 +66,40 @@ def test_build_operators_rejects_bad_photon_number():
             build_operators(bad)
 
 
+@pytest.mark.parametrize("field", ["omega0", "kappa", "gamma"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite_rates(field, value):
+    # NaN passed the sign checks and gave NaN eigenvalues labelled "broken"
+    kwargs = {"omega0": 1.0, "kappa": 1.0, "gamma": 1.0, "n_photons": 4, field: value}
+    with pytest.raises(ValueError, match=f"{field}: must be finite"):
+        BeamsplitterParams(**kwargs)
+
+
+@pytest.mark.parametrize("n", [4.0, True, np.float64(4.0), "4", None])
+def test_photon_number_must_be_an_integer(n):
+    # a float N made every trace raise TypeError; True passed as N = 1
+    with pytest.raises(ValueError, match="n_photons: must be an integer >= 1"):
+        BeamsplitterParams(1.0, 1.0, 1.0, n)
+    with pytest.raises(ValueError, match="n_photons: must be an integer >= 1"):
+        build_operators(n)
+
+
+def test_numpy_integer_photon_number_accepted():
+    p = BeamsplitterParams(1.0, 1.0, 1.0, np.int64(4))
+    assert p.dim == 5 and build_operators(np.int32(4)).dim == 5
+
+
+def test_params_report_every_fault_at_once():
+    with pytest.raises(ValueError) as err:
+        BeamsplitterParams(np.nan, -1.0, -0.5, 0)
+    assert str(err.value).split("; ") == [
+        "omega0: must be finite",
+        "kappa: kappa must be positive, got -1.0",
+        "gamma: gamma must be non-negative, got -0.5",
+        "n_photons: must be an integer >= 1, got 0",
+    ]
+
+
 def test_spin_half_matrices():
     ops = build_operators(1)
     np.testing.assert_allclose(ops.j_x, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)

@@ -87,6 +87,31 @@ def test_make_input_errors():
         make_input("custom", 3, custom=[1, 0])  # wrong length
 
 
+@pytest.mark.parametrize("n", [-1, 0, 2.0, True])
+@pytest.mark.parametrize("kind, custom", [
+    ("noon", None), ("all_in_b", None), ("custom", [1, 0, 1]),
+])
+def test_make_input_rejects_bad_photon_number(kind, custom, n):
+    # N = -1 gave IndexError, N = 0 a one-entry state and N = 2.0 TypeError
+    with pytest.raises(ValueError, match="n_photons: must be an integer >= 1"):
+        make_input(kind, n, custom)
+
+
+def test_make_input_checks_before_allocating():
+    # a billion photons would take 16 GB; each fault is found without it
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for kind, custom in [("sideways", None), ("noon", [1, 0]), ("custom", [1, 0, 1])]:
+            with pytest.raises(ValueError):
+                make_input(kind, 10**9, custom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 @pytest.mark.parametrize("custom, want", [
     ([1e308, 1e308, 0.0], [2**-0.5, 2**-0.5, 0.0]),  # the plain norm overflows
     ([1e-320, 0.0, 1e-320], [2**-0.5, 0.0, 2**-0.5]),  # the plain norm underflows

@@ -62,13 +62,26 @@ def test_spectrum_ladder_construction(gamma):
 def test_regime_classification_monotone_and_tolerant():
     assert classify_regime(1.0, 1.999999) == "unbroken"
     assert classify_regime(1.0, 2.0) == "exceptional"
-    assert classify_regime(1.0, 2.0 * (1 + 1e-10)) == "exceptional"
+    assert classify_regime(1.0, 2.0 * (1 + 1e-10)) == "broken"
     assert classify_regime(1.0, 2.000001) == "broken"
     gammas = np.linspace(0.0, 4.0, 400)
     labels = [classify_regime(1.0, g) for g in gammas]
     first_broken = labels.index("broken")
     assert all(lab == "unbroken" for lab in labels[:first_broken])
     assert all(lab == "broken" for lab in labels[first_broken:])
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.3, 1.7, 123.456, 1e-3])
+def test_regime_label_agrees_with_certificate(kappa):
+    # the label is "exceptional" exactly where certify_ep passes, even one ulp away
+    gc = 2.0 * kappa
+    gammas = [gc, np.nextafter(gc, 0.0), np.nextafter(gc, np.inf),
+              gc * (1 - 1e-12), gc * (1 + 1e-12)]
+    for gamma in gammas:
+        cert = certify_ep(build_hamiltonian(BeamsplitterParams(1.0, kappa, gamma, 3)))
+        label = classify_regime(kappa, gamma)
+        assert (label == "exceptional") == cert.passed
+        assert label == ("exceptional" if gamma == gc else "unbroken" if gamma < gc else "broken")
 
 
 def test_numeric_spectrum_hand_case():
@@ -134,6 +147,27 @@ def test_eigenvalue_flow_rejects_bad_grid():
         eigenvalue_flow(1.0, 1.0, 4, [])
     with pytest.raises(ValueError):
         eigenvalue_flow(1.0, 1.0, 4, [-0.5, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigenvalue_flow_rejects_non_finite_grid(bad):
+    # a NaN gamma gave a row of NaN eigenvalues
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalue_flow(1.0, 1.0, 4, [0.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("omega0, kappa, n", [(1.0, 1.0, 10), (-0.3, 0.7, 1), (5.1, 2.3, 40)])
+def test_eigenvalue_flow_matches_per_gamma_ladder(omega0, kappa, n):
+    # the closed form evaluated one gamma at a time in Python complex arithmetic
+    gammas = np.concatenate([np.linspace(0.0, 4.0 * kappa, 200), [2.0 * kappa]])
+    r = np.arange(n + 1) - n / 2.0
+    want = np.array([
+        (omega0 - 0.5j * g) * n + r * complex(np.sqrt(complex(4.0 * kappa * kappa - g * g)))
+        for g in gammas.tolist()
+    ])
+    got = eigenvalue_flow(omega0, kappa, n, gammas).eigenvalues
+    assert np.array_equal(got.view(float), want.view(float))
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
