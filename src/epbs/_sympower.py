@@ -1,32 +1,28 @@
-"""The symmetric-power kernels behind ``propagator``: G_N = Sym^N(g1) on states.
+"""The Sym^N engine: G_N = Sym^N(g1) on states and on basis columns.
 
 g1's core [[u, v], [v, t]] (unit determinant, scale kept in log space) is
-evaluated once per z; a state is then mapped in one of three forms, chosen
-by its amplitudes:
+evaluated once per z; one cached table per N (``_basis_rows``) holds the
+rows over the basis index m that the forms read.  ``_state_rows`` maps a
+state over a z grid in blocks, in the form its amplitudes choose:
 
 - edge: a state on |0) and |N) only maps to a_0 X^N + a_N Y^N, two
-  binomial expansions, O(N) per z.  The core's off-diagonal is -i kappa s
-  with its other entries real, so each term is real up to a fixed phase
-  and a sign per (z, m): the kernel works in real arithmetic, with the
-  magnitudes formed in log space, so the weights sqrt(C(N, m)) never
-  overflow.  A single term's log I is closed-form.
-- SVD: any other state.  The core factors as B(phi) diag(lambda, 1/lambda)
-  B(phi) with B(phi) = exp(-i phi sigma_x), so Sym^N of it is
-  E diag(lambda^(N-2m)) E, E = Q diag(e^(-i phi mu)) Q^T, with Q the real
-  eigenbasis of 2 J_x (built once per N).  A block of z costs three real
-  matrix products, or one without P (E is unitary); 16 (N+1) eps ||a|| /
-  ||psi|| estimates the relative error of each image psi.
+  binomial expansions, O(N) per z, in real arithmetic with the magnitudes
+  in log space, so the weights sqrt(C(N, m)) never overflow.
+- SVD: any other state.  The core is B(phi) diag(lambda, 1/lambda) B(phi),
+  B(phi) = exp(-i phi sigma_x), so Sym^N of it is E diag(lambda^(N-2m)) E,
+  E = Q diag(e^(-i phi mu)) Q^T, with Q the real eigenbasis of 2 J_x
+  (built once per N): three real matrix products per block, or one
+  without P; 16 (N+1) eps ||a|| / ||psi|| estimates each image's error.
 - Horner: the z whose SVD estimate exceeds ``ERROR_LIMIT`` are recomposed
   homogeneous-Horner style, O(N^2) per z, with Higham's bound; where that
-  bound exceeds ``ERROR_LIMIT`` too, the update is refused with
-  ``PrecisionError``.  This fallback is Horner's only use.
+  bound exceeds ``ERROR_LIMIT`` too, the update raises ``PrecisionError``.
 
 Each form returns log I per z and writes P, in (z, m) order, into the
-array it is given; ``_check_rows`` then holds every result to finiteness
-and to G_N's contraction (unitarity at Gamma = 0).
-
-``propagator`` builds G_N's matrix, and the Wei-Norman product's, with the
-same ``_svd_form``, from factors scaled for each basis column.
+array it is given; ``_check_rows`` holds every block to finiteness and to
+G_N's contraction (unitarity at Gamma = 0).  ``_core_matrix`` builds G_N's
+matrix with the same ``_svd_form``: each basis column k takes the form of
+Sym^N(g diag(1, alpha_k)), whose column k is alpha_k^k times G_N's, and
+carries its own error bound.
 """
 
 from __future__ import annotations
@@ -42,8 +38,9 @@ from .fock_core import BeamsplitterParams
 # Relative error of a state image above which the SVD form's z are redone by
 # Horner and Horner's are refused; also the slack of the log I invariants.
 ERROR_LIMIT = 1e-10
+_EPS = np.finfo(float).eps
 # Constant of both error estimates: 16 (N+1) eps per unit of magnitude.
-_EST_FACTOR = 16.0 * np.finfo(float).eps
+_EST_FACTOR = 16.0 * _EPS
 # Log magnitude given to a zero entry, so that its powers underflow to 0
 # (their logs are its multiples).
 _LOG_ZERO = -1e4
@@ -52,9 +49,16 @@ _LOG_ZERO = -1e4
 # of its few (N+1) x block arrays stays at most 64 kB: blocks eight times
 # larger saved little time and raised a process's peak memory.
 _SVD_ENTRIES = 1 << 12
+# Entries per block of the edge form: _EDGE_ENTRIES // (N+1) z points, so
+# each of its few block x (N+1) real arrays stays at most 256 kB and a
+# 2000-point trace at N <= 15 is one block.  A budget four times larger
+# raised the peak memory of a paper-traces benchmark process by 0.5 MB and
+# saved no time.
+_EDGE_ENTRIES = 1 << 15
 # SVD-form scalings below e^_LOG_FLUSH are set to 0: they change an image by
 # far less than its error estimate, and subnormal products slow the GEMMs.
 _LOG_FLUSH = -600.0
+_HALF_SUMS = np.array([[0.5, 0.5], [0.5, -0.5]])  # (a2, a1) -> (p1, p2) = (a2 +/- a1) / 2
 
 
 def _g1_cs(kappa: float, gamma: float, z: np.ndarray):
@@ -88,10 +92,24 @@ def _g1_core(kappa: float, gamma: float, z: np.ndarray):
 
 
 @functools.lru_cache(maxsize=16)
-def _half_log_binomial(n: int) -> np.ndarray:
-    """ln sqrt(C(N, m)) for m = 0..N."""
+def _basis_rows(n: int) -> np.ndarray:
+    """Rows N - m, m, ln sqrt(C(N, m)), 1, (-1)^m and (2f - 1) / sqrt(f (1 - f)), m = 0..N.
+
+    f = m/N is kept off 0 and 1.  The first five rows are the exponents of
+    the edge and SVD forms, the last the skew of each operator column's
+    scaling alpha_m.
+    """
+    m = np.arange(n + 1.0)
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-    out = 0.5 * (log_fact[n] - (log_fact + log_fact[::-1]))
+    frac = np.clip(m / n, 1e-12, 1.0 - 1e-12)
+    out = np.stack((
+        n - m,
+        m,
+        0.5 * (log_fact[n] - (log_fact + log_fact[::-1])),
+        np.ones(n + 1),
+        1.0 - 2.0 * (m % 2),
+        (2.0 * frac - 1.0) / np.sqrt(frac * (1.0 - frac)),
+    ))
     out.setflags(write=False)
     return out
 
@@ -141,15 +159,6 @@ def _running_powers(first: np.ndarray, ratio: np.ndarray, n: int, out=None) -> n
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _edge_exponents(n: int) -> np.ndarray:
-    """Rows N - m, m, ln sqrt(C(N, m)), 1, (-1)^m, m = 0..N: the edge and SVD forms' exponents."""
-    m = np.arange(n + 1.0)
-    out = np.stack((n - m, m, _half_log_binomial(n), np.ones(n + 1), 1.0 - 2.0 * (m % 2)))
-    out.setflags(write=False)
-    return out
-
-
 def _edge_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, out=None):
     """log I at each z of a state on |0) and |N) only, O(N) per z; P goes into ``out``, if given.
 
@@ -177,8 +186,6 @@ def _edge_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, out=
     a0, b = complex(amps[0]), complex(amps[n]) * (1, -1j, -1, 1j)[n % 4]
     # the terms in use: a_0 on the column (u, w), b on (w, t)
     lo, hi = (0 if a0 else 1), (2 if b else 1)
-    if lo == hi:
-        return np.full(z.size, -np.inf)
     entries = np.array((c + y, w, c - y))
     p, q = entries[lo:hi], entries[lo + 1 : hi + 1]
     col = np.hypot(p, q)
@@ -195,7 +202,7 @@ def _edge_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, out=
     np.maximum(np.log(ratios, out=left[:2]), _LOG_ZERO, out=left[:2])
     left[2] = 1.0
     left[3] = (logs - top).ravel()
-    exponents = _edge_exponents(n)
+    exponents = _basis_rows(n)[:5]
     if hi - lo == 1:
         # |psi_m|^2 in one exp, from doubled logs, straight into out
         left *= 2.0
@@ -265,7 +272,7 @@ def _svd_factors(n: int, c, ks, y, log_scale):
     np.conjugate(phase[n:half:-1], out=phase[: n - half])
     # (N-2m) ln lambda - N |ln lambda| as (N-m)(l - |l|) - m (l + |l|), 0 at its top
     lam = np.abs(log_lam)
-    scaling = _edge_exponents(n)[:2].T @ np.array([log_lam - lam, -log_lam - lam])
+    scaling = _basis_rows(n)[:2].T @ np.array([log_lam - lam, -log_lam - lam])
     scaling[scaling < _LOG_FLUSH] = -np.inf
     return phase, np.exp(scaling, out=scaling), log_lam
 
@@ -359,7 +366,7 @@ def _horner_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
     u, v, t, log_scale = _g1_core(params.kappa, params.gamma, z)
     norm = np.maximum(np.hypot(abs(u), abs(v)), np.hypot(abs(v), abs(t)))
     u, v, t = u / norm, v / norm, t / norm
-    half = _half_log_binomial(n)
+    half = _basis_rows(n)[2]
     roots = np.exp(half - half[n // 2])
     poly = _horner(u, v, t, amps * roots)
     # part by part: a complex division by a real root is not exact for poly = root
@@ -426,3 +433,120 @@ def _check_rows(params: BeamsplitterParams, z, log_i, occ, log_norm2: float) -> 
             float(z[k]),
             f"log I - ln||a||^2 = {log_i[k] - log_norm2:.3g}, but G_N is {law} (N={n})",
         )
+
+
+def _state_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, log_norm2: float,
+                with_occupations: bool):
+    """(log I, P or None) of ``amps`` at each z, by blocks, each checked against ln ||a||^2.
+
+    Without occupations no (z, N+1) array is allocated.
+    """
+    n = params.n_photons
+    if amps[1:n].any():
+        rows, block = _interior_rows, max(1, _SVD_ENTRIES // (n + 1))
+    else:
+        rows, block = _edge_rows, max(1, _EDGE_ENTRIES // (n + 1))
+    log_i = np.empty(z.size)
+    occ = np.empty((z.size, n + 1)) if with_occupations else None
+    # out-of-range intermediates surface as non-finite values, caught by _check_rows
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for lo in range(0, z.size, block):
+            zb, hi = z[lo : lo + block], lo + block
+            pb = None if occ is None else occ[lo:hi]
+            log_i[lo:hi] = rows(params, amps, zb, pb)
+            _check_rows(params, zb, log_i[lo:hi], pb, log_norm2)
+    return log_i, occ
+
+
+def _column_factors(n: int, c: float, ks: float, y: float, log_scale: float):
+    """(first, step, half log scale, half log size) of each basis column k's own scaled SVD form.
+
+    Column k of Sym^N(g) is alpha^-k times that of Sym^N(g diag(1, alpha)),
+    g = e^log_scale [[u, -i ks], [-i ks, t]], u, t = c +/- y, and g diag(1,
+    alpha) = B(p1) diag(s1, s2) B(p2) sigma_z by the closed-form 2x2 SVD
+    (Golub & Van Loan, Sec. 8.6).  alpha_k, 1 at Gamma = 0, puts the top
+    right singular vector at weight k/N on y.  Rows of first and step: e^(i
+    N p1), e^(i N p2), (-1)^k; e^(-2i p1), e^(-2i p2), s2/s1 (s2 from det).
+    Also halved: the log scale N (ln s1 + log_scale) - k ln alpha_k and the
+    log size, the sum of the magnitudes of its two terms.
+    """
+    u, t = c + y, c - y
+    # numpy scalars, so that entries beyond the double range give inf, not exceptions
+    a, cc = np.float64(u * u + ks * ks), np.float64(ks * ks + t * t)
+    rows = _basis_rows(n)
+    # rows ln s1 + log_scale and ln alpha, then their terms of the log scale
+    logs = np.empty((2, n + 1))
+    np.arcsinh(np.multiply(rows[5], abs(ks * y) / np.sqrt(a * cc), out=logs[1]), out=logs[1])
+    logs[1] += 0.5 * np.log(a / cc)
+    alpha = np.exp(logs[1])
+    # rows e + i h, f + i g with e, f = (u -/+ t alpha) / 2 and h, g = ks (1 -/+ alpha) / 2
+    w = np.multiply.outer(np.array((-0.5 * (t + 1j * ks), 0.5 * (t + 1j * ks))), alpha)
+    w += 0.5 * (u + 1j * ks)
+    s1 = np.add(*np.abs(w))
+    # a2 = atan2(h, e), a1 = atan2(g, f)
+    p = _HALF_SUMS @ np.arctan2(w.imag, w.real)
+    factors = np.empty((2, 3, n + 1), dtype=complex)
+    np.exp(np.multiply.outer(np.array([1j * n, -2j]), p), out=factors[:, :2])
+    factors[0, 2] = rows[4]
+    np.divide(alpha, s1 * s1, out=factors[1, 2])
+    factors[1, 2] *= -math.exp(-2.0 * log_scale)
+    np.log(s1, out=logs[0])
+    logs[0] += log_scale
+    logs[0] *= 0.5 * n
+    logs[1] *= 0.5 * rows[1]
+    half_log_col = logs[0] - logs[1]
+    np.abs(logs, out=logs)
+    return factors[0], factors[1], half_log_col, logs[0] + logs[1]
+
+
+def _core_matrix(n: int, z: float, theta: float, c: float, ks: float, y: float, log_scale):
+    """(core, estimate): Sym^N of a core at one z and the relative error bounds of its columns.
+
+    The core is e^log_scale [[c + y, -i ks], [-i ks, c - y]] with real
+    entries and unit determinant, from an argument theta (g1's, or 0 for
+    given entries).  Column k, the image of |k), takes its own scaled SVD
+    form, one pass per block of ``_SVD_ENTRIES`` entries, and its scale last,
+    in two halves.  Its bound, ||col|| before the scale: 16 (N+1) eps /
+    ||col|| for the form, whose scaled operator has norm 1; 20 N eps /
+    ||col|| for the 2x2 SVD of ``_column_factors``, whose s1, s2/s1, p1 and
+    p2 are exact for a matrix within 20 eps s1 of g diag(1, alpha) (3.4 from
+    e, f, g, h, 3 from each angle, 8 from s2/s1, 2 from s1), moved at most
+    N-fold by Sym^N; and 2 (N+1) eps (theta + log size / N + 1) for rounding
+    theta and the scale.  Raises ``OverflowGuardError`` when the core leaves
+    the double range and ``PrecisionError`` when a bound exceeds
+    ``ERROR_LIMIT``.  At z = 0 the core is I.
+    """
+    if z == 0:
+        return np.eye(n + 1, dtype=complex), np.zeros(n + 1)
+    q, core = _spin_basis(n), np.empty((n + 1, n + 1), dtype=complex)
+    width = max(1, _SVD_ENTRIES // (n + 1))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        first, step, half_log_col, half_log_size = _column_factors(n, c, ks, y, log_scale)
+        for lo in range(0, n + 1, width):
+            cols = slice(lo, lo + width)
+            table = _running_powers(first[:, cols], step[:, cols], n)
+            scaling = table[:, 2].real
+            # |s2/s1| <= 1, so the last row holds each column's smallest scaling
+            if np.abs(scaling[-1]).min() < math.exp(_LOG_FLUSH):
+                scaling[np.abs(scaling) < math.exp(_LOG_FLUSH)] = 0.0
+            core[:, cols] = _svd_form(q, q[cols].T, table[:, 0], table[:, 1], scaling)
+        squares = np.einsum("ij,ij->j", core.view(float), core.view(float))
+        slack = 2.0 * (n + 1) * _EPS
+        estimate = (_EST_FACTOR * (n + 1) + 20.0 * n * _EPS) / np.sqrt(squares[::2] + squares[1::2])
+        estimate += half_log_size * (2.0 * slack / n) + slack * (theta + 1.0)
+        # in two halves, so that only entries beyond the double range overflow
+        half_scale = np.exp(half_log_col)
+        core *= half_scale
+        core *= half_scale
+    if not np.isfinite(core).all():
+        raise OverflowGuardError(
+            f"N-photon propagator leaves double-precision range at z={z!r} (N={n})"
+        )
+    if estimate.max() > ERROR_LIMIT:
+        k = np.argmax(estimate > ERROR_LIMIT)
+        raise PrecisionError(
+            float(z),
+            f"column {k} of the N-photon propagator has error bound {estimate[k]:.1e} "
+            f"> {ERROR_LIMIT:g} (N={n})",
+        )
+    return core, estimate

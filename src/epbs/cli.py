@@ -589,6 +589,10 @@ def main(argv=None) -> int:
     except (SimulationError, ValueError) as exc:
         print(f"epbs: {config.scenario} failed: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        n = config.params.n_photons
+        print(f"epbs: {config.scenario} failed: not enough memory (N={n})", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"epbs: cannot write outputs: {exc}", file=sys.stderr)
         return 3

@@ -189,10 +189,9 @@ def trace_evolution(
     ``with_occupations=False`` skips them for intensity-only work.
     """
     grid = np.asarray(z_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("z grid must be a non-empty 1-D sequence")
-    if grid[0] < 0 or np.any(np.diff(grid) < 0):
-        raise ValueError("z grid must be non-negative and ascending")
+    # the engine holds each z to its own rule: a 1-D grid of finite distances >= 0
+    if grid.size == 0 or np.any(np.diff(grid.ravel()) < 0):
+        raise ValueError("z grid must be non-empty and ascending")
     log_i, occ = _evolve_grid(params, state0.amplitudes, grid, with_occupations)
     return EvolutionTrace(
         z_grid=grid,
@@ -239,15 +238,16 @@ def fit_ep_order(trace: EvolutionTrace) -> OrderFit:
     that does not annihilate the input: d = N (one power per coalesced mode
     pair) but for the states on |0) and |N) with a_0 + (-i)^N a_N = 0, where
     d = N - 1.  ``expected_slope`` is 2d.  The fit window is kappa*z in
-    [10, 100] (the asymptotic regime) and must hold at least a decade of
-    the trace.
+    [10, 100] (the asymptotic regime): the grid must reach both ends and
+    hold at least 3 points inside.
     """
     kz = trace.z_grid * trace.params.kappa
     sel = (kz >= 10.0) & (kz <= 100.0)
     z = trace.z_grid[sel]
-    if z.size < 3 or math.log10(z[-1] / z[0]) < 1.0:
+    if z.size < 3 or kz[0] > 10.0 or kz[-1] < 100.0:
         raise ValueError(
-            "fit window too short: need at least a decade of kappa*z with >= 3 points"
+            "fit window too short: the grid must reach kappa*z <= 10 and >= 100, "
+            "a decade, with >= 3 points in between"
         )
     n, gamma = trace.params.n_photons, trace.params.gamma
     y = trace.log_intensity[sel] + n * gamma * z
@@ -298,13 +298,16 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     batched evaluation at T - h, T and T + h, kept within the half-width at
     half maximum of the correlation peak (at least two grid steps) around
     the candidate.  The first candidate that settles with a mismatch below
-    1e-16 is reported, to a few 1e-15 relative.  Below threshold the
-    occupations are exactly periodic with 2*pi/Delta_lambda because the
-    spectrum is an equidistant real ladder on top of a common decay; the
-    reported deviation is measured against that value.  Inputs with extra
-    symmetry can genuinely repeat faster (the lossless balanced
-    superposition halves the period) and then the detected fundamental
-    differs from 2*pi/Delta_lambda by construction.
+    1e-16 is taken, and then the smallest of its divisors T/j (j >= 2, at
+    least two grid steps long) whose mismatch is below 1e-16 too, screened
+    in one batched evaluation at the first probe: a multiple of the period
+    vanishes as well.  The result is the period to a few 1e-15 relative.
+    Below threshold the occupations are exactly periodic with
+    2*pi/Delta_lambda because the spectrum is an equidistant real ladder on
+    top of a common decay; the reported deviation is measured against that
+    value.  Inputs with extra symmetry can genuinely repeat faster (the
+    lossless balanced superposition halves the period) and then the
+    detected fundamental differs from 2*pi/Delta_lambda by construction.
 
     Requires gamma < 2*kappa, occupations in the trace, a uniform grid and
     a span of at least two analytic periods.
@@ -351,11 +354,12 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     probes = z[0] + np.linspace(0.0, 0.9, 6) * probe_span
     base = evolve_grid(params, trace.input_state.amplitudes, probes)[1]
 
-    def mismatch(t: float, h: float) -> np.ndarray:
-        """Profile mismatch at t - h, t and t + h, from one batched evaluation."""
-        shifted = np.concatenate([probes + (t - h), probes + t, probes + (t + h)])
+    def mismatch(shifts, count=probes.size) -> np.ndarray:
+        """Profile mismatch at each shift over the first ``count`` probes, in one evaluation."""
+        shifted = np.add.outer(shifts, probes[:count]).ravel()
         occ = evolve_grid(params, trace.input_state.amplitudes, shifted)[1]
-        return ((occ.reshape(3, *base.shape) - base) ** 2).sum(axis=(1, 2))
+        occ = occ.reshape(len(shifts), count, base.shape[1])
+        return ((occ - base[:count]) ** 2).sum(axis=(1, 2))
 
     for k in peaks:
         c_m, c_0, c_p = corr[k - 1], corr[k], corr[k + 1]
@@ -373,7 +377,7 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
         # mismatch at T +- h to stand above its roundoff floor
         t, h = t_coarse, dz
         for _ in range(_REFINE_STEPS):
-            f_m, f_0, f_p = mismatch(t, h)
+            f_m, f_0, f_p = mismatch((t - h, t, t + h))
             denom = f_m - 2.0 * f_0 + f_p
             step = 0.5 * h * (f_m - f_p) / denom if denom > 0 else 0.0
             step = min(max(t + step, lo), hi) - t
@@ -383,6 +387,13 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
         else:
             continue  # not settled: no period located to full precision
         if f_0 < 1e-16:
+            # the fundamental's narrow peak can be missed; a divisor's first
+            # probe alone bounds its mismatch from below
+            divisors = t / np.arange(int(t / (2.0 * dz)), 1, -1)
+            divisors = divisors[mismatch(divisors, 1) < 1e-16]
+            passed = np.flatnonzero(mismatch(divisors) < 1e-16)
+            if passed.size:
+                t = float(divisors[passed[0]])
             return PeriodicityResult(period_detected=t, deviation=abs(t - t_analytic))
     raise ValueError("no candidate lag matches the occupation profile periodically")
 

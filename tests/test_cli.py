@@ -632,19 +632,36 @@ def test_dense_lossless_n200_custom_evolve_is_unitary(tmp_path):
 
 def test_precision_error_exits_2_with_reason(tmp_path, capsys, monkeypatch):
     # an engine result that breaks the contraction of G_N is refused, not written
-    from epbs import propagator
+    from epbs import _sympower
 
-    edge_rows = propagator._edge_rows
+    edge_rows = _sympower._edge_rows
 
     def amplified(*args):
         return edge_rows(*args) + 1e-6
 
-    monkeypatch.setattr(propagator, "_edge_rows", amplified)
+    monkeypatch.setattr(_sympower, "_edge_rows", amplified)
     out = tmp_path / "out"
     doc = base_config("intensity-decay", out, z_grid={"start": 0.0, "stop": 1.0, "count": 3})
     assert main(["intensity-decay", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert "state update at z=0.0 is not accurate" in err and "contraction" in err
+    assert not out.exists()
+
+
+def test_memory_error_exits_2_with_reason(tmp_path, capsys, monkeypatch):
+    # validation puts no bound on N, so a config too large to hold is a
+    # failed run, not a traceback; the runner raises rather than allocate
+    from epbs import cli
+
+    def exhausted(cfg):
+        raise MemoryError
+
+    scenario = cli._SCENARIOS["ep-certify"]
+    monkeypatch.setitem(cli._SCENARIOS, "ep-certify", scenario._replace(runner=exhausted))
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, _cfg_for("ep-certify", out))
+    assert main(["ep-certify", "--config", cfg_path]) == 2
+    assert "ep-certify failed: not enough memory (N=4)" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from epbs import observables
 from epbs.fock_core import BeamsplitterParams, build_hamiltonian, build_operators
 from epbs.observables import (
     STEADY_THRESHOLD,
+    InputState,
     _autocorrelation,
     fit_ep_order,
     intensity,
@@ -293,6 +294,20 @@ def test_trace_grid_validation():
         trace_evolution(make_input("noon", 4), p, [0.0, 1.0])
 
 
+def test_trace_refuses_what_the_engine_refuses():
+    # the trace keeps only its own rules (non-empty, ascending); each z is
+    # held to the engine's, and a zero vector is refused there too
+    p = params(1.0, 3)
+    s = make_input("noon", 3)
+    for grid in ([-1.0, 0.0], [0.0, math.nan, 1.0], [[0.0, 1.0], [2.0, 3.0]]):
+        with pytest.raises(ValueError, match="finite distances"):
+            trace_evolution(s, p, grid)
+    zero = InputState(amplitudes=np.zeros(4, dtype=complex), label="custom")
+    for with_occupations in (True, False):
+        with pytest.raises(ValueError, match="zero vector"):
+            trace_evolution(zero, p, [0.0, 1.0], with_occupations)
+
+
 def test_trace_past_floor_matches_reference():
     # the trace runs on past the first z with I < 1e-300, exact in log I and P
     p = params(2.0, 5)
@@ -379,6 +394,20 @@ def test_fit_ep_order_window_validation():
         fit_ep_order(short)
 
 
+@pytest.mark.parametrize("grid", [np.logspace(0.0, 2.0, 400), np.linspace(0.5, 120.0, 400)],
+                         ids=["log-1-100", "linear-0.5-120"])
+def test_fit_ep_order_accepts_any_grid_covering_the_window(grid):
+    # neither grid has points at exactly kappa*z = 10 and 100, and both were
+    # refused as too short; only the points inside [10, 100] are fitted
+    n = 5
+    fit = fit_ep_order(trace_evolution(make_input("all_in_a", n), params(2.0, n), grid,
+                                       with_occupations=False))
+    inside = grid[(grid >= 10.0) & (grid <= 100.0)]
+    assert fit.window == (inside[0], inside[-1])
+    assert fit.expected_slope == 2 * n
+    assert abs(fit.fitted_slope - fit.expected_slope) / fit.expected_slope < 0.02
+
+
 # ---------------------------------------------------------------------------
 # periodicity
 
@@ -455,6 +484,27 @@ def test_periodicity_on_shifted_grid(n, start, stop, gamma):
     tr = trace_evolution(make_input("noon", n), params(gamma, n), np.linspace(start, stop, 2000))
     t_exact = 2.0 * math.pi / math.sqrt(4.0 - gamma**2)
     assert periodicity_check(tr).period_detected == pytest.approx(t_exact, rel=1e-12, abs=0)
+
+
+_SHIFT = np.random.default_rng(19).uniform(0.0, 1e-3)
+
+
+@pytest.mark.parametrize("count", [400, 2000])
+@pytest.mark.parametrize("start", [0.0, 30.0 * _SHIFT], ids=["unshifted", "shifted"])
+@pytest.mark.parametrize("kind", ["noon", "all_in_a"])
+@pytest.mark.parametrize("n", [10, 40, 200, 500, 1000, 2000])
+def test_periodicity_never_returns_a_multiple(n, kind, start, count):
+    # the autocorrelation can miss the fundamental's narrow peak, and the
+    # refinement then verified a multiple: noon on 400 unshifted points gave
+    # 4T at N=200 and 2T at N=500.  The grid start is shifted by up to 1e-3
+    # of the span, as the benchmark shifts its grids
+    t_exact = 2.0 * math.pi / math.sqrt(3.0)
+    tr = trace_evolution(make_input(kind, n), params(1.0, n), np.linspace(start, 30.0, count))
+    try:
+        period = periodicity_check(tr).period_detected
+    except ValueError:
+        return
+    assert abs(period - t_exact) <= 1e-12
 
 
 def test_periodicity_preconditions():

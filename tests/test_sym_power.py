@@ -29,7 +29,7 @@ import pytest
 from epbs.errors import OverflowGuardError, PrecisionError
 from epbs.fock_core import BeamsplitterParams
 from epbs.observables import make_input, occupations, trace_evolution
-from epbs import propagator
+from epbs import _sympower, propagator
 from epbs._sympower import (
     _check_rows,
     _horner_rows,
@@ -230,7 +230,7 @@ def test_no_column_refused_on_benchmark_inputs(n, gamma):
 
 def test_refused_column_names_z_n_and_column(monkeypatch):
     # below 16 (N+1) eps every column fails the limit
-    monkeypatch.setattr(propagator, "ERROR_LIMIT", 1e-14)
+    monkeypatch.setattr(_sympower, "ERROR_LIMIT", 1e-14)
     with pytest.raises(PrecisionError) as err:
         evolution_operator(params(2.0, 10), 1.5)
     assert err.value.z == 1.5
@@ -243,7 +243,7 @@ def test_operator_at_z0_is_the_identity(n, monkeypatch):
     def fail(*args):
         raise AssertionError("no form runs at z = 0")
 
-    monkeypatch.setattr(propagator, "_svd_form", fail)
+    monkeypatch.setattr(_sympower, "_svd_form", fail)
     for ratio in (0.0, 0.5, 1.0, 1.2):
         core = evolution_operator(params(2.0 * ratio, n), 0.0).core
         assert core.dtype == complex and np.array_equal(core, np.eye(n + 1))
@@ -260,9 +260,9 @@ def test_one_form_pass_per_column_block(n, gamma, monkeypatch):
         calls.append(args[1].shape[1])
         return svd_form(*args)
 
-    svd_form = propagator._svd_form
-    monkeypatch.setattr(propagator, "_svd_form", counted)
-    width = propagator._SVD_ENTRIES // (n + 1)
+    svd_form = _sympower._svd_form
+    monkeypatch.setattr(_sympower, "_svd_form", counted)
+    width = _sympower._SVD_ENTRIES // (n + 1)
     for z in (0.7, 3.1, 9.4):
         calls.clear()
         evolution_operator(params(gamma, n), z)
@@ -413,7 +413,7 @@ def test_edge_blocks_do_not_change_values(monkeypatch):
     grid = np.linspace(0.0, 6.0, 600)
     log_i, occ = evolve_grid(p, amps, grid)
     for entries in (1 << 30, 7 * (n + 1)):
-        monkeypatch.setattr(propagator, "_EDGE_ENTRIES", entries)
+        monkeypatch.setattr(_sympower, "_EDGE_ENTRIES", entries)
         li_b, occ_b = evolve_grid(p, amps, grid)
         assert np.array_equal(li_b, log_i) and np.array_equal(occ_b, occ)
 
@@ -451,6 +451,16 @@ def test_non_finite_values_raise():
         evolution_operator(p, 700.0)
     log_i, _ = evolve_grid(p, make_input("all_in_a", 10).amplitudes, [700.0])
     assert np.isfinite(log_i).all()
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_zero_vector_raises_value_error(n):
+    # a state without light is the caller's error; it used to reach the
+    # edge form and raise OverflowGuardError ("log I = -inf")
+    with pytest.raises(ValueError, match="amplitudes must not be the zero vector"):
+        evolve_grid(params(1.0, n), np.zeros(n + 1), [0.0, 1.0])
+    with pytest.raises(ValueError, match="amplitudes must not be the zero vector"):
+        propagator._evolve_grid(params(1.0, n), np.zeros(n + 1), [0.0, 1.0], False)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0])
