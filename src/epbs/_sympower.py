@@ -1,9 +1,11 @@
-"""The Sym^N engine: G_N = Sym^N(g1) on states and on basis columns.
+"""The Sym^N engine: G_N = Sym^N(g) on states and on basis columns, for 2x2 cores g.
 
-g1's core [[u, v], [v, t]] (unit determinant, scale kept in log space) is
-evaluated once per z; one cached table per N (``_basis_rows``) holds the
-rows over the basis index m that the forms read.  ``_state_rows`` maps a
-state over a z grid in blocks, in the form its amplitudes choose:
+Cores come in, never parameters: real arrays (c, ks, y, log_scale, Gamma
+z), one entry per z, give e^log_scale [[c + y, -i ks], [-i ks, c - y]]
+(unit determinant) and its prefactor's decay.  One cached table per N
+(``_basis_rows``) holds the rows over the basis index m that the forms
+read.  ``_state_rows`` maps a state over a z grid in blocks, in the form
+its amplitudes choose:
 
 - edge: a state on |0) and |N) only maps to a_0 X^N + a_N Y^N, two
   binomial expansions, O(N) per z, in real arithmetic with the magnitudes
@@ -19,10 +21,10 @@ state over a z grid in blocks, in the form its amplitudes choose:
 
 Each form returns log I per z and writes P, in (z, m) order, into the
 array it is given; ``_check_rows`` holds every block to finiteness and to
-G_N's contraction (unitarity at Gamma = 0).  ``_core_matrix`` builds G_N's
+G_N's contraction (unitarity without loss).  ``_core_matrix`` builds G_N's
 matrix with the same ``_svd_form``: each basis column k takes the form of
 Sym^N(g diag(1, alpha_k)), whose column k is alpha_k^k times G_N's, and
-carries its own error bound.
+carries its own error bound, the caller's rounding of the entries included.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import math
 import numpy as np
 
 from .errors import OverflowGuardError, PrecisionError
-from .fock_core import BeamsplitterParams
 
 # Relative error of a state image above which the SVD form's z are redone by
 # Horner and Horner's are refused; also the slack of the log I invariants.
@@ -59,36 +60,6 @@ _EDGE_ENTRIES = 1 << 15
 # far less than its error estimate, and subnormal products slow the GEMMs.
 _LOG_FLUSH = -600.0
 _HALF_SUMS = np.array([[0.5, 0.5], [0.5, -0.5]])  # (a2, a1) -> (p1, p2) = (a2 +/- a1) / 2
-
-
-def _g1_cs(kappa: float, gamma: float, z: np.ndarray):
-    """(c, s, log_scale) of g1 at z, an array or a scalar; c and s are scaled by e^-log_scale.
-
-    c = cos(theta) and s = sin(theta)/(Delta_lambda/2) below threshold,
-    cosh and sinh above it, exactly 1 and z at the critical loss.  Above
-    threshold their common growth e^x (x = z*|Delta_lambda|/2) goes into
-    the log scale, so neither overflows.
-    """
-    dl2 = 4.0 * kappa * kappa - gamma * gamma
-    if dl2 > 0:
-        half = 0.5 * math.sqrt(dl2)
-        return np.cos(half * z), np.sin(half * z) / half, 0.0 * z
-    if dl2 < 0:
-        half = 0.5 * math.sqrt(-dl2)
-        log_scale = half * z
-        c = 0.5 * (1.0 + np.exp(-2.0 * log_scale))
-        return c, -0.5 * np.expm1(-2.0 * log_scale) / half, log_scale
-    return 0.0 * z + 1.0, z, 0.0 * z
-
-
-def _g1_core(kappa: float, gamma: float, z: np.ndarray):
-    """Entries (u, v, t) of g1's core [[u, v], [v, t]] at z, an array or a scalar.
-
-    Returns them with a log scale: the core is exp(log_scale) times
-    [[u, v], [v, t]], u, t = c +/- (Gamma/2) s and v = -i*kappa*s.
-    """
-    c, s, log_scale = _g1_cs(kappa, gamma, z)
-    return c + 0.5 * gamma * s, -1j * kappa * s, c - 0.5 * gamma * s, log_scale
 
 
 @functools.lru_cache(maxsize=16)
@@ -159,10 +130,10 @@ def _running_powers(first: np.ndarray, ratio: np.ndarray, n: int, out=None) -> n
     return out
 
 
-def _edge_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, out=None):
+def _edge_rows(n: int, amps: np.ndarray, z: np.ndarray, core, out=None):
     """log I at each z of a state on |0) and |N) only, O(N) per z; P goes into ``out``, if given.
 
-    The core is [[u, -i w], [-i w, t]] with u, t and w = kappa s real, so
+    The core is [[u, -i w], [-i w, t]] with u, t = c +/- y and w = ks real, so
     the image of a_0 x^N + a_N y^N has the amplitudes psi_m = sqrt(C(N, m))
     (-i)^m [a_0 u^(N-m) w^m + b (-1)^m w^(N-m) t^m], b = (-i)^N a_N.  The
     (-i)^m drops out of |psi_m|^2, and each term is real up to the phase of
@@ -180,9 +151,7 @@ def _edge_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, out=
     underflow to 0.  A single term needs no sum for log I: its image has
     norm |a| col^N.
     """
-    n = params.n_photons
-    c, s, log_scale = _g1_cs(params.kappa, params.gamma, z)
-    w, y = params.kappa * s, 0.5 * params.gamma * s
+    c, w, y, log_scale, gz = core
     a0, b = complex(amps[0]), complex(amps[n]) * (1, -1j, -1, 1j)[n % 4]
     # the terms in use: a_0 on the column (u, w), b on (w, t)
     lo, hi = (0 if a0 else 1), (2 if b else 1)
@@ -193,7 +162,7 @@ def _edge_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, out=
     for row, a in zip(logs, (a0, b)[lo:hi]):
         row += math.log(abs(a))
     top = logs.max(axis=0)
-    gain = 2.0 * top + n * (2.0 * log_scale - params.gamma * z)
+    gain = 2.0 * top + n * (2.0 * log_scale - gz)
     if hi - lo == 1 and out is None:
         return gain
     ratios = np.abs(np.array((p, q)) / col).reshape(2, -1)
@@ -296,22 +265,20 @@ def _svd_form(q: np.ndarray, x: np.ndarray, left, right, scaling: np.ndarray):
     return _real_matmul(q, x, out=out)
 
 
-def _svd_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, out=None):
-    """(log I, error estimate) at each z by the SVD form of Sym^N(g1); P goes into ``out``.
+def _svd_rows(n: int, amps: np.ndarray, z: np.ndarray, core, out=None):
+    """(log I, error estimate) at each z by the SVD form of Sym^N of the core; P goes into ``out``.
 
     The scale N |ln lambda| goes into log I.  The form is normwise
     backward stable, so 16 (N+1) eps ||a|| / ||psi|| estimates the
     relative error of each image psi; without P the form stops early.
     """
-    n = params.n_photons
     q = _spin_basis(n)
-    c, s, log_scale = _g1_cs(params.kappa, params.gamma, z)
-    ks, y = params.kappa * s, 0.5 * params.gamma * s
+    c, ks, y, log_scale, gz = core
     phase, scaling, log_lam = _svd_factors(n, c, ks, y, log_scale)
     x = _real_matmul(q.T, amps[:, None])
     psi = _svd_form(q, x, None if out is None else phase, phase, scaling)
     del phase, scaling
-    log_i, norm = _observe(psi.T, n * (2.0 * np.abs(log_lam) - params.gamma * z), out)
+    log_i, norm = _observe(psi.T, n * (2.0 * np.abs(log_lam) - gz), out)
     return log_i, _EST_FACTOR * (n + 1) * np.linalg.norm(amps) / norm
 
 
@@ -348,10 +315,10 @@ def _horner(u, v, t, coeffs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(poly.T)
 
 
-def _horner_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
+def _horner_rows(n: int, amps: np.ndarray, z: np.ndarray, core):
     """(log I, P, error bound) at each z by the Horner composition.
 
-    g1's core is scaled to unit norm in its larger column, and the
+    The core is scaled to unit norm in its larger column, and the
     amplitudes a_m are weighted by sqrt(C(N, m)) / sqrt(C(N, N/2)), which
     never overflows, so the image P(X, Y) of P(x, y) = sum_m a_m
     sqrt(C(N, m)) x^(N-m) y^m is composed by ``_horner`` and divided back.
@@ -362,8 +329,8 @@ def _horner_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
     relative error of psi.  Subnormal weights (N >= ~2050) add their own
     relative spacing.
     """
-    n = params.n_photons
-    u, v, t, log_scale = _g1_core(params.kappa, params.gamma, z)
+    c, ks, y, log_scale, gz = core
+    u, v, t = c + y, -1j * ks, c - y
     norm = np.maximum(np.hypot(abs(u), abs(v)), np.hypot(abs(v), abs(t)))
     u, v, t = u / norm, v / norm, t / norm
     half = _basis_rows(n)[2]
@@ -373,23 +340,23 @@ def _horner_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray):
     psi = np.empty_like(poly)
     psi.real, psi.imag = poly.real / roots, poly.imag / roots
     occ = np.empty(psi.shape)
-    log_i, psi_norm = _observe(psi, n * (2.0 * (log_scale + np.log(norm)) - params.gamma * z), occ)
+    log_i, psi_norm = _observe(psi, n * (2.0 * (log_scale + np.log(norm)) - gz), occ)
     magnitude = _horner(abs(u), abs(v), abs(t), abs(amps * roots)) / roots
     factor = _EST_FACTOR * (n + 1) + 2.0 * np.max(np.spacing(roots) / roots)
     return log_i, occ, factor * np.linalg.norm(magnitude, axis=1) / psi_norm
 
 
-def _interior_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, out=None):
+def _interior_rows(n: int, amps: np.ndarray, z: np.ndarray, core, out=None):
     """log I at each z of a state with light on |1) ... |N-1); P goes into ``out``, if given.
 
     The SVD form runs on every z; the z whose estimate exceeds
     ``ERROR_LIMIT`` are recomputed by Horner, and refused with
     ``PrecisionError`` where Horner's bound exceeds it too.
     """
-    log_i, estimate = _svd_rows(params, amps, z, out)
+    log_i, estimate = _svd_rows(n, amps, z, core, out)
     flagged = np.flatnonzero(estimate > ERROR_LIMIT)
     if flagged.size:
-        log_i[flagged], occ, bound = _horner_rows(params, amps, z[flagged])
+        log_i[flagged], occ, bound = _horner_rows(n, amps, z[flagged], [a[flagged] for a in core])
         if out is not None:
             out[flagged] = occ
         refused = np.flatnonzero(bound > ERROR_LIMIT)
@@ -398,12 +365,12 @@ def _interior_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, 
             raise PrecisionError(
                 float(z[flagged[k]]),
                 f"SVD estimate {estimate[flagged[k]]:.1e} and Horner bound {bound[k]:.1e} "
-                f"both exceed {ERROR_LIMIT:g} (N={params.n_photons})",
+                f"both exceed {ERROR_LIMIT:g} (N={n})",
             )
     return log_i
 
 
-def _check_rows(params: BeamsplitterParams, z, log_i, occ, log_norm2: float) -> None:
+def _check_rows(n: int, z, lossless: bool, log_i, occ, log_norm2: float) -> None:
     """Raise for the first z whose values are not finite or break an invariant.
 
     ``occ`` is None when no occupations were formed.  A finite P lies in
@@ -411,9 +378,8 @@ def _check_rows(params: BeamsplitterParams, z, log_i, occ, log_norm2: float) -> 
     is; the rows are searched only when it is not.  G_N is a contraction
     for Gamma >= 0 (its anti-Hermitian part -i Gamma (N/2 + J_z) is
     negative semidefinite) and unitary at Gamma = 0, so log I never
-    exceeds ln ||a||^2 and equals it without loss.
+    exceeds ln ||a||^2 and equals it where ``lossless``.
     """
-    n = params.n_photons
     finite = np.isfinite(log_i)
     if occ is not None and not np.isfinite(occ.sum()):
         finite &= np.isfinite(occ).all(axis=1)
@@ -424,37 +390,35 @@ def _check_rows(params: BeamsplitterParams, z, log_i, occ, log_norm2: float) -> 
             f"z={float(z[k])!r} (N={n}, log I = {log_i[k]})"
         )
     excess = log_i - log_norm2
-    if params.gamma == 0.0:
+    if lossless:
         excess = np.abs(excess, out=excess)
     if excess.max(initial=-np.inf) > ERROR_LIMIT:
         k = np.argmax(excess > ERROR_LIMIT)
-        law = "unitary at Gamma = 0" if params.gamma == 0.0 else "a contraction"
+        law = "unitary at Gamma = 0" if lossless else "a contraction"
         raise PrecisionError(
             float(z[k]),
             f"log I - ln||a||^2 = {log_i[k] - log_norm2:.3g}, but G_N is {law} (N={n})",
         )
 
 
-def _state_rows(params: BeamsplitterParams, amps: np.ndarray, z: np.ndarray, log_norm2: float,
+def _state_rows(n: int, amps: np.ndarray, z: np.ndarray, core, lossless: bool, log_norm2: float,
                 with_occupations: bool):
     """(log I, P or None) of ``amps`` at each z, by blocks, each checked against ln ||a||^2.
 
     Without occupations no (z, N+1) array is allocated.
     """
-    n = params.n_photons
     if amps[1:n].any():
         rows, block = _interior_rows, max(1, _SVD_ENTRIES // (n + 1))
     else:
         rows, block = _edge_rows, max(1, _EDGE_ENTRIES // (n + 1))
     log_i = np.empty(z.size)
     occ = np.empty((z.size, n + 1)) if with_occupations else None
-    # out-of-range intermediates surface as non-finite values, caught by _check_rows
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for lo in range(0, z.size, block):
-            zb, hi = z[lo : lo + block], lo + block
-            pb = None if occ is None else occ[lo:hi]
-            log_i[lo:hi] = rows(params, amps, zb, pb)
-            _check_rows(params, zb, log_i[lo:hi], pb, log_norm2)
+    for lo in range(0, z.size, block):
+        zb, hi = z[lo : lo + block], lo + block
+        pb = None if occ is None else occ[lo:hi]
+        cb = core if zb.size == z.size else [a[lo:hi] for a in core]
+        log_i[lo:hi] = rows(n, amps, zb, cb, pb)
+        _check_rows(n, zb, lossless, log_i[lo:hi], pb, log_norm2)
     return log_i, occ
 
 
@@ -499,21 +463,22 @@ def _column_factors(n: int, c: float, ks: float, y: float, log_scale: float):
     return factors[0], factors[1], half_log_col, logs[0] + logs[1]
 
 
-def _core_matrix(n: int, z: float, theta: float, c: float, ks: float, y: float, log_scale):
+def _core_matrix(n: int, z: float, rounding: float, c: float, ks: float, y: float, log_scale):
     """(core, estimate): Sym^N of a core at one z and the relative error bounds of its columns.
 
     The core is e^log_scale [[c + y, -i ks], [-i ks, c - y]] with real
-    entries and unit determinant, from an argument theta (g1's, or 0 for
-    given entries).  Column k, the image of |k), takes its own scaled SVD
-    form, one pass per block of ``_SVD_ENTRIES`` entries, and its scale last,
+    entries and unit determinant, rounded by ``rounding`` eps (its change
+    of a column, relative, is at most 2 (N+1) eps rounding).  Column k, the
+    image of |k), takes its own scaled SVD form, one pass per block of
+    ``_SVD_ENTRIES`` entries, and its scale last,
     in two halves.  Its bound, ||col|| before the scale: 16 (N+1) eps /
     ||col|| for the form, whose scaled operator has norm 1; 20 N eps /
     ||col|| for the 2x2 SVD of ``_column_factors``, whose s1, s2/s1, p1 and
     p2 are exact for a matrix within 20 eps s1 of g diag(1, alpha) (3.4 from
     e, f, g, h, 3 from each angle, 8 from s2/s1, 2 from s1), moved at most
-    N-fold by Sym^N; and 2 (N+1) eps (theta + log size / N + 1) for rounding
-    theta and the scale.  Raises ``OverflowGuardError`` when the core leaves
-    the double range and ``PrecisionError`` when a bound exceeds
+    N-fold by Sym^N; and 2 (N+1) eps (rounding + log size / N) for the
+    entries and the scale.  Raises ``OverflowGuardError`` when the core
+    leaves the double range and ``PrecisionError`` when a bound exceeds
     ``ERROR_LIMIT``.  At z = 0 the core is I.
     """
     if z == 0:
@@ -533,7 +498,7 @@ def _core_matrix(n: int, z: float, theta: float, c: float, ks: float, y: float, 
         squares = np.einsum("ij,ij->j", core.view(float), core.view(float))
         slack = 2.0 * (n + 1) * _EPS
         estimate = (_EST_FACTOR * (n + 1) + 20.0 * n * _EPS) / np.sqrt(squares[::2] + squares[1::2])
-        estimate += half_log_size * (2.0 * slack / n) + slack * (theta + 1.0)
+        estimate += half_log_size * (2.0 * slack / n) + slack * rounding
         # in two halves, so that only entries beyond the double range overflow
         half_scale = np.exp(half_log_col)
         core *= half_scale

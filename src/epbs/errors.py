@@ -13,22 +13,21 @@ class SimulationError(Exception):
 
 
 class PoleProximityError(SimulationError):
-    """Evaluation requested too close to a pole of the factored propagator.
+    """The factored propagator was evaluated where w(z) is exactly 0, at a pole.
 
-    The product form of the evolution operator is singular where the
-    auxiliary function w(z) vanishes (only possible below the loss
-    threshold).  The evolution operator itself is entire in z and
-    ``evolution_operator`` evaluates it there without the factorization.
+    The product form of the evolution operator is singular where w(z)
+    vanishes (only below the loss threshold); near a zero its column bounds
+    grow as 1/|w| and raise ``PrecisionError`` instead.  The operator itself
+    is entire in z: ``evolution_operator`` evaluates it without the factors.
     """
 
-    def __init__(self, z: float, w_abs: float, threshold: float):
+    def __init__(self, z: float, w_abs: float):
         super().__init__(
-            f"factored propagator is singular near z={z!r}: |w(z)|={w_abs:.3e} "
-            f"< {threshold:.1e}; use evolution_operator at this z"
+            f"factored propagator is singular at z={z!r}: |w(z)|={w_abs:.3e}; "
+            f"use evolution_operator at this z"
         )
         self.z = z
         self.w_abs = w_abs
-        self.threshold = threshold
 
 
 class EigensolverError(SimulationError):

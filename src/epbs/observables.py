@@ -379,8 +379,13 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
         for _ in range(_REFINE_STEPS):
             f_m, f_0, f_p = mismatch((t - h, t, t + h))
             denom = f_m - 2.0 * f_0 + f_p
-            step = 0.5 * h * (f_m - f_p) / denom if denom > 0 else 0.0
-            step = min(max(t + step, lo), hi) - t
+            if denom <= 0:
+                # a concave sample is no settled vertex: the valley is narrower
+                # than h, so move to the lowest sample and halve h
+                lowest = t + (-h, 0.0, h)[int(np.argmin((f_m, f_0, f_p)))]
+                t, h = min(max(lowest, lo), hi), 0.5 * h
+                continue
+            step = min(max(t + 0.5 * h * (f_m - f_p) / denom, lo), hi) - t
             if abs(step) < 1e-15 * t:
                 break
             t, h = t + step, max(abs(step), 1e-9 * t)

@@ -14,7 +14,8 @@ on |m) = |N-m>_a |m>_b is the polynomial P(x, y) = sum_m c_m sqrt(C(N, m))
 x^(N-m) y^m, and G_N maps it to P(u x + v y, v x + t y) times the scalar
 prefactor.  g1 is entire in z, so there are no poles.  Its scale is kept
 in log space with the decay -Gamma*N*z, so nothing overflows.
-``_sympower`` evaluates Sym^N(g1): ``evolve_grid`` maps a state over a
+``_g1`` forms g1's core once per call, for one z or a whole grid, and
+``_sympower`` evaluates Sym^N of it: ``evolve_grid`` maps a state over a
 whole z grid without forming G_N, and ``evolution_operator`` builds the
 matrix, each column with its own bound.  A value not certified to
 ``ERROR_LIMIT`` raises ``PrecisionError``.
@@ -27,10 +28,11 @@ which exist only below threshold.  ``wei_norman_params`` reads w and q
 off the engine's g1 core, so one evaluation serves every regime, the
 critical loss included; ``ep_limit_params`` is the paper's critical-loss
 form.  ``assemble_propagator`` multiplies the one-photon factors and takes
-Sym^N of their product with ``evolution_operator``'s certified core
-builder.  They are the reproduced result.  The tests check them against
-each other, literal factor products, dense matrix exponentials and direct
-integration of the coefficient system (``tests/oracles.py``).
+Sym^N of their product as ``evolution_operator`` takes it of g1's core,
+with column bounds that carry the product's rounding, N eps / |w| near a
+zero of w.  They are the reproduced result.  The tests check them
+against each other, literal factor products, dense matrix exponentials and
+direct integration of the coefficient system (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sympower import ERROR_LIMIT, _core_matrix, _g1_core, _g1_cs, _state_rows
+from ._sympower import ERROR_LIMIT, _core_matrix, _state_rows
 from .errors import OverflowGuardError, PoleProximityError, PrecisionError
 from .fock_core import BeamsplitterParams
 
@@ -57,13 +59,10 @@ __all__ = [
     "first_pole",
     "METHOD",
     "ERROR_LIMIT",
-    "POLE_TOLERANCE",
 ]
 
 # Label of the single evaluation path, reported with every operator and trace.
 METHOD = "symmetric_power"
-# |w(z)| below which the factored form is rejected as pole-adjacent.
-POLE_TOLERANCE = 1e-6
 _TINY = np.finfo(float).tiny
 # ln 2 split as in fdlibm: k * _LN2_HI is exact for |k| < 2^20
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
@@ -125,6 +124,26 @@ def _check_z(z, ndim: int) -> np.ndarray:
     return out
 
 
+def _g1(kappa: float, gamma: float, z):
+    """(c, kappa s, (Gamma/2) s, log_scale, Gamma z, theta) of g1's core at z, an array or a scalar.
+
+    theta = z |Delta_lambda|/2; c and s are cos(theta) and sin(theta)/(Delta_lambda/2)
+    below threshold, cosh and sinh above it with their growth e^theta in
+    the log scale, exactly 1 and z at the critical loss.
+    """
+    dl2 = 4.0 * kappa * kappa - gamma * gamma
+    half = 0.5 * math.sqrt(abs(dl2))
+    theta = half * z
+    if dl2 > 0:
+        c, s, log_scale = np.cos(theta), np.sin(theta) / half, 0.0 * z
+    elif dl2 < 0:
+        log_scale, c = theta, 0.5 * (1.0 + np.exp(-2.0 * theta))
+        s = -0.5 * np.expm1(-2.0 * theta) / half
+    else:
+        c, s, log_scale = 0.0 * z + 1.0, z, 0.0 * z
+    return c, kappa * s, 0.5 * gamma * s, log_scale, gamma * z, theta
+
+
 def _prefactor_exponent(params: BeamsplitterParams, z: float) -> complex:
     return -1j * (params.omega0 - 0.5j * params.gamma) * params.n_photons * z
 
@@ -132,21 +151,22 @@ def _prefactor_exponent(params: BeamsplitterParams, z: float) -> complex:
 def wei_norman_params(params: BeamsplitterParams, z: float) -> WeiNormanParams:
     """Closed-form coefficient functions at distance z, read off g1's core.
 
-    w = u and f_+/- = kappa*s/u = -Im(v)/u, with (u, v) from the same exact
-    evaluation the engine uses, in either regime and at the critical loss.
-    Raises ``ValueError`` for a negative or non-finite z,
-    ``OverflowGuardError`` when w leaves the double range, and
-    ``PoleProximityError`` when |w(z)| < ``POLE_TOLERANCE``.
+    w = u = c + y and f_+/- = kappa*s/u, from the same evaluation of g1
+    the engine uses, in either regime and at the critical loss.  Raises
+    ``ValueError`` for a negative or non-finite z, ``OverflowGuardError``
+    when w leaves the double range, and ``PoleProximityError`` where w is
+    exactly 0.
     """
     _check_z(z, 0)
-    u, v, _, log_scale = _g1_core(params.kappa, params.gamma, np.float64(z))
+    c, ks, y, log_scale = _g1(params.kappa, params.gamma, np.float64(z))[:4]
+    u = c + y
     with np.errstate(over="ignore"):
         w = float(u * np.exp(log_scale))
     if not math.isfinite(w):
         raise OverflowGuardError(f"w(z) exceeds double-precision range at z={z!r}")
-    if abs(w) < POLE_TOLERANCE:
-        raise PoleProximityError(z, abs(w), POLE_TOLERANCE)
-    f = float(-v.imag / u)
+    if w == 0.0:
+        raise PoleProximityError(z, 0.0)
+    f = float(ks / u)
     return WeiNormanParams(
         z=float(z),
         f_plus=f,
@@ -210,9 +230,14 @@ def assemble_propagator(wn: WeiNormanParams) -> PropagatorMatrix:
     [[1, -i f], [0, 1]] (f = f_+ = f_-); their product is the unit-
     determinant core [[w, -i f w], [-i f w, t]], t = 1/w - f^2 w.  Its
     Sym^N, e^{-i f J_+} w^{N-2 J_z} e^{-i f J_-} with N = ``wn.n_photons``,
-    is built as ``evolution_operator``'s core is, with the same column
-    bounds.  Raises ``ValueError`` for a complex w or f_+ != f_- (no closed
-    form gives them), ``PoleProximityError`` at w = 0,
+    is built as ``evolution_operator``'s core is, its column bounds adding
+    t's rounding dt.  Near a zero of w, t cancels: |dt| / eps is (1/|w| +
+    2 f^2 |w| + |t|) / 2 for its roundings, plus f^2 |w| + |t| max(|w|,
+    |t|) / |w| for f's, as u = c + y is off by eps max(|w|, |t|).  Sym^N
+    turns dt [[0, 0], [i f w, w]], the core's change times its inverse,
+    into a relative column change of at most |dt| (|f w| (N+1)/2 + |w| N).
+    Raises ``ValueError`` for a complex w or f_+ != f_- (no closed form
+    gives them), ``PoleProximityError`` where w is exactly 0,
     ``OverflowGuardError`` when the result leaves the double range and
     ``PrecisionError`` when a column's bound exceeds ``ERROR_LIMIT``.
     """
@@ -220,10 +245,13 @@ def assemble_propagator(wn: WeiNormanParams) -> PropagatorMatrix:
     if w.imag != 0.0 or f != wn.f_minus:
         raise ValueError(f"assembly needs a real w and f_+ == f_-, got {w}, {f}, {wn.f_minus}")
     w = w.real
-    if abs(w) < 1e-300:
-        raise PoleProximityError(wn.z, abs(w), 1e-300)
+    if w == 0.0:
+        raise PoleProximityError(wn.z, 0.0)
     t = 1.0 / w - f * f * w
-    core = _core_matrix(wn.n_photons, wn.z, 0.0, 0.5 * (w + t), f * w, 0.5 * (w - t), 0.0)[0]
+    a_w, a_t, ffw = abs(w), abs(t), f * f * abs(w)
+    t_err = 0.5 * (1.0 / a_w + 2.0 * ffw + a_t) + ffw + a_t * max(a_w, a_t) / a_w
+    rounding = 1.0 + 0.25 * t_err * (abs(f * w) + 2.0 * a_w)
+    core = _core_matrix(wn.n_photons, wn.z, rounding, 0.5 * (w + t), f * w, 0.5 * (w - t), 0.0)[0]
     return PropagatorMatrix(
         core=core, prefactor_exponent=complex(wn.prefactor_exponent), method=wn.source
     )
@@ -269,7 +297,10 @@ def _evolve_grid(params: BeamsplitterParams, amplitudes, z_grid, with_occupation
         exp = math.frexp(top)[1]
         amps = np.ldexp(parts, -exp).view(complex)
         norm2 = float(np.vdot(amps, amps).real)
-    log_i, occ = _state_rows(params, amps, z, math.log(norm2), with_occupations)
+    # out-of-range intermediates surface as non-finite values, which the engine refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_i, occ = _state_rows(n, amps, z, _g1(params.kappa, params.gamma, z)[:5],
+                                 params.gamma == 0.0, math.log(norm2), with_occupations)
     if exp:
         # 2 exp ln 2 in two parts, so that it adds a single rounding
         log_i += 2 * exp * _LN2_LO
@@ -282,17 +313,16 @@ def evolution_operator(params: BeamsplitterParams, z: float) -> PropagatorMatrix
 
     The core has unit determinant; column k is the image of |k), the
     coefficients of X^(N-k) Y^k.  A column whose error bound
-    (``_sympower._core_matrix``) exceeds ``ERROR_LIMIT`` raises
-    ``PrecisionError`` naming z, N and the column.  At z = 0 the core is I.
+    (``_sympower._core_matrix``, its entries rounded by theta + 1 eps)
+    exceeds ``ERROR_LIMIT`` raises ``PrecisionError`` naming z, N and the
+    column.  At z = 0 the core is I.
     Raises ``OverflowGuardError`` when the core itself leaves the double
     range (the log intensities of ``evolve_grid`` never do), and
     ``ValueError`` for a negative or non-finite z.
     """
     _check_z(z, 0)
-    kappa, gamma = params.kappa, params.gamma
-    c, s, log_scale = map(float, _g1_cs(kappa, gamma, z))
-    theta = 0.5 * math.sqrt(abs(4.0 * kappa**2 - gamma**2)) * z
-    core = _core_matrix(params.n_photons, z, theta, c, kappa * s, 0.5 * gamma * s, log_scale)[0]
+    c, ks, y, log_scale, _, theta = map(float, _g1(params.kappa, params.gamma, z))
+    core = _core_matrix(params.n_photons, z, theta + 1.0, c, ks, y, log_scale)[0]
     return PropagatorMatrix(
         core=core, prefactor_exponent=_prefactor_exponent(params, z), method=METHOD
     )

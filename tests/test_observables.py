@@ -507,6 +507,16 @@ def test_periodicity_never_returns_a_multiple(n, kind, start, count):
     assert abs(period - t_exact) <= 1e-12
 
 
+@pytest.mark.parametrize("n, start", [(40, 0.0126), (40, 0.0191), (1000, 0.0), (2000, 0.0)])
+def test_periodicity_refines_past_a_concave_sample(n, start):
+    # the mismatch valley is narrower than the grid step here, so the first
+    # three samples were concave and the refinement stopped as if settled;
+    # no candidate then matched and these grids were refused
+    t_exact = 2.0 * math.pi / math.sqrt(3.0)
+    tr = trace_evolution(make_input("noon", n), params(1.0, n), np.linspace(start, 30.0, 400))
+    assert abs(periodicity_check(tr).period_detected - t_exact) <= 1e-12 * t_exact
+
+
 def test_periodicity_preconditions():
     s = make_input("noon", 4)
     tr = trace_evolution(s, params(2.0, 4), np.linspace(0.0, 10.0, 100))

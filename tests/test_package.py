@@ -2,14 +2,17 @@
 
 Every import of the package is at module level, so no call pays for one
 lazily, and the Sym^N engine (``_sympower``) depends on no other module of
-the package than the exceptions and the parameters.
+the package than the exceptions: it takes 2x2 cores, never parameters.
 """
 
 import ast
+import inspect
 import pathlib
 import re
 
 import pytest
+
+from epbs import _sympower
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -53,7 +56,7 @@ def test_no_module_imports_inside_a_function():
     assert lazy == []
 
 
-def test_sympower_imports_only_errors_and_fock_core_from_the_package():
+def test_sympower_imports_only_errors_from_the_package():
     path = ROOT / "src" / "epbs" / "_sympower.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -63,4 +66,10 @@ def test_sympower_imports_only_errors_and_fock_core_from_the_package():
             imported.add(node.module)
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.split(".")[0] == "epbs")
-    assert imported == {"errors", "fock_core"}
+    assert imported == {"errors"}
+    takes_params = [
+        name
+        for name, func in inspect.getmembers(_sympower, inspect.isfunction)
+        if func.__module__ == _sympower.__name__ and "params" in inspect.signature(func).parameters
+    ]
+    assert takes_params == []

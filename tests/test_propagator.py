@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epbs.errors import OverflowGuardError, PoleProximityError
+from epbs.errors import OverflowGuardError, PoleProximityError, PrecisionError
 from epbs.fock_core import BeamsplitterParams, build_hamiltonian, build_operators
 from epbs.propagator import (
     METHOD,
@@ -74,8 +74,13 @@ def test_wn_params_lossless_is_tangent():
 
 
 def test_wn_params_rejects_pole_and_negative_z():
+    # at Gamma = 0, z = pi/2 the computed w is 6e-17, not 0: the assembly's
+    # column bounds refuse it, and only w = 0 exactly is a pole
+    wn = wei_norman_params(params(0.0, 3), math.pi / 2)
+    with pytest.raises(PrecisionError):
+        assemble_propagator(wn)
     with pytest.raises(PoleProximityError):
-        wei_norman_params(params(0.0, 3), math.pi / 2)
+        assemble_propagator(replace(wn, w=0j))
     for z in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
             wei_norman_params(params(0.0, 3), z)

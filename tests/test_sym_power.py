@@ -39,8 +39,7 @@ from epbs._sympower import (
 from epbs.propagator import (
     ERROR_LIMIT,
     _core_matrix,
-    _g1_core,
-    _g1_cs,
+    _g1,
     assemble_propagator,
     evolution_operator,
     evolve_grid,
@@ -161,9 +160,13 @@ def test_reference_matches_closed_form_at_one_photon():
 
 def g1_core_matrix(p, z):
     """``_core_matrix`` on g1's entries at z, as ``evolution_operator`` passes them."""
-    c, s, log_scale = (float(x) for x in _g1_cs(p.kappa, p.gamma, z))
-    theta = 0.5 * math.sqrt(abs(4.0 * p.kappa**2 - p.gamma**2)) * z
-    return _core_matrix(p.n_photons, z, theta, c, p.kappa * s, 0.5 * p.gamma * s, log_scale)
+    c, ks, y, log_scale, _, theta = map(float, _g1(p.kappa, p.gamma, z))
+    return _core_matrix(p.n_photons, z, theta + 1.0, c, ks, y, log_scale)
+
+
+def g1_core(p, z):
+    """g1's core at each z, as the state kernels take it."""
+    return _g1(p.kappa, p.gamma, np.asarray(z, dtype=float))[:5]
 
 
 def column_errors(core, ref):
@@ -203,6 +206,56 @@ def test_assembled_columns_against_reference(n, ratio):
     for z in zs:
         core = assemble_propagator(wei_norman_params(p, z)).core
         assert column_errors(core, exact_core(n, p.kappa, p.gamma, z)).max() <= 1e-10
+
+
+def _near_poles(p, rng):
+    """z = z_pole -/+ |w| / |w'(z_pole)| at the first two zeros of w.
+
+    |w| is seeded in each decade from 1e-2 to 1e-12.
+    """
+    half = 0.5 * math.sqrt(4.0 * p.kappa**2 - p.gamma**2)
+    first = first_pole(p)
+    for pole in (first, first + math.pi / half):
+        slope = abs(-half * math.sin(half * pole) + 0.5 * p.gamma * math.cos(half * pole))
+        for k in range(2, 12):
+            for side in (-1.0, 1.0):
+                yield pole + side * 10.0 ** -rng.uniform(k, k + 1) / slope
+
+
+@pytest.mark.parametrize("ratio", [0.25, 0.5, 0.95])
+@pytest.mark.parametrize("n", [1, 10, 40, 200])
+def test_assembly_near_poles_is_accurate_or_refused(n, ratio, monkeypatch):
+    # with only |w| < 1e-6 refused, 49 of the 192 points returned here were
+    # off by more than 1e-10, silently, up to 1.8e-8.  Each column must be
+    # within its bound of evolution_operator's (within both bounds, so
+    # neither is taken as exact), and a returned core within 1e-10 in the
+    # max entry.  No point may be refused that the former assembly returned
+    # (|w| >= 1e-6 and its own bounds met) within 1e-12
+    p = params(2.0 * ratio, n)
+    limit = ERROR_LIMIT
+    monkeypatch.setattr(_sympower, "ERROR_LIMIT", math.inf)
+    bounds = []
+
+    def recording(n, z, rounding, *entries):
+        core, estimate = _core_matrix(n, z, rounding, *entries)
+        # the former bound: the entries' rounding taken as 1
+        bounds.append((estimate, estimate - 2.0 * (n + 1) * EPS * (rounding - 1.0)))
+        return core, estimate
+
+    monkeypatch.setattr(propagator, "_core_matrix", recording)
+
+    for z in _near_poles(p, np.random.default_rng([n, int(100 * ratio)])):
+        wn = wei_norman_params(p, z)
+        core = assemble_propagator(wn).core
+        estimate, former = bounds[-1]
+        ref, ref_estimate = g1_core_matrix(p, z)
+        assert ref_estimate.max() <= limit
+        assert np.all(column_errors(core, ref) <= estimate + ref_estimate)
+        err = np.abs(core - ref).max() / np.abs(ref).max()
+        if estimate.max() <= limit:
+            assert err <= limit
+        elif abs(wn.w) >= 1e-6 and former.max() <= limit:
+            assert err > 1e-12, z
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.5, 0.95, 1.0, 1.2, 2.0])
@@ -398,8 +451,8 @@ def test_all_in_b_at_large_n_matches_single_column_form(n, gamma):
     p = params(gamma, n)
     grid = np.linspace(0.0, 10.0, 201)
     log_i, occ = evolve_grid(p, make_input("all_in_b", n).amplitudes, grid)
-    _u, v, t, log_scale = _g1_core(p.kappa, p.gamma, grid)
-    closed = n * np.log(abs(v) ** 2 + abs(t) ** 2) + 2 * n * log_scale - gamma * n * grid
+    c, ks, y, log_scale = _g1(p.kappa, p.gamma, grid)[:4]
+    closed = n * np.log(ks**2 + (c - y) ** 2) + 2 * n * log_scale - gamma * n * grid
     np.testing.assert_allclose(log_i, closed, rtol=0, atol=1e-10)
     assert np.isfinite(occ).all()
 
@@ -523,10 +576,10 @@ def test_interior_states_are_accurate_or_refused(n, ratio, kind, z):
     slack = 8 * EPS * (abs(ref_li) + n * p.gamma * z)
     zs = np.array([z])
     occ = np.empty((1, n + 1))
-    li, estimate = _svd_rows(p, amps, zs, occ)
+    li, estimate = _svd_rows(n, amps, zs, g1_core(p, zs), occ)
     d_li, d_p = _errors(li[0], occ[0], ref_li, ref_p)
     assert d_li <= estimate[0] + slack and d_p <= estimate[0]
-    li, occ, bound = _horner_rows(p, amps, zs)
+    li, occ, bound = _horner_rows(n, amps, zs, g1_core(p, zs))
     d_li, d_p = _errors(li[0], occ[0], ref_li, ref_p)
     assert d_li <= bound[0] + slack and d_p <= bound[0]
     try:
@@ -548,7 +601,7 @@ def test_lossless_dense_n200_is_unitary_where_horner_fails():
     log_i, occ = evolve_grid(p, amps, grid)
     assert np.abs(log_i).max() <= 1e-10
     assert np.abs(occ.sum(axis=1) - 1.0).max() <= 1e-13
-    horner_li = _horner_rows(p, amps, grid)[0]
+    horner_li = _horner_rows(200, amps, grid, g1_core(p, grid))[0]
     assert np.abs(horner_li).max() > 1.0
 
 
@@ -562,15 +615,16 @@ def test_flagged_rows_are_the_horner_rows():
     amps[n // 2] = 1e-6
     amps /= np.linalg.norm(amps)
     grid = np.linspace(0.0, 20.0, 41)
-    flagged = _svd_rows(p, amps, grid, np.empty((grid.size, n + 1)))[1] > ERROR_LIMIT
+    core = g1_core(p, grid)
+    flagged = _svd_rows(n, amps, grid, core, np.empty((grid.size, n + 1)))[1] > ERROR_LIMIT
     assert 0 < flagged.sum() < grid.size
     log_i, occ = evolve_grid(p, amps, grid)
-    horner_li, horner_occ, bound = _horner_rows(p, amps, grid[flagged])
+    horner_li, horner_occ, bound = _horner_rows(n, amps, grid[flagged], g1_core(p, grid[flagged]))
     assert np.array_equal(log_i[flagged], horner_li)
     assert np.array_equal(occ[flagged], horner_occ)
     assert bound.max() <= ERROR_LIMIT
     # the intensity-only form flags the same z and takes Horner's log I there
-    assert np.array_equal(_svd_rows(p, amps, grid)[1] > ERROR_LIMIT, flagged)
+    assert np.array_equal(_svd_rows(n, amps, grid, core)[1] > ERROR_LIMIT, flagged)
     log_i_only, no_occ = propagator._evolve_grid(p, amps, grid, False)
     assert no_occ is None
     assert np.array_equal(log_i_only[flagged], horner_li)
@@ -629,25 +683,25 @@ def test_spin_basis_diagonalizes_2jx():
 
 
 def test_invariant_guards_name_z():
-    p0, p1 = params(0.0, 3), params(1.0, 3)
+    # lossy (Gamma = 1) and lossless rows at N = 3
     z = np.array([0.5, 1.5])
     occ = np.full((2, 4), 0.25)
-    _check_rows(p1, z, np.array([-0.1, -1.0]), occ, 0.0)
+    _check_rows(3, z, False, np.array([-0.1, -1.0]), occ, 0.0)
     with pytest.raises(PrecisionError, match="contraction") as err:
-        _check_rows(p1, z, np.array([-0.1, 2e-10]), occ, 0.0)
+        _check_rows(3, z, False, np.array([-0.1, 2e-10]), occ, 0.0)
     assert err.value.z == 1.5
-    _check_rows(p0, z, np.array([0.0, 5e-11]), occ, 0.0)
+    _check_rows(3, z, True, np.array([0.0, 5e-11]), occ, 0.0)
     with pytest.raises(PrecisionError, match="unitary") as err:
-        _check_rows(p0, z, np.array([-2e-10, 0.0]), occ, 0.0)
+        _check_rows(3, z, True, np.array([-2e-10, 0.0]), occ, 0.0)
     assert err.value.z == 0.5
     # the norm of the amplitudes as given is the reference
-    _check_rows(p1, z, np.array([math.log(4.0), 0.0]), occ, math.log(4.0))
+    _check_rows(3, z, False, np.array([math.log(4.0), 0.0]), occ, math.log(4.0))
     # a non-finite occupation names its own z, also beside finite log I
     for bad in (math.nan, math.inf):
         occ_bad = occ.copy()
         occ_bad[1, 2] = bad
         with pytest.raises(OverflowGuardError, match="z=1.5"):
-            _check_rows(p1, z, np.array([-0.1, -1.0]), occ_bad, 0.0)
+            _check_rows(3, z, False, np.array([-0.1, -1.0]), occ_bad, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +711,8 @@ def test_invariant_guards_name_z():
 def _log_closed_forms(p, z):
     """log I of all_in_a, all_in_b and noon from g1's entries, in log space."""
     n = p.n_photons
-    u, v, t, log_scale = _g1_core(p.kappa, p.gamma, z)
+    c, ks, y, log_scale = _g1(p.kappa, p.gamma, z)[:4]
+    u, v, t = c + y, -1j * ks, c - y
     shift = 2 * n * log_scale - p.gamma * n * z
     log_a = n * np.log(abs(u) ** 2 + abs(v) ** 2)
     log_b = n * np.log(abs(v) ** 2 + abs(t) ** 2)
@@ -681,8 +736,8 @@ def test_edge_states_beyond_binomial_overflow(n, gamma):
         np.testing.assert_allclose(log_i, closed[kind], rtol=1e-12, atol=1e-10)
         np.testing.assert_allclose(occ.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     # all_in_a spreads binomially: P(m) = C(N, m) p^(N-m) (1-p)^m
-    u, v, _, _ = _g1_core(p.kappa, p.gamma, grid)
-    share = abs(u) ** 2 / (abs(u) ** 2 + abs(v) ** 2)
+    c, ks, y = _g1(p.kappa, p.gamma, grid)[:3]
+    share = (c + y) ** 2 / ((c + y) ** 2 + ks**2)
     m = np.arange(n + 1)
     log_binom = np.array(
         [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in m]
