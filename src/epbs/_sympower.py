@@ -13,8 +13,8 @@ its amplitudes choose:
 - SVD: any other state.  The core is B(phi) diag(lambda, 1/lambda) B(phi),
   B(phi) = exp(-i phi sigma_x), so Sym^N of it is E diag(lambda^(N-2m)) E,
   E = Q diag(e^(-i phi mu)) Q^T, with Q the real eigenbasis of 2 J_x
-  (built once per N): three real matrix products per block, or one
-  without P; 16 (N+1) eps ||a|| / ||psi|| estimates each image's error.
+  (built once per N): Q^T a once per call, three real GEMMs per block
+  (one without P); 16 (N+1) eps ||a|| / ||psi|| estimates each image's error.
 - Horner: the z whose SVD estimate exceeds ``ERROR_LIMIT`` are recomposed
   homogeneous-Horner style, O(N^2) per z, with Higham's bound; where that
   bound exceeds ``ERROR_LIMIT`` too, the update raises ``PrecisionError``.
@@ -251,9 +251,9 @@ def _svd_form(q: np.ndarray, x: np.ndarray, left, right, scaling: np.ndarray):
 
     The factors hold one column per z (x one state) or per column of x, or
     are one column (one z, a block of states).  Two phase multiplies, one
-    diagonal scaling and three real GEMMs on the real and imaginary parts
-    at once.  Without ``left`` it stops at diag(scaling) E(right) x after one
-    GEMM: E(left) is unitary, so the columns have the whole form's norms.
+    diagonal scaling and three real GEMMs, into new arrays (x is never
+    written).  Without ``left`` it stops at diag(scaling) E(right) x after
+    one GEMM: E(left) is unitary, so the columns have the whole form's norms.
     """
     x = np.multiply(right, x, order="C")
     out = _real_matmul(q, x)
@@ -265,21 +265,19 @@ def _svd_form(q: np.ndarray, x: np.ndarray, left, right, scaling: np.ndarray):
     return _real_matmul(q, x, out=out)
 
 
-def _svd_rows(n: int, amps: np.ndarray, z: np.ndarray, core, out=None):
+def _svd_rows(n: int, x: np.ndarray, a_norm: float, z: np.ndarray, core, out=None):
     """(log I, error estimate) at each z by the SVD form of Sym^N of the core; P goes into ``out``.
 
-    The scale N |ln lambda| goes into log I.  The form is normwise
-    backward stable, so 16 (N+1) eps ||a|| / ||psi|| estimates the
-    relative error of each image psi; without P the form stops early.
+    The state is x = Q^T a; log I takes the scale N |ln lambda|.  The form
+    is normwise backward stable, so 16 (N+1) eps ||a|| / ||psi|| estimates
+    the relative error of each image psi; without P the form stops early.
     """
-    q = _spin_basis(n)
     c, ks, y, log_scale, gz = core
     phase, scaling, log_lam = _svd_factors(n, c, ks, y, log_scale)
-    x = _real_matmul(q.T, amps[:, None])
-    psi = _svd_form(q, x, None if out is None else phase, phase, scaling)
+    psi = _svd_form(_spin_basis(n), x, None if out is None else phase, phase, scaling)
     del phase, scaling
     log_i, norm = _observe(psi.T, n * (2.0 * np.abs(log_lam) - gz), out)
-    return log_i, _EST_FACTOR * (n + 1) * np.linalg.norm(amps) / norm
+    return log_i, _EST_FACTOR * (n + 1) * a_norm / norm
 
 
 def _horner(u, v, t, coeffs: np.ndarray) -> np.ndarray:
@@ -346,14 +344,14 @@ def _horner_rows(n: int, amps: np.ndarray, z: np.ndarray, core):
     return log_i, occ, factor * np.linalg.norm(magnitude, axis=1) / psi_norm
 
 
-def _interior_rows(n: int, amps: np.ndarray, z: np.ndarray, core, out=None):
+def _interior_rows(n: int, amps: np.ndarray, x, a_norm: float, z: np.ndarray, core, out=None):
     """log I at each z of a state with light on |1) ... |N-1); P goes into ``out``, if given.
 
-    The SVD form runs on every z; the z whose estimate exceeds
-    ``ERROR_LIMIT`` are recomputed by Horner, and refused with
-    ``PrecisionError`` where Horner's bound exceeds it too.
+    The SVD form runs on every z, from x = Q^T a; the z whose estimate
+    exceeds ``ERROR_LIMIT`` are recomputed by Horner from ``amps``, and
+    refused with ``PrecisionError`` where Horner's bound exceeds it too.
     """
-    log_i, estimate = _svd_rows(n, amps, z, core, out)
+    log_i, estimate = _svd_rows(n, x, a_norm, z, core, out)
     flagged = np.flatnonzero(estimate > ERROR_LIMIT)
     if flagged.size:
         log_i[flagged], occ, bound = _horner_rows(n, amps, z[flagged], [a[flagged] for a in core])
@@ -408,16 +406,18 @@ def _state_rows(n: int, amps: np.ndarray, z: np.ndarray, core, lossless: bool, l
     Without occupations no (z, N+1) array is allocated.
     """
     if amps[1:n].any():
-        rows, block = _interior_rows, max(1, _SVD_ENTRIES // (n + 1))
+        x = _real_matmul(_spin_basis(n).T, amps[:, None])
+        rows = functools.partial(_interior_rows, n, amps, x, np.linalg.norm(amps))
+        block = max(1, _SVD_ENTRIES // (n + 1))
     else:
-        rows, block = _edge_rows, max(1, _EDGE_ENTRIES // (n + 1))
+        rows, block = functools.partial(_edge_rows, n, amps), max(1, _EDGE_ENTRIES // (n + 1))
     log_i = np.empty(z.size)
     occ = np.empty((z.size, n + 1)) if with_occupations else None
     for lo in range(0, z.size, block):
         zb, hi = z[lo : lo + block], lo + block
         pb = None if occ is None else occ[lo:hi]
         cb = core if zb.size == z.size else [a[lo:hi] for a in core]
-        log_i[lo:hi] = rows(n, amps, zb, cb, pb)
+        log_i[lo:hi] = rows(zb, cb, pb)
         _check_rows(n, zb, lossless, log_i[lo:hi], pb, log_norm2)
     return log_i, occ
 

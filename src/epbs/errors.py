@@ -17,17 +17,17 @@ class PoleProximityError(SimulationError):
 
     The product form of the evolution operator is singular where w(z)
     vanishes (only below the loss threshold); near a zero its column bounds
-    grow as 1/|w| and raise ``PrecisionError`` instead.  The operator itself
-    is entire in z: ``evolution_operator`` evaluates it without the factors.
+    grow as 1/|w| and raise ``PrecisionError`` instead, so this error
+    carries only z.  The operator itself is entire in z:
+    ``evolution_operator`` evaluates it without the factors.
     """
 
-    def __init__(self, z: float, w_abs: float):
+    def __init__(self, z: float):
         super().__init__(
-            f"factored propagator is singular at z={z!r}: |w(z)|={w_abs:.3e}; "
+            f"factored propagator is singular at z={z!r}: w(z) = 0; "
             f"use evolution_operator at this z"
         )
         self.z = z
-        self.w_abs = w_abs
 
 
 class EigensolverError(SimulationError):

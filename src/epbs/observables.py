@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock_core import BeamsplitterParams, _n_photons_faults
-from .propagator import METHOD, _evolve_grid, evolve_grid
+from .propagator import METHOD, _scale_amplitudes, evolve_grid
 from .spectral import classify_regime, delta_lambda
 
 __all__ = [
@@ -83,9 +83,11 @@ def make_input(kind: str, n_photons: int, custom=None) -> InputState:
     'all_in_a' puts every photon in the neutral guide (m=0), 'all_in_b' in
     the lossy guide (m=N), 'noon' is the balanced superposition of the two,
     and 'custom' normalizes a caller-supplied length-(N+1) vector: any
-    finite, non-zero one.  It is first scaled by a power of two that puts
-    its largest entry in [1/2, 1), so that its norm neither overflows nor
-    underflows.  Every check, N's as in ``BeamsplitterParams``, runs before
+    finite, non-zero one, by the rule (and with the messages) of
+    ``evolve_grid``.  It is first scaled by the power of two that puts its
+    largest part in [1/2, 1), so that its norm neither overflows nor
+    underflows; that scaling is exact, so a vector whose norm is
+    representable keeps its bits.  Every check, N's as in ``BeamsplitterParams``, runs before
     anything of size N+1 is allocated; a failed one raises ``ValueError``.
     """
     if kind not in INPUT_KINDS:
@@ -101,13 +103,7 @@ def make_input(kind: str, n_photons: int, custom=None) -> InputState:
             raise ValueError(
                 f"custom amplitudes have shape {amp.shape}, expected (n_photons+1,) = ({dim},)"
             )
-        parts = amp.view(float)
-        if not np.isfinite(parts).all():
-            raise ValueError("custom amplitudes must be finite")
-        if not parts.any():
-            raise ValueError("custom amplitudes must not be the zero vector")
-        # an exact scaling, so a vector whose norm is representable keeps its bits
-        amp = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
+        amp = _scale_amplitudes(amp)[0]
         amp = amp / np.linalg.norm(amp)
     else:
         amp = np.zeros(dim, dtype=complex)
@@ -144,7 +140,7 @@ def intensity(
     then reads 0.0.  It is an intensity-only ``trace_evolution``'s value at
     z, which a trace with occupations matches to rounding (2.3e-13 in log I).
     """
-    log_i = _evolve_grid(params, state0.amplitudes, [z], False)[0]
+    log_i = evolve_grid(params, state0.amplitudes, [z], with_occupations=False)[0]
     return IntensityValue(value=float(_intensity_of(log_i)[0]), log_value=float(log_i[0]))
 
 
@@ -192,7 +188,7 @@ def trace_evolution(
     # the engine holds each z to its own rule: a 1-D grid of finite distances >= 0
     if grid.size == 0 or np.any(np.diff(grid.ravel()) < 0):
         raise ValueError("z grid must be non-empty and ascending")
-    log_i, occ = _evolve_grid(params, state0.amplitudes, grid, with_occupations)
+    log_i, occ = evolve_grid(params, state0.amplitudes, grid, with_occupations)
     return EvolutionTrace(
         z_grid=grid,
         intensity=_intensity_of(log_i),

@@ -15,10 +15,10 @@ x^(N-m) y^m, and G_N maps it to P(u x + v y, v x + t y) times the scalar
 prefactor.  g1 is entire in z, so there are no poles.  Its scale is kept
 in log space with the decay -Gamma*N*z, so nothing overflows.
 ``_g1`` forms g1's core once per call, for one z or a whole grid, and
-``_sympower`` evaluates Sym^N of it: ``evolve_grid`` maps a state over a
-whole z grid without forming G_N, and ``evolution_operator`` builds the
-matrix, each column with its own bound.  A value not certified to
-``ERROR_LIMIT`` raises ``PrecisionError``.
+``_sympower`` evaluates Sym^N of it: ``evolve_grid``, the one state entry,
+holds amplitudes to one rule and maps them over a z grid without forming
+G_N; ``evolution_operator`` builds the matrix, each column with its own
+bound.  A value not certified to ``ERROR_LIMIT`` raises ``PrecisionError``.
 
 The paper's closed form factorizes the same operator as
 e^{-i(omega0 - i*Gamma/2) N z} e^{-i f_+ J_+} e^{-i f_z J_z} e^{-i f_- J_-}
@@ -165,7 +165,7 @@ def wei_norman_params(params: BeamsplitterParams, z: float) -> WeiNormanParams:
     if not math.isfinite(w):
         raise OverflowGuardError(f"w(z) exceeds double-precision range at z={z!r}")
     if w == 0.0:
-        raise PoleProximityError(z, 0.0)
+        raise PoleProximityError(z)
     f = float(ks / u)
     return WeiNormanParams(
         z=float(z),
@@ -246,7 +246,7 @@ def assemble_propagator(wn: WeiNormanParams) -> PropagatorMatrix:
         raise ValueError(f"assembly needs a real w and f_+ == f_-, got {w}, {f}, {wn.f_minus}")
     w = w.real
     if w == 0.0:
-        raise PoleProximityError(wn.z, 0.0)
+        raise PoleProximityError(wn.z)
     t = 1.0 / w - f * f * w
     a_w, a_t, ffw = abs(w), abs(t), f * f * abs(w)
     t_err = 0.5 * (1.0 / a_w + 2.0 * ffw + a_t) + ffw + a_t * max(a_w, a_t) / a_w
@@ -257,45 +257,48 @@ def assemble_propagator(wn: WeiNormanParams) -> PropagatorMatrix:
     )
 
 
+def _scale_amplitudes(amps: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a 2^-e, e) for the e that puts a's largest real or imaginary part in [1/2, 1).
+
+    Raises ``ValueError`` for a non-finite amplitude or the zero vector.
+    """
+    parts = np.ascontiguousarray(amps, dtype=complex).view(float)
+    if not np.isfinite(parts).all():
+        raise ValueError("amplitudes must be finite")
+    top = np.abs(parts).max()
+    if not top:
+        raise ValueError("amplitudes must not be the zero vector")
+    exp = math.frexp(top)[1]
+    return np.ldexp(parts, -exp).view(complex), exp
+
+
 def evolve_grid(
-    params: BeamsplitterParams, amplitudes, z_grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """log I(z) and occupations P(m; z) of G(z) applied to a state, over a z array.
+    params: BeamsplitterParams, amplitudes, z_grid, with_occupations: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(log I, P) of G(z) applied to a state, over a z array; P is None without occupations.
 
     log I is ln ||G(z) psi||^2 for the amplitudes as given; P is the
     normalized |(m|G(z) psi>|^2, which stays exact after I itself has
     underflowed.  G is never formed: ``_sympower._state_rows`` maps the
-    state in blocks of z, which may come in any order.  Amplitudes whose
-    ||a||^2 leaves the normal range are first scaled by a power of two.
-    Raises ``ValueError`` for a negative or non-finite z, a non-finite
-    amplitude or the zero vector, ``OverflowGuardError`` if any computed
-    value is not finite, and ``PrecisionError`` where no form is certified
-    to ``ERROR_LIMIT`` or log I breaks the contraction (unitarity at
-    Gamma = 0) of G_N by more than ``ERROR_LIMIT``.
+    state in blocks of z, which may come in any order, and allocates no
+    (z, N+1) array without occupations.  Amplitudes whose ||a||^2 leaves the
+    normal range are first scaled by ``make_input``'s power of two, which
+    log I gets back.  Raises ``ValueError`` for a negative or non-finite z,
+    a non-finite amplitude or the zero vector, ``OverflowGuardError`` for a
+    non-finite computed value, and ``PrecisionError`` where no form is
+    certified to ``ERROR_LIMIT`` or log I breaks the contraction (unitarity
+    at Gamma = 0) of G_N by more than that.
     """
-    return _evolve_grid(params, amplitudes, z_grid, True)
-
-
-def _evolve_grid(params: BeamsplitterParams, amplitudes, z_grid, with_occupations: bool):
-    """``evolve_grid``; without occupations it returns (log I, None), with no (z, N+1) array."""
     n = params.n_photons
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.shape != (n + 1,):
         raise ValueError(f"state has shape {amps.shape}, expected ({n + 1},)")
     z = _check_z(z_grid, 1)
     norm2 = float(np.vdot(amps, amps).real)
-    # a NaN or inf amplitude makes ||a||^2 NaN or inf; a finite one may overflow it
-    if not norm2 < math.inf and not np.isfinite(amps).all():
-        raise ValueError("amplitudes must be finite")
     exp = 0
+    # the scaling refuses a non-finite amplitude and fixes a finite one of extreme scale
     if not _TINY <= norm2 < math.inf:
-        # the exact power-of-two scaling of make_input, which log I gets back
-        parts = np.ascontiguousarray(amps).view(float)
-        top = np.abs(parts).max()
-        if not top:
-            raise ValueError("amplitudes must not be the zero vector")
-        exp = math.frexp(top)[1]
-        amps = np.ldexp(parts, -exp).view(complex)
+        amps, exp = _scale_amplitudes(amps)
         norm2 = float(np.vdot(amps, amps).real)
     # out-of-range intermediates surface as non-finite values, which the engine refuses
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -128,6 +128,16 @@ def test_make_input_custom_any_finite_scale(custom, want):
     np.testing.assert_allclose(s.amplitudes, want, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("custom", [[1.0, math.nan, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+def test_make_input_refuses_as_the_engine_does(custom):
+    # one amplitude rule, one message per fault
+    with pytest.raises(ValueError) as built:
+        make_input("custom", 3, custom=custom)
+    with pytest.raises(ValueError) as evolved:
+        evolve_grid(params(1.0, 3), custom, [0.0, 1.0])
+    assert str(built.value) == str(evolved.value)
+
+
 def test_input_amplitudes_read_only():
     s = make_input("noon", 4)
     with pytest.raises(ValueError):
@@ -500,11 +510,7 @@ def test_periodicity_never_returns_a_multiple(n, kind, start, count):
     # of the span, as the benchmark shifts its grids
     t_exact = 2.0 * math.pi / math.sqrt(3.0)
     tr = trace_evolution(make_input(kind, n), params(1.0, n), np.linspace(start, 30.0, count))
-    try:
-        period = periodicity_check(tr).period_detected
-    except ValueError:
-        return
-    assert abs(period - t_exact) <= 1e-12
+    assert abs(periodicity_check(tr).period_detected - t_exact) <= 1e-12
 
 
 @pytest.mark.parametrize("n, start", [(40, 0.0126), (40, 0.0191), (1000, 0.0), (2000, 0.0)])

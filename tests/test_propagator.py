@@ -79,7 +79,7 @@ def test_wn_params_rejects_pole_and_negative_z():
     wn = wei_norman_params(params(0.0, 3), math.pi / 2)
     with pytest.raises(PrecisionError):
         assemble_propagator(wn)
-    with pytest.raises(PoleProximityError):
+    with pytest.raises(PoleProximityError, match=r"w\(z\) = 0;"):
         assemble_propagator(replace(wn, w=0j))
     for z in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):

@@ -169,6 +169,12 @@ def g1_core(p, z):
     return _g1(p.kappa, p.gamma, np.asarray(z, dtype=float))[:5]
 
 
+def svd_rows(n, amps, z, core, out=None):
+    """``_svd_rows`` on a state given as amplitudes, prepared as ``_state_rows`` prepares it."""
+    x = _sympower._real_matmul(_spin_basis(n).T, amps[:, None])
+    return _svd_rows(n, x, np.linalg.norm(amps), z, core, out)
+
+
 def column_errors(core, ref):
     """||col - ref|| / ||ref|| per column, each column scaled first so no square overflows."""
     scale = np.abs(ref).max(axis=0)
@@ -513,7 +519,7 @@ def test_zero_vector_raises_value_error(n):
     with pytest.raises(ValueError, match="amplitudes must not be the zero vector"):
         evolve_grid(params(1.0, n), np.zeros(n + 1), [0.0, 1.0])
     with pytest.raises(ValueError, match="amplitudes must not be the zero vector"):
-        propagator._evolve_grid(params(1.0, n), np.zeros(n + 1), [0.0, 1.0], False)
+        evolve_grid(params(1.0, n), np.zeros(n + 1), [0.0, 1.0], with_occupations=False)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0])
@@ -576,7 +582,7 @@ def test_interior_states_are_accurate_or_refused(n, ratio, kind, z):
     slack = 8 * EPS * (abs(ref_li) + n * p.gamma * z)
     zs = np.array([z])
     occ = np.empty((1, n + 1))
-    li, estimate = _svd_rows(n, amps, zs, g1_core(p, zs), occ)
+    li, estimate = svd_rows(n, amps, zs, g1_core(p, zs), occ)
     d_li, d_p = _errors(li[0], occ[0], ref_li, ref_p)
     assert d_li <= estimate[0] + slack and d_p <= estimate[0]
     li, occ, bound = _horner_rows(n, amps, zs, g1_core(p, zs))
@@ -616,7 +622,7 @@ def test_flagged_rows_are_the_horner_rows():
     amps /= np.linalg.norm(amps)
     grid = np.linspace(0.0, 20.0, 41)
     core = g1_core(p, grid)
-    flagged = _svd_rows(n, amps, grid, core, np.empty((grid.size, n + 1)))[1] > ERROR_LIMIT
+    flagged = svd_rows(n, amps, grid, core, np.empty((grid.size, n + 1)))[1] > ERROR_LIMIT
     assert 0 < flagged.sum() < grid.size
     log_i, occ = evolve_grid(p, amps, grid)
     horner_li, horner_occ, bound = _horner_rows(n, amps, grid[flagged], g1_core(p, grid[flagged]))
@@ -624,8 +630,8 @@ def test_flagged_rows_are_the_horner_rows():
     assert np.array_equal(occ[flagged], horner_occ)
     assert bound.max() <= ERROR_LIMIT
     # the intensity-only form flags the same z and takes Horner's log I there
-    assert np.array_equal(_svd_rows(n, amps, grid, core)[1] > ERROR_LIMIT, flagged)
-    log_i_only, no_occ = propagator._evolve_grid(p, amps, grid, False)
+    assert np.array_equal(svd_rows(n, amps, grid, core)[1] > ERROR_LIMIT, flagged)
+    log_i_only, no_occ = evolve_grid(p, amps, grid, with_occupations=False)
     assert no_occ is None
     assert np.array_equal(log_i_only[flagged], horner_li)
     k = int(np.flatnonzero(flagged)[-1])
@@ -642,11 +648,32 @@ def test_intensity_only_trace_matches_full_trace(n, ratio):
     amps = interior_state("dense", n).amplitudes
     grid = np.linspace(0.0, 10.0 if n <= 40 else 5.0, 101)
     log_i, _ = evolve_grid(p, amps, grid)
-    log_i_only, occ = propagator._evolve_grid(p, amps, grid, False)
+    log_i_only, occ = evolve_grid(p, amps, grid, with_occupations=False)
     assert occ is None
     np.testing.assert_allclose(log_i_only, log_i, rtol=0, atol=1e-13)
     for k in (17, 58, 100):
         assert abs(log_i_only[k] - exact_evolve(p, amps, grid[k])[0]) <= 1e-10
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 11])
+@pytest.mark.parametrize("n", [10, 40, 100])
+def test_interior_state_is_prepared_once_per_call(n, blocks, monkeypatch):
+    # Q^T a serves every block of z: one (N+1) x 1 product per call, and
+    # one or three products per block, each over all of the block's z
+    def counted(mat, x, out=None):
+        shapes.append(x.shape)
+        return real_matmul(mat, x, out)
+
+    real_matmul, shapes = _sympower._real_matmul, []
+    monkeypatch.setattr(_sympower, "_real_matmul", counted)
+    width = _sympower._SVD_ENTRIES // (n + 1)
+    grid = np.linspace(0.0, 5.0, (blocks - 1) * width + 2)
+    amps = interior_state("dense", n).amplitudes
+    for with_occupations, per_block in ((True, 3), (False, 1)):
+        shapes.clear()
+        evolve_grid(params(1.0, n), amps, grid, with_occupations)
+        assert shapes.count((n + 1, 1)) == 1
+        assert len(shapes) == 1 + blocks * per_block
 
 
 def test_uncertified_z_is_refused():
