@@ -47,6 +47,7 @@ from ._svg import heatmap, line_plot
 from .errors import SimulationError
 from .fock_core import BeamsplitterParams, build_hamiltonian
 from .observables import (
+    _FIT_WINDOW,
     fit_ep_order,
     make_input,
     periodicity_check,
@@ -429,10 +430,10 @@ def _occupations_csv(trace) -> bytes:
     return _csv_bytes(["z", "m", "p"], z, m, trace.occupations.ravel())
 
 
-def _occupations_svg(trace) -> bytes:
-    return heatmap(
-        trace.occupations.T, float(trace.z_grid[0]), float(trace.z_grid[-1]), "z", "m"
-    ).encode()
+def _occupations_svg(trace, spacing: str) -> bytes:
+    log = spacing == "log"  # a log grid's cells are evenly spaced in log10 z
+    ends = np.log10(trace.z_grid[[0, -1]]) if log else trace.z_grid[[0, -1]]
+    return heatmap(trace.occupations.T, *ends.tolist(), "log10 z" if log else "z", "m").encode()
 
 
 def _run_occupation_dynamics(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
@@ -459,7 +460,7 @@ def _run_occupation_dynamics(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
         "occupations.csv": lambda: _occupations_csv(trace),
         "intensity.csv": lambda: _intensity_csv(trace),
         "report.json": lambda: _json_bytes(report),
-        "occupations.svg": lambda: _occupations_svg(trace),
+        "occupations.svg": lambda: _occupations_svg(trace, cfg.z_grid.spacing),
     }
 
 
@@ -478,7 +479,7 @@ def _run_custom_evolve(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
     return {
         "trace.csv": lambda: _trace_csv(trace),
         "report.json": lambda: _json_bytes(_trace_report(cfg.scenario, trace)),
-        "occupations.svg": lambda: _occupations_svg(trace),
+        "occupations.svg": lambda: _occupations_svg(trace, cfg.z_grid.spacing),
     }
 
 
@@ -495,9 +496,10 @@ _SCENARIOS = {
     "spectrum-flow": _Scenario(_run_spectrum_flow, "gamma_grid"),
     "ep-certify": _Scenario(_run_ep_certify),
     "intensity-decay": _Scenario(_run_intensity_decay, "z_grid", "all_in_a"),
-    # asymptotic window kappa*z in [10, 100], 200 log-spaced points
+    # fit_ep_order's kappa*z window, 200 log-spaced points
     "order-fit": _Scenario(_run_order_fit, "z_grid", "all_in_a", lambda p: {
-        "start": 10.0 / p.kappa, "stop": 100.0 / p.kappa, "count": 200, "spacing": "log"}),
+        "start": _FIT_WINDOW[0] / p.kappa, "stop": _FIT_WINDOW[1] / p.kappa,
+        "count": 200, "spacing": "log"}),
     "occupation-dynamics": _Scenario(_run_occupation_dynamics, "z_grid", "noon"),
     "custom-evolve": _Scenario(_run_custom_evolve, "z_grid", "custom"),
 }
@@ -586,7 +588,7 @@ def main(argv=None) -> int:
 
     try:
         manifest = run(config)
-    except (SimulationError, ValueError) as exc:
+    except (SimulationError, ValueError, OverflowError) as exc:
         print(f"epbs: {config.scenario} failed: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -58,6 +58,7 @@ INPUT_KINDS = ("all_in_a", "all_in_b", "noon", "custom")
 
 # Steady-state criterion: occupations at z and z + 1/kappa agree to this.
 STEADY_THRESHOLD = 1e-6
+_FIT_WINDOW = (10.0, 100.0)  # fit_ep_order's kappa*z window; order-fit's default grid spans it
 # Scan steps per batch of steady_state_onset.  A batch evaluates each of its
 # steps, and each step + 1/kappa that is not itself one of them, once.
 _ONSET_CHUNK = 256
@@ -237,12 +238,13 @@ def fit_ep_order(trace: EvolutionTrace) -> OrderFit:
     [10, 100] (the asymptotic regime): the grid must reach both ends and
     hold at least 3 points inside.
     """
+    lo, hi = _FIT_WINDOW
     kz = trace.z_grid * trace.params.kappa
-    sel = (kz >= 10.0) & (kz <= 100.0)
+    sel = (kz >= lo) & (kz <= hi)
     z = trace.z_grid[sel]
-    if z.size < 3 or kz[0] > 10.0 or kz[-1] < 100.0:
+    if z.size < 3 or kz[0] > lo or kz[-1] < hi:
         raise ValueError(
-            "fit window too short: the grid must reach kappa*z <= 10 and >= 100, "
+            f"fit window too short: the grid must reach kappa*z <= {lo:g} and >= {hi:g}, "
             "a decade, with >= 3 points in between"
         )
     n, gamma = trace.params.n_photons, trace.params.gamma

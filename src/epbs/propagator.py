@@ -12,9 +12,9 @@ with c = cos(theta), s = sin(theta)/(Delta_lambda/2), theta = z*Delta_lambda/2
 critical loss); the core [[u, v], [v, t]] has unit determinant.  A state
 on |m) = |N-m>_a |m>_b is the polynomial P(x, y) = sum_m c_m sqrt(C(N, m))
 x^(N-m) y^m, and G_N maps it to P(u x + v y, v x + t y) times the scalar
-prefactor.  g1 is entire in z, so there are no poles.  Its scale is kept
-in log space with the decay -Gamma*N*z, so nothing overflows.
-``_g1`` forms g1's core once per call, for one z or a whole grid, and
+prefactor.  g1 is entire in z, so there are no poles; its scale is kept in
+log space with the decay -Gamma*N*z, so nothing overflows.  ``_g1`` forms
+the core once per call from ``spectral``'s spacing and regime rule, and
 ``_sympower`` evaluates Sym^N of it: ``evolve_grid``, the one state entry,
 holds amplitudes to one rule and maps them over a z grid without forming
 G_N; ``evolution_operator`` builds the matrix, each column with its own
@@ -46,6 +46,7 @@ import numpy as np
 from ._sympower import ERROR_LIMIT, _core_matrix, _state_rows
 from .errors import OverflowGuardError, PoleProximityError, PrecisionError
 from .fock_core import BeamsplitterParams
+from .spectral import classify_regime, delta_lambda
 
 __all__ = [
     "WeiNormanParams",
@@ -96,16 +97,12 @@ def first_pole(params: BeamsplitterParams, z_start: float = 0.0) -> float | None
     """Distance of the first zero of w(z) past ``z_start``.
 
     Zeros exist only below the loss threshold, at theta values with
-    tan(theta) = -Delta_lambda/Gamma; above threshold returns ``None``.
+    tan(theta) = -Delta_lambda/Gamma; at and above it returns ``None``.
     """
-    dl2 = 4.0 * params.kappa**2 - params.gamma**2
-    if dl2 <= 0:
+    if classify_regime(params.kappa, params.gamma) != "unbroken":
         return None
-    d = math.sqrt(dl2)
-    if params.gamma == 0.0:
-        theta0 = math.pi / 2.0
-    else:
-        theta0 = math.pi - math.atan(d / params.gamma)
+    d = delta_lambda(params.kappa, params.gamma).real
+    theta0 = math.pi - math.atan(d / params.gamma) if params.gamma else math.pi / 2.0
     z0 = 2.0 * theta0 / d
     period = 2.0 * math.pi / d
     if z0 <= z_start:
@@ -128,15 +125,14 @@ def _g1(kappa: float, gamma: float, z):
     """(c, kappa s, (Gamma/2) s, log_scale, Gamma z, theta) of g1's core at z, an array or a scalar.
 
     theta = z |Delta_lambda|/2; c and s are cos(theta) and sin(theta)/(Delta_lambda/2)
-    below threshold, cosh and sinh above it with their growth e^theta in
-    the log scale, exactly 1 and z at the critical loss.
+    below threshold, cosh and sinh above it with their growth e^theta in the
+    log scale, exactly 1 and z at the critical loss, by ``classify_regime``.
     """
-    dl2 = 4.0 * kappa * kappa - gamma * gamma
-    half = 0.5 * math.sqrt(abs(dl2))
+    regime, half = classify_regime(kappa, gamma), 0.5 * abs(delta_lambda(kappa, gamma))
     theta = half * z
-    if dl2 > 0:
+    if regime == "unbroken":
         c, s, log_scale = np.cos(theta), np.sin(theta) / half, 0.0 * z
-    elif dl2 < 0:
+    elif regime == "broken":
         log_scale, c = theta, 0.5 * (1.0 + np.exp(-2.0 * theta))
         s = -0.5 * np.expm1(-2.0 * theta) / half
     else:

@@ -5,13 +5,13 @@ The eigenvalues are known in closed form,
     lambda_r = (omega0 - i*Gamma/2) * N + r * sqrt(4*kappa^2 - Gamma^2),
 
 with r = -N/2 .. N/2 in unit steps: an equidistant ladder with complex
-spacing Delta_lambda = sqrt(4*kappa^2 - Gamma^2).  Below the critical loss
-Gamma_c = 2*kappa the spacing is real (all modes decay at the common rate
-Gamma*N/2); above it the spacing is purely imaginary and slow/fast decaying
-modes split off.  At Gamma_c all N+1 eigenvalues and eigenvectors coalesce:
-the shifted matrix M = H - (omega0 - i*kappa)*N*Id is nilpotent of index
-N+1.  ``certify_ep`` gives that verdict exactly, from the parameters, and
-reports normalized norms of M's powers beside it.
+spacing Delta_lambda, formed at any scale by ``delta_lambda`` alone.  Below
+Gamma_c = 2*kappa (``classify_regime`` is the one regime rule) it is real
+and all modes decay at the rate Gamma*N/2; above Gamma_c it is imaginary
+and slow/fast decaying modes split off.  At Gamma_c all N+1 eigenvalues and
+eigenvectors coalesce: M = H - (omega0 - i*kappa)*N*Id is nilpotent of
+index N+1.  ``certify_ep`` gives that verdict exactly, from the regime,
+and reports normalized norms of M's powers beside it.
 
 A dense nonsymmetric eigensolver provides the independent numerical oracle.
 Near the critical loss the matrix is defective and eigenvalue condition
@@ -21,6 +21,7 @@ so numerical eigenvalues there are reported but only loosely trusted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,20 +43,24 @@ __all__ = [
 
 
 def delta_lambda(kappa: float, gamma: float) -> complex:
-    """Adjacent eigenvalue spacing sqrt(4*kappa^2 - gamma^2).
+    """Adjacent eigenvalue spacing sqrt(4*kappa^2 - gamma^2); the package forms it nowhere else.
 
     Principal branch: real non-negative for gamma <= 2*kappa, positive
     imaginary above, so that smaller |Im lambda| (slow modes) sit at larger r.
+    Squared after the exact scaling by 2^-e that puts max(kappa, gamma) in [1/2, 1)
+    (Blue, ACM TOMS 4, 15 (1978)); a root past the double range raises OverflowError.
     """
-    return complex(np.sqrt(complex(4.0 * kappa * kappa - gamma * gamma)))
+    exp = math.frexp(max(kappa, gamma))[1]
+    kappa_s, gamma_s = math.ldexp(kappa, -exp), math.ldexp(gamma, -exp)
+    root = math.ldexp(math.sqrt(abs(4.0 * kappa_s * kappa_s - gamma_s * gamma_s)), exp)
+    return complex(0.0, root) if classify_regime(kappa, gamma) == "broken" else complex(root, 0.0)
 
 
 def classify_regime(kappa: float, gamma: float) -> str:
     """Classify the loss regime: 'unbroken', 'exceptional' or 'broken'.
 
-    'exceptional' holds exactly when gamma == 2*kappa, where ``certify_ep``
-    passes; doubling a float is exact, and the engine's sign of
-    4*kappa^2 - gamma^2 agrees with this rule to the last ulp.
+    'exceptional' holds exactly when gamma == 2*kappa (doubling a float is
+    exact).  The branches of ``delta_lambda`` and g1 and the EP verdict are this rule.
     """
     gc = 2.0 * kappa
     if gamma == gc:
@@ -133,7 +138,7 @@ def eigenvalue_flow(
         raise ValueError("gamma grid must be a non-empty 1-D sequence")
     if not (np.isfinite(gammas) & (gammas >= 0)).all():
         raise ValueError("gamma grid values must be finite and >= 0")
-    dl = np.sqrt((4.0 * kappa * kappa - gammas * gammas).astype(complex))
+    dl = np.array([delta_lambda(kappa, g) for g in gammas.tolist()])
     r = np.arange(n_photons + 1) - n_photons / 2.0
     rows = (omega0 - 0.5j * gammas[:, None]) * n_photons + r * dl[:, None]
     rows.setflags(write=False)
@@ -171,8 +176,8 @@ def certify_ep(h: HamiltonianMatrix) -> EpCertificate:
     eigenvalues and H_N has N+1 simple ones.  At Gamma = 2 kappa, n is a
     non-zero nilpotent, similar to the 2x2 Jordan block, whose dSym^N is a
     single Jordan block of size N+1 (Kac, Amer. Math. Monthly 54, 369
-    (1947)).  So the certificate passes exactly when ``gamma == 2 * kappa``;
-    doubling a float is exact, so the test holds at every N.  The power is
+    (1947)).  So the certificate passes exactly in ``classify_regime``'s
+    'exceptional' regime, gamma == 2*kappa, at every N.  The power is
     renormalized at each step, so the ratios stay finite at any N.
     """
     p = h.params
@@ -195,5 +200,5 @@ def certify_ep(h: HamiltonianMatrix) -> EpCertificate:
         shift=complex(shift),
         gamma=p.gamma,
         nilpotency_ratios=tuple(ratios),
-        passed=bool(p.gamma == 2.0 * p.kappa),
+        passed=classify_regime(p.kappa, p.gamma) == "exceptional",
     )

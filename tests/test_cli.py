@@ -491,6 +491,33 @@ def test_svg_outputs(tmp_path):
     assert svg.startswith("<svg") and "rect" in svg
 
 
+def _x_axis(svg):
+    """The x tick labels and the x axis label of an SVG from ``_svg``."""
+    h, m = _svg._HEIGHT, _svg._MARGIN
+    ticks = re.findall(rf'<text x="[0-9.]+" y="{h - m + 18}" [^>]*>([^<]*)</text>', svg)
+    label = re.findall(rf'<text x="{_svg._WIDTH / 2}" y="{h - 10}" [^>]*>([^<]*)</text>', svg)
+    return ticks, label
+
+
+@pytest.mark.parametrize("scenario", ["occupation-dynamics", "custom-evolve"])
+def test_heatmap_of_a_log_grid_has_a_log_axis(tmp_path, scenario):
+    # the cells are evenly spaced in log10 z, so the middle one sits at z = 1.10, not 50
+    out = tmp_path / "out"
+    doc = _cfg_for(scenario, out)
+    doc["z_grid"] = {"start": 0.01, "stop": 100.0, "count": 50, "spacing": "log"}
+    doc["output"]["svg"] = True
+    cfg, errors = validate(json.dumps(doc))
+    assert errors == []
+    run(cfg)
+    ticks, label = _x_axis((out / "occupations.svg").read_text())
+    assert ticks == ["-2", "-1", "0", "1", "2"] and label == ["log10 z"]
+
+    doc["z_grid"]["spacing"] = "linear"
+    run(validate(json.dumps(doc))[0])
+    ticks, label = _x_axis((out / "occupations.svg").read_text())
+    assert ticks == ["0.01", "25.01", "50", "75", "100"] and label == ["z"]
+
+
 # ---------------------------------------------------------------------------
 # command-line entry
 

@@ -73,3 +73,41 @@ def test_sympower_imports_only_errors_from_the_package():
         if func.__module__ == _sympower.__name__ and "params" in inspect.signature(func).parameters
     ]
     assert takes_params == []
+
+
+def _names_kappa_or_gamma(node) -> bool:
+    name = getattr(node, "id", None) or getattr(node, "attr", None) or ""
+    return re.search("kappa|gamma", name, re.IGNORECASE) is not None
+
+
+def _squares(node) -> bool:
+    """Whether ``node`` squares kappa or Gamma: x * x in a product, x ** p, or square/pow/hypot(x)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        factors, stack = [], [node]
+        while stack:
+            f = stack.pop()
+            if isinstance(f, ast.BinOp) and isinstance(f.op, ast.Mult):
+                stack += [f.left, f.right]
+            elif _names_kappa_or_gamma(f):
+                factors.append(ast.dump(f))
+        return len(factors) > len(set(factors))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return _names_kappa_or_gamma(node.left)
+    if isinstance(node, ast.Call):
+        func = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        return func in ("square", "pow", "power", "hypot") and any(
+            _names_kappa_or_gamma(a) for a in node.args
+        )
+    return False
+
+
+def test_only_delta_lambda_squares_kappa_or_gamma():
+    owners = set()
+    for path in sorted((ROOT / "src" / "epbs").glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            scopes = top.body if isinstance(top, ast.ClassDef) else [top]
+            for scope in scopes:
+                name = getattr(scope, "name", "<module>")
+                if any(_squares(node) for node in ast.walk(scope)):
+                    owners.add(f"{path.stem}.{name}")
+    assert owners == {"spectral.delta_lambda"}
