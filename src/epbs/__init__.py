@@ -34,11 +34,9 @@ from .fock_core import (
 from .observables import (
     EvolutionTrace,
     InputState,
-    IntensityValue,
     OrderFit,
     PeriodicityResult,
     fit_ep_order,
-    intensity,
     make_input,
     occupations,
     periodicity_check,
@@ -83,10 +81,9 @@ __all__ = [
     "ep_limit_params", "assemble_propagator", "evolution_operator",
     "evolve_grid", "evolve_state", "first_pole",
     # observables
-    "InputState", "IntensityValue", "EvolutionTrace", "OrderFit",
-    "PeriodicityResult", "make_input", "intensity", "occupations",
-    "trace_evolution", "fit_ep_order", "periodicity_check",
-    "steady_state_onset",
+    "InputState", "EvolutionTrace", "OrderFit", "PeriodicityResult",
+    "make_input", "occupations", "trace_evolution", "fit_ep_order",
+    "periodicity_check", "steady_state_onset",
     # errors
     "SimulationError", "PoleProximityError", "EigensolverError", "OverflowGuardError",
     "PrecisionError",

@@ -10,11 +10,12 @@ its amplitudes choose:
 - edge: a state on |0) and |N) only maps to a_0 X^N + a_N Y^N, two
   binomial expansions, O(N) per z, in real arithmetic with the magnitudes
   in log space, so the weights sqrt(C(N, m)) never overflow.
-- SVD: any other state.  The core is B(phi) diag(lambda, 1/lambda) B(phi),
-  B(phi) = exp(-i phi sigma_x), so Sym^N of it is E diag(lambda^(N-2m)) E,
-  E = Q diag(e^(-i phi mu)) Q^T, with Q the real eigenbasis of 2 J_x
-  (built once per N): Q^T a once per call, three real GEMMs per block
-  (one without P); 16 (N+1) eps ||a|| / ||psi|| estimates each image's error.
+- SVD: any other state.  One 2x2 SVD per z, ``_svd_2x2``, writes the core
+  as B(p) diag(s1, s2) B(p), B(p) = exp(-i p sigma_x), so Sym^N of it is
+  E diag(s1^(N-m) s2^m) E, E = Q diag(e^(-i p mu)) Q^T, with Q the real
+  eigenbasis of 2 J_x (built once per N): Q^T a and the SVDs once per call,
+  three real GEMMs per block (one without P); 16 (N+1) eps ||a|| / ||psi||
+  estimates each image's error.
 - Horner: the z whose SVD estimate exceeds ``ERROR_LIMIT`` are recomposed
   homogeneous-Horner style, O(N^2) per z, with Higham's bound; where that
   bound exceeds ``ERROR_LIMIT`` too, the update raises ``PrecisionError``.
@@ -22,7 +23,7 @@ its amplitudes choose:
 Each form returns log I per z and writes P, in (z, m) order, into the
 array it is given; ``_check_rows`` holds every block to finiteness and to
 G_N's contraction (unitarity without loss).  ``_core_matrix`` builds G_N's
-matrix with the same ``_svd_form``: each basis column k takes the form of
+matrix with the same SVD form: each basis column k takes the form of
 Sym^N(g diag(1, alpha_k)), whose column k is alpha_k^k times G_N's, and
 carries its own error bound, the caller's rounding of the entries included.
 """
@@ -59,7 +60,6 @@ _EDGE_ENTRIES = 1 << 15
 # SVD-form scalings below e^_LOG_FLUSH are set to 0: they change an image by
 # far less than its error estimate, and subnormal products slow the GEMMs.
 _LOG_FLUSH = -600.0
-_HALF_SUMS = np.array([[0.5, 0.5], [0.5, -0.5]])  # (a2, a1) -> (p1, p2) = (a2 +/- a1) / 2
 
 
 @functools.lru_cache(maxsize=16)
@@ -221,29 +221,53 @@ def _real_matmul(mat: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
-def _svd_factors(n: int, c, ks, y, log_scale):
-    """(phase, scaling, ln lambda) of the SVD form of Sym^N of a core, one column per entry.
+def _svd_2x2(c, ks, y, log_scale, log_alpha):
+    """((p_l, p_r), ln s1, ln s2/s1) of each core diag(1, alpha) = B(p_l) diag(s1, s2) B(p_r).
 
-    The unit-determinant core e^log_scale [[c + y, -i ks], [-i ks, c - y]]
-    (c, ks, y real; y >= 0 where log_scale > 0) is B(phi) diag(lambda,
-    1/lambda) B(phi), B(phi) = exp(-i phi sigma_x), 2 phi = atan2(ks, c),
-    ln lambda = asinh(y e^log_scale); Sym^N of it is E diag(lambda^(N-2m)) E,
-    E = Q diag(e^(-i phi mu)) Q^T, phase = e^(-i phi mu) and scaling =
-    lambda^(N-2m) / max(lambda, 1/lambda)^N <= 1 (N |ln lambda| kept apart).
+    The cores e^log_scale [[c + y, -i ks], [-i ks, c - y]] have real c, ks,
+    y and unit determinant (y >= 0 where log_scale > 0); alpha = e^log_alpha
+    is 1 for states, and B(p) = exp(-i p sigma_x).  Conjugated by diag(1, i)
+    the product is real, and its closed-form SVD (Golub & Van Loan, Sec.
+    8.6) reads e, f = ((1 +/- alpha) y + (1 -/+ alpha) c) / 2 and g, h =
+    (1 -/+ alpha) ks / 2, exactly y, c, 0 and ks at alpha = 1: with r =
+    sign(e) hypot(e, g), 2 p_l, 2 p_r = atan2(h, f) +/- atan2(sign(e) g, |e|),
+    ln s1 = ln(alpha) / 2 + t and ln s2/s1 = -2t, t = asinh(r e^log_scale /
+    sqrt(alpha)).  Each entry forms t its own way: by asinh where log_scale
+    = 0, else from ln max(s1, s2) = log_scale + ln(|r| + hypot(r, sqrt(alpha)
+    e^-log_scale)), which sums magnitudes and never overflows.  At alpha = 1
+    p_l = p_r = atan2(ks, c) / 2 and t = ln lambda, lambda^(+/-1) the core's
+    singular values.
     """
-    phi, above = 0.5 * np.arctan2(ks, c), log_scale.any()
-    # asinh of the unscaled y, whose scale is factored out first above threshold (y >= 0)
-    log_lam = log_scale + np.log(y + np.hypot(y, np.exp(-log_scale))) if above else np.arcsinh(y)
-    # e^(-i phi mu) = h^mu, h = e^(-i phi): powers of h^2 for mu >= 0, conjugates below
-    h, half = np.exp(-1j * phi), n // 2
-    phase = np.empty((n + 1, phi.size), dtype=complex)
+    alpha = np.exp(log_alpha)
+    plus, minus = 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha)
+    e, f = plus * y + minus * c, plus * c + minus * y
+    g, h = minus * ks, plus * ks
+    sign = np.copysign(1.0, e)
+    a, b = np.arctan2(h, f), np.arctan2(sign * g, np.abs(e))
+    r, half = sign * np.hypot(e, g), 0.5 * log_alpha
+    root = np.exp(half)
+    top = log_scale + np.log(np.abs(r) + np.hypot(r, root * np.exp(-log_scale)))
+    t = np.where(log_scale == 0, np.arcsinh(r / root), sign * (top - half))
+    return 0.5 * np.array((a + b, a - b)), half + t, -2.0 * t
+
+
+def _svd_table(n: int, angles: np.ndarray, log_ratio: np.ndarray):
+    """(phase, scaling): rows m = 0..N of the SVD form, one column per entry of ``angles``.
+
+    phase = e^(-i p mu), mu = 2m - N, for each angle p, whatever the shape
+    of ``angles``: powers of h^2, h = e^(-i p), for mu >= 0, conjugates
+    below.  scaling = s1^(N-m) s2^m / max(s1, s2)^N <= 1 for each
+    d = ln s2/s1 of ``log_ratio``, from one exp of (N - m) min(-d, 0) +
+    m min(d, 0), set to 0 below e^_LOG_FLUSH.
+    """
+    h, half = np.exp(-1j * angles), n // 2
+    phase = np.empty((n + 1,) + angles.shape, dtype=complex)
     _running_powers(h if n % 2 else np.ones_like(h), h * h, half, out=phase[n - half :])
     np.conjugate(phase[n:half:-1], out=phase[: n - half])
-    # (N-2m) ln lambda - N |ln lambda| as (N-m)(l - |l|) - m (l + |l|), 0 at its top
-    lam = np.abs(log_lam)
-    scaling = _basis_rows(n)[:2].T @ np.array([log_lam - lam, -log_lam - lam])
+    exponents = np.array([np.minimum(-log_ratio, 0.0), np.minimum(log_ratio, 0.0)])
+    scaling = _basis_rows(n)[:2].T @ exponents
     scaling[scaling < _LOG_FLUSH] = -np.inf
-    return phase, np.exp(scaling, out=scaling), log_lam
+    return phase, np.exp(scaling, out=scaling)
 
 
 def _svd_form(q: np.ndarray, x: np.ndarray, left, right, scaling: np.ndarray):
@@ -265,18 +289,19 @@ def _svd_form(q: np.ndarray, x: np.ndarray, left, right, scaling: np.ndarray):
     return _real_matmul(q, x, out=out)
 
 
-def _svd_rows(n: int, x: np.ndarray, a_norm: float, z: np.ndarray, core, out=None):
+def _svd_rows(n: int, x: np.ndarray, a_norm: float, core, out=None):
     """(log I, error estimate) at each z by the SVD form of Sym^N of the core; P goes into ``out``.
 
-    The state is x = Q^T a; log I takes the scale N |ln lambda|.  The form
-    is normwise backward stable, so 16 (N+1) eps ||a|| / ||psi|| estimates
-    the relative error of each image psi; without P the form stops early.
+    The state is x = Q^T a; ``core`` ends in Gamma z and the ``_svd_2x2``
+    factors.  The form is normwise backward stable, so 16 (N+1) eps ||a|| /
+    ||psi|| estimates the relative error of each image psi; without P the
+    form stops early.
     """
-    c, ks, y, log_scale, gz = core
-    phase, scaling, log_lam = _svd_factors(n, c, ks, y, log_scale)
+    gz, angle, log_s1, log_ratio = core[4:]
+    phase, scaling = _svd_table(n, angle, log_ratio)
     psi = _svd_form(_spin_basis(n), x, None if out is None else phase, phase, scaling)
     del phase, scaling
-    log_i, norm = _observe(psi.T, n * (2.0 * np.abs(log_lam) - gz), out)
+    log_i, norm = _observe(psi.T, n * (2.0 * (log_s1 + np.maximum(log_ratio, 0.0)) - gz), out)
     return log_i, _EST_FACTOR * (n + 1) * a_norm / norm
 
 
@@ -327,7 +352,7 @@ def _horner_rows(n: int, amps: np.ndarray, z: np.ndarray, core):
     relative error of psi.  Subnormal weights (N >= ~2050) add their own
     relative spacing.
     """
-    c, ks, y, log_scale, gz = core
+    c, ks, y, log_scale, gz = core[:5]
     u, v, t = c + y, -1j * ks, c - y
     norm = np.maximum(np.hypot(abs(u), abs(v)), np.hypot(abs(v), abs(t)))
     u, v, t = u / norm, v / norm, t / norm
@@ -347,11 +372,11 @@ def _horner_rows(n: int, amps: np.ndarray, z: np.ndarray, core):
 def _interior_rows(n: int, amps: np.ndarray, x, a_norm: float, z: np.ndarray, core, out=None):
     """log I at each z of a state with light on |1) ... |N-1); P goes into ``out``, if given.
 
-    The SVD form runs on every z, from x = Q^T a; the z whose estimate
-    exceeds ``ERROR_LIMIT`` are recomputed by Horner from ``amps``, and
-    refused with ``PrecisionError`` where Horner's bound exceeds it too.
+    The SVD form runs on every z, from x = Q^T a and the SVDs that end
+    ``core``; the z whose estimate exceeds ``ERROR_LIMIT`` are redone by
+    Horner, and refused with ``PrecisionError`` where its bound does too.
     """
-    log_i, estimate = _svd_rows(n, x, a_norm, z, core, out)
+    log_i, estimate = _svd_rows(n, x, a_norm, core, out)
     flagged = np.flatnonzero(estimate > ERROR_LIMIT)
     if flagged.size:
         log_i[flagged], occ, bound = _horner_rows(n, amps, z[flagged], [a[flagged] for a in core])
@@ -407,6 +432,9 @@ def _state_rows(n: int, amps: np.ndarray, z: np.ndarray, core, lossless: bool, l
     """
     if amps[1:n].any():
         x = _real_matmul(_spin_basis(n).T, amps[:, None])
+        # every z's 2x2 SVD, formed once per call as Q^T a is; the blocks slice it
+        angles, log_s1, log_ratio = _svd_2x2(*core[:4], 0.0)
+        core = (*core, angles[0], log_s1, log_ratio)
         rows = functools.partial(_interior_rows, n, amps, x, np.linalg.norm(amps))
         block = max(1, _SVD_ENTRIES // (n + 1))
     else:
@@ -422,63 +450,27 @@ def _state_rows(n: int, amps: np.ndarray, z: np.ndarray, core, lossless: bool, l
     return log_i, occ
 
 
-def _column_factors(n: int, c: float, ks: float, y: float, log_scale: float):
-    """(first, step, half log scale, half log size) of each basis column k's own scaled SVD form.
-
-    Column k of Sym^N(g) is alpha^-k times that of Sym^N(g diag(1, alpha)),
-    g = e^log_scale [[u, -i ks], [-i ks, t]], u, t = c +/- y, and g diag(1,
-    alpha) = B(p1) diag(s1, s2) B(p2) sigma_z by the closed-form 2x2 SVD
-    (Golub & Van Loan, Sec. 8.6).  alpha_k, 1 at Gamma = 0, puts the top
-    right singular vector at weight k/N on y.  Rows of first and step: e^(i
-    N p1), e^(i N p2), (-1)^k; e^(-2i p1), e^(-2i p2), s2/s1 (s2 from det).
-    Also halved: the log scale N (ln s1 + log_scale) - k ln alpha_k and the
-    log size, the sum of the magnitudes of its two terms.
-    """
-    u, t = c + y, c - y
-    # numpy scalars, so that entries beyond the double range give inf, not exceptions
-    a, cc = np.float64(u * u + ks * ks), np.float64(ks * ks + t * t)
-    rows = _basis_rows(n)
-    # rows ln s1 + log_scale and ln alpha, then their terms of the log scale
-    logs = np.empty((2, n + 1))
-    np.arcsinh(np.multiply(rows[5], abs(ks * y) / np.sqrt(a * cc), out=logs[1]), out=logs[1])
-    logs[1] += 0.5 * np.log(a / cc)
-    alpha = np.exp(logs[1])
-    # rows e + i h, f + i g with e, f = (u -/+ t alpha) / 2 and h, g = ks (1 -/+ alpha) / 2
-    w = np.multiply.outer(np.array((-0.5 * (t + 1j * ks), 0.5 * (t + 1j * ks))), alpha)
-    w += 0.5 * (u + 1j * ks)
-    s1 = np.add(*np.abs(w))
-    # a2 = atan2(h, e), a1 = atan2(g, f)
-    p = _HALF_SUMS @ np.arctan2(w.imag, w.real)
-    factors = np.empty((2, 3, n + 1), dtype=complex)
-    np.exp(np.multiply.outer(np.array([1j * n, -2j]), p), out=factors[:, :2])
-    factors[0, 2] = rows[4]
-    np.divide(alpha, s1 * s1, out=factors[1, 2])
-    factors[1, 2] *= -math.exp(-2.0 * log_scale)
-    np.log(s1, out=logs[0])
-    logs[0] += log_scale
-    logs[0] *= 0.5 * n
-    logs[1] *= 0.5 * rows[1]
-    half_log_col = logs[0] - logs[1]
-    np.abs(logs, out=logs)
-    return factors[0], factors[1], half_log_col, logs[0] + logs[1]
-
-
 def _core_matrix(n: int, z: float, rounding: float, c: float, ks: float, y: float, log_scale):
     """(core, estimate): Sym^N of a core at one z and the relative error bounds of its columns.
 
-    The core is e^log_scale [[c + y, -i ks], [-i ks, c - y]] with real
+    The core g = e^log_scale [[c + y, -i ks], [-i ks, c - y]] has real
     entries and unit determinant, rounded by ``rounding`` eps (its change
-    of a column, relative, is at most 2 (N+1) eps rounding).  Column k, the
-    image of |k), takes its own scaled SVD form, one pass per block of
-    ``_SVD_ENTRIES`` entries, and its scale last,
-    in two halves.  Its bound, ||col|| before the scale: 16 (N+1) eps /
-    ||col|| for the form, whose scaled operator has norm 1; 20 N eps /
-    ||col|| for the 2x2 SVD of ``_column_factors``, whose s1, s2/s1, p1 and
-    p2 are exact for a matrix within 20 eps s1 of g diag(1, alpha) (3.4 from
-    e, f, g, h, 3 from each angle, 8 from s2/s1, 2 from s1), moved at most
-    N-fold by Sym^N; and 2 (N+1) eps (rounding + log size / N) for the
-    entries and the scale.  Raises ``OverflowGuardError`` when the core
-    leaves the double range and ``PrecisionError`` when a bound exceeds
+    of a column, relative, is at most 2 (N+1) eps rounding).  Column k of
+    Sym^N(g) is alpha_k^-k times that of Sym^N(g diag(1, alpha_k)), where
+    alpha_k, 1 at Gamma = 0, puts the top right singular vector at weight
+    k/N on y.  Each column takes the SVD form of its own ``_svd_2x2``
+    factors, one pass per block of ``_SVD_ENTRIES`` entries, and its scale
+    N ln max(s1, s2) - k ln alpha_k last, in two halves.  Its bound, ||col||
+    before the scale: 16 (N+1) eps / ||col|| for the form, whose scaled
+    operator has norm 1 and whose table entries e^x (x <= 0) are off by at
+    most eps |x| e^x; 14 N eps / ||col|| for the SVD, exact for a matrix
+    within 14 eps max(s1, s2) of g diag(1, alpha_k) (3.4 from e, f, g, h,
+    3 from each angle, 4.5 from t), moved at most N-fold by Sym^N; and
+    2 (N+1) eps (rounding + log size / N) for the entries and the logs,
+    the log size (N/2 + k) |ln alpha_k| + N |ln s2/s1| / 2 bounding the
+    terms that ln max(s1, s2) = ln(alpha_k) / 2 + |t| and the scale are
+    summed from.  Raises ``OverflowGuardError`` when the core leaves the
+    double range and ``PrecisionError`` when a bound exceeds
     ``ERROR_LIMIT``.  At z = 0 the core is I.
     """
     if z == 0:
@@ -486,21 +478,22 @@ def _core_matrix(n: int, z: float, rounding: float, c: float, ks: float, y: floa
     q, core = _spin_basis(n), np.empty((n + 1, n + 1), dtype=complex)
     width = max(1, _SVD_ENTRIES // (n + 1))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        first, step, half_log_col, half_log_size = _column_factors(n, c, ks, y, log_scale)
+        rows, u, t = _basis_rows(n), c + y, c - y
+        # numpy scalars, so that entries beyond the double range give inf, not exceptions
+        a, cc = np.float64(u * u + ks * ks), np.float64(ks * ks + t * t)
+        log_alpha = np.arcsinh(rows[5] * (abs(ks * y) / np.sqrt(a * cc))) + 0.5 * np.log(a / cc)
+        angles, log_s1, log_ratio = _svd_2x2(c, ks, y, log_scale, log_alpha)
         for lo in range(0, n + 1, width):
             cols = slice(lo, lo + width)
-            table = _running_powers(first[:, cols], step[:, cols], n)
-            scaling = table[:, 2].real
-            # |s2/s1| <= 1, so the last row holds each column's smallest scaling
-            if np.abs(scaling[-1]).min() < math.exp(_LOG_FLUSH):
-                scaling[np.abs(scaling) < math.exp(_LOG_FLUSH)] = 0.0
-            core[:, cols] = _svd_form(q, q[cols].T, table[:, 0], table[:, 1], scaling)
+            phase, scaling = _svd_table(n, angles[:, cols], log_ratio[cols])
+            core[:, cols] = _svd_form(q, q[cols].T, phase[:, 0], phase[:, 1], scaling)
         squares = np.einsum("ij,ij->j", core.view(float), core.view(float))
         slack = 2.0 * (n + 1) * _EPS
-        estimate = (_EST_FACTOR * (n + 1) + 20.0 * n * _EPS) / np.sqrt(squares[::2] + squares[1::2])
-        estimate += half_log_size * (2.0 * slack / n) + slack * rounding
+        estimate = (_EST_FACTOR * (n + 1) + 14.0 * n * _EPS) / np.sqrt(squares[::2] + squares[1::2])
+        log_size = (0.5 * n + rows[1]) * np.abs(log_alpha) + 0.5 * n * np.abs(log_ratio)
+        estimate += log_size * (slack / n) + slack * rounding
         # in two halves, so that only entries beyond the double range overflow
-        half_scale = np.exp(half_log_col)
+        half_scale = np.exp(0.5 * (n * (log_s1 + np.maximum(log_ratio, 0.0)) - rows[1] * log_alpha))
         core *= half_scale
         core *= half_scale
     if not np.isfinite(core).all():

@@ -54,6 +54,7 @@ from .observables import (
     steady_state_onset,
     trace_evolution,
 )
+from .propagator import METHOD
 from .spectral import certify_ep, classify_regime, eigenvalue_flow
 
 __all__ = ["RunConfig", "GridSpec", "InputSpec", "OutputSpec", "RunManifest",
@@ -86,9 +87,13 @@ class GridSpec:
             raise ValueError("; ".join(faults))
 
     def to_array(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.logspace(math.log10(self.start), math.log10(self.stop), self.count)
-        return np.linspace(self.start, self.stop, self.count)
+        if self.spacing == "linear":
+            return np.linspace(self.start, self.stop, self.count)
+        # logspace can miss start and stop by an ulp; the ends are set to them exactly
+        out = np.logspace(math.log10(self.start), math.log10(self.stop), self.count)
+        out[-1] = self.stop
+        out[0] = self.start
+        return out
 
 
 @dataclass(frozen=True)
@@ -325,7 +330,7 @@ def _trace_report(scenario: str, trace) -> dict:
         "z_max": float(trace.z_grid[-1]),
         "final_intensity": float(trace.intensity[-1]),
         "final_log_intensity": float(trace.log_intensity[-1]),
-        "methods_used": sorted(set(trace.methods)),
+        "methods_used": [METHOD],
     }
 
 

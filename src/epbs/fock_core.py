@@ -77,7 +77,8 @@ class BeamsplitterParams:
     Attributes
     ----------
     omega0 : common propagation constant of both guides (cm^-1), finite.
-    kappa : inter-guide coupling (cm^-1), finite and strictly positive.
+    kappa : inter-guide coupling (cm^-1), strictly positive and below 2^1023, so that
+        Gamma_c = 2 kappa is finite.
     gamma : dissipation coefficient of guide b (cm^-1), finite, non-negative.
     n_photons : total photon number N >= 1, a Python or numpy integer, not a bool.
 
@@ -95,6 +96,9 @@ class BeamsplitterParams:
         faults = [f"{k}: must be finite" for k, ok in finite.items() if not ok]
         if finite["kappa"] and self.kappa <= 0:
             faults.append(f"kappa: kappa must be positive, got {self.kappa}")
+        elif finite["kappa"] and math.isinf(2.0 * self.kappa):
+            faults.append(f"kappa: must be below 2^1023, where Gamma_c = 2 kappa is not a double, "
+                          f"got {self.kappa}")
         if finite["gamma"] and self.gamma < 0:
             faults.append(f"gamma: gamma must be non-negative, got {self.gamma}")
         faults += _n_photons_faults(self.n_photons)

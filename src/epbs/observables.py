@@ -35,18 +35,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock_core import BeamsplitterParams, _n_photons_faults
-from .propagator import METHOD, _scale_amplitudes, evolve_grid
+from .propagator import _scale_amplitudes, evolve_grid
 from .spectral import classify_regime, delta_lambda
 
 __all__ = [
     "InputState",
-    "IntensityValue",
     "EvolutionTrace",
     "OrderFit",
     "PeriodicityResult",
     "INPUT_KINDS",
     "make_input",
-    "intensity",
     "occupations",
     "trace_evolution",
     "fit_ep_order",
@@ -118,31 +116,10 @@ def make_input(kind: str, n_photons: int, custom=None) -> InputState:
     return InputState(amplitudes=amp, label=kind)
 
 
-class IntensityValue(NamedTuple):
-    value: float  # may underflow to 0.0; log_value stays finite
-    log_value: float
-
-
 def _intensity_of(log_i: np.ndarray) -> np.ndarray:
     """I from log I: at most 1, as G is a contraction, and 0.0 below the double range."""
     with np.errstate(under="ignore"):
         return np.where(log_i > -745.0, np.exp(np.minimum(log_i, 0.0)), 0.0)
-
-
-def intensity(
-    state0: InputState,
-    params: BeamsplitterParams,
-    z: float,
-) -> IntensityValue:
-    """Post-selection probability at distance z, with its natural log.
-
-    The log value is exact even where the probability itself underflows
-    (e.g. deep in the algebraic tail at the critical loss); the plain value
-    then reads 0.0.  It is an intensity-only ``trace_evolution``'s value at
-    z, which a trace with occupations matches to rounding (2.3e-13 in log I).
-    """
-    log_i = evolve_grid(params, state0.amplitudes, [z], with_occupations=False)[0]
-    return IntensityValue(value=float(_intensity_of(log_i)[0]), log_value=float(log_i[0]))
 
 
 def occupations(
@@ -168,7 +145,6 @@ class EvolutionTrace:
     intensity: np.ndarray
     log_intensity: np.ndarray
     occupations: np.ndarray | None  # shape (len(z_grid), N+1)
-    methods: tuple[str, ...]  # propagator path used at each z (one engine)
     params: BeamsplitterParams
     input_state: InputState
 
@@ -195,7 +171,6 @@ def trace_evolution(
         intensity=_intensity_of(log_i),
         log_intensity=log_i,
         occupations=occ,
-        methods=(METHOD,) * grid.size,
         params=params,
         input_state=state0,
     )
@@ -235,17 +210,18 @@ def fit_ep_order(trace: EvolutionTrace) -> OrderFit:
     that does not annihilate the input: d = N (one power per coalesced mode
     pair) but for the states on |0) and |N) with a_0 + (-i)^N a_N = 0, where
     d = N - 1.  ``expected_slope`` is 2d.  The fit window is kappa*z in
-    [10, 100] (the asymptotic regime): the grid must reach both ends and
-    hold at least 3 points inside.
+    [10, 100] (the asymptotic regime), z in [10/kappa, 100/kappa], the ends
+    that order-fit's default grid is built from; membership is decided in
+    z, so no rounded product kappa*z moves an end.  The grid must reach
+    both ends and hold at least 3 points inside.
     """
-    lo, hi = _FIT_WINDOW
-    kz = trace.z_grid * trace.params.kappa
-    sel = (kz >= lo) & (kz <= hi)
+    lo, hi = (end / trace.params.kappa for end in _FIT_WINDOW)
+    sel = (trace.z_grid >= lo) & (trace.z_grid <= hi)
     z = trace.z_grid[sel]
-    if z.size < 3 or kz[0] > lo or kz[-1] < hi:
+    if z.size < 3 or trace.z_grid[0] > lo or trace.z_grid[-1] < hi:
         raise ValueError(
-            f"fit window too short: the grid must reach kappa*z <= {lo:g} and >= {hi:g}, "
-            "a decade, with >= 3 points in between"
+            f"fit window too short: the grid must reach kappa*z <= {_FIT_WINDOW[0]:g} and "
+            f">= {_FIT_WINDOW[1]:g}, a decade, with >= 3 points in between"
         )
     n, gamma = trace.params.n_photons, trace.params.gamma
     y = trace.log_intensity[sel] + n * gamma * z

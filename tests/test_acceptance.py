@@ -24,7 +24,6 @@ from epbs.fock_core import BeamsplitterParams, build_hamiltonian
 from epbs.observables import (
     STEADY_THRESHOLD,
     fit_ep_order,
-    intensity,
     make_input,
     occupations,
     periodicity_check,
@@ -198,7 +197,8 @@ def test_criterion_6_unitary_limit_and_state_transfer():
     state = make_input("all_in_a", n)
     worst = 0.0
     for z in np.linspace(0.0, 100.0, 501):
-        worst = max(worst, abs(intensity(state, p, float(z)).value - 1.0))
+        tr = trace_evolution(state, p, [float(z)], with_occupations=False)
+        worst = max(worst, abs(tr.intensity[0] - 1.0))
     occ = occupations(state, p, math.pi / 2)
     ok = worst < 1e-12 and occ[n] > 1.0 - 1e-10
     _verdict(

@@ -12,7 +12,6 @@ from epbs.observables import (
     InputState,
     _autocorrelation,
     fit_ep_order,
-    intensity,
     make_input,
     occupations,
     periodicity_check,
@@ -26,6 +25,12 @@ from test_sym_power import exact_evolve
 
 def params(gamma, n, omega0=1.0, kappa=1.0):
     return BeamsplitterParams(omega0, kappa, gamma, n)
+
+
+def intensity_at(state, p, z):
+    """(I, log I) of an intensity-only trace at the one distance z."""
+    tr = trace_evolution(state, p, [z], with_occupations=False)
+    return tr.intensity[0], tr.log_intensity[0]
 
 
 def mp_log_intensity_critical(n, gamma, z, amplitudes, dps=50):
@@ -150,19 +155,19 @@ def test_input_amplitudes_read_only():
 
 def test_intensity_initial_and_lossless():
     s = make_input("all_in_a", 5)
-    val = intensity(s, params(1.0, 5), 0.0)
-    assert val.value == pytest.approx(1.0, abs=1e-14)
-    assert val.log_value == pytest.approx(0.0, abs=1e-14)
+    value, log_value = intensity_at(s, params(1.0, 5), 0.0)
+    assert value == pytest.approx(1.0, abs=1e-14)
+    assert log_value == pytest.approx(0.0, abs=1e-14)
     for z in (0.7, 3.9, 40.0):
-        val = intensity(s, params(0.0, 5), z)
-        assert val.value == pytest.approx(1.0, abs=1e-12)
+        value = intensity_at(s, params(0.0, 5), z)[0]
+        assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_intensity_log_value_survives_underflow():
     s = make_input("all_in_a", 10)
-    val = intensity(s, params(2.0, 10), 100.0)
-    assert val.value == 0.0
-    assert -1950.0 < val.log_value < -1850.0
+    value, log_value = intensity_at(s, params(2.0, 10), 100.0)
+    assert value == 0.0
+    assert -1950.0 < log_value < -1850.0
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.9, 2.0, 2.8])
@@ -172,7 +177,7 @@ def test_intensity_matches_matrix_exp(gamma):
     h = build_hamiltonian(p)
     for z in (0.3, 1.4, 3.8):
         expected = np.linalg.norm(matrix_exp_oracle(h, z).matrix @ s.amplitudes) ** 2
-        assert intensity(s, p, z).value == pytest.approx(expected, rel=1e-9)
+        assert intensity_at(s, p, z)[0] == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("z", [20.0, 60.0])
@@ -181,7 +186,7 @@ def test_intensity_deep_tail_vs_high_precision(z):
     # factored log-intensity against an exact high-precision evaluation
     n = 5
     s = make_input("all_in_a", n)
-    got = intensity(s, params(2.0, n), z).log_value
+    got = intensity_at(s, params(2.0, n), z)[1]
     want = mp_log_intensity_critical(n, 2.0, z, s.amplitudes)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -191,7 +196,7 @@ def test_intensity_bounded_by_one():
         p = params(gamma, 4)
         s = make_input("noon", 4)
         for z in np.linspace(0.0, 6.0, 25):
-            assert intensity(s, p, float(z)).value <= 1.0 + 1e-12
+            assert intensity_at(s, p, float(z))[0] <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +242,7 @@ def test_occupations_past_floor_match_reference():
     for z in (100.0, 200.0, 400.0):
         ref_li, ref_p = exact_evolve(p, s.amplitudes, z)
         assert ref_li < math.log(1e-300)
-        assert abs(intensity(s, p, z).log_value - ref_li) <= 1e-10
+        assert abs(intensity_at(s, p, z)[1] - ref_li) <= 1e-10
         occ = occupations(s, p, z)
         assert np.abs(occ - ref_p).max() <= 1e-10
         assert occ.sum() == pytest.approx(1.0, abs=1e-10)
@@ -280,7 +285,6 @@ def test_trace_evolution_basic():
     np.testing.assert_allclose(
         tr.intensity[1:], np.exp(tr.log_intensity[1:]), rtol=1e-12
     )
-    assert len(tr.methods) == 41
 
 
 def test_trace_without_occupations_reaches_deep_tail():
@@ -620,8 +624,8 @@ def test_intensity_is_the_trace_value(gamma):
         for kind in ("noon", "all_in_a", "all_in_b"):
             s = make_input(kind, n)
             for zk in z.tolist():
-                got = intensity(s, p, zk).value
-                want = trace_evolution(s, p, [zk], with_occupations=False).intensity[0]
+                got, log_i = intensity_at(s, p, zk)
+                want = np.exp(min(log_i, 0.0)) if log_i > -745.0 else 0.0
                 assert got == want and got <= 1.0, (n, kind, zk, got, want)
 
 
@@ -763,5 +767,5 @@ def test_observables_equal_matrix_exp_oracle(gamma):
         v = matrix_exp_oracle(h, float(z)).matrix @ s.amplitudes
         i_ref = float(np.linalg.norm(v) ** 2)
         occ_ref = np.abs(v) ** 2 / np.linalg.norm(v) ** 2
-        assert abs(intensity(s, p, float(z)).value - i_ref) < 1e-8
+        assert abs(intensity_at(s, p, float(z))[0] - i_ref) < 1e-8
         assert np.abs(occupations(s, p, float(z)) - occ_ref).max() < 1e-8

@@ -111,3 +111,18 @@ def test_only_delta_lambda_squares_kappa_or_gamma():
                 if any(_squares(node) for node in ast.walk(scope)):
                     owners.add(f"{path.stem}.{name}")
     assert owners == {"spectral.delta_lambda"}
+
+
+def test_one_sympower_function_forms_angles():
+    # one closed-form 2x2 SVD serves states and operator columns alike
+    path = ROOT / "src" / "epbs" / "_sympower.py"
+    owners = {
+        top.name
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+        in ("arctan2", "arctan")
+    }
+    assert owners == {"_svd_2x2"}

@@ -15,11 +15,12 @@ import warnings
 import numpy as np
 import pytest
 
-from epbs.cli import main
+from epbs.cli import SCENARIOS, main, validate
 from epbs.fock_core import BeamsplitterParams
-from epbs.observables import make_input
+from epbs.observables import fit_ep_order, make_input, trace_evolution
 from epbs.propagator import _g1, evolution_operator, evolve_grid, first_pole
 from epbs.spectral import classify_regime, delta_lambda, eigenvalue_flow
+from test_cli import _cfg_for
 
 KAPPAS = [2.0**-1000, 1e-300, 1e-200, 1e-165, 1e-160, 1e-155, 1e154, 1e160, 1e200, 1e300]
 RATIOS = [0.0, 0.5, 1.0, 1.5, 3.0]  # Gamma / Gamma_c
@@ -165,16 +166,47 @@ def test_cli_intensity_decay_at_tiny_kappa_matches_unit_kappa(tmp_path, capsys):
     assert (np.abs(tiny[:, 1] / ref[:, 1] - 1.0) <= RTOL * np.maximum(1.0, -ref[:, 2])).all()
 
 
-def test_cli_spacing_past_double_range_exits_2(tmp_path, capsys):
-    # at kappa = 1e308 and Gamma = 0 the spacing 2*kappa is not a double
-    doc = {
-        "scenario": "spectrum-flow",
-        "params": {"omega0": 0.0, "kappa": 1e308, "gamma": 0.0, "n_photons": 2},
-        "gamma_grid": {"start": 0.0, "stop": 1e308, "count": 3},
-        "output": {"directory": str(tmp_path / "out")},
+def test_cli_kappa_past_double_range_exits_1(tmp_path, capsys):
+    # at kappa >= 2^1023 Gamma_c = 2 kappa is not a double: the parameters
+    # are refused as a configuration error, not left to fail in the run
+    # (spectrum-flow exited 2 with "math range error")
+    for scenario in SCENARIOS:
+        doc = _cfg_for(scenario, tmp_path / scenario)
+        doc["params"]["kappa"] = 2.0**1023
+        path = tmp_path / f"{scenario}.json"
+        path.write_text(json.dumps(doc))
+        assert main([scenario, "--config", str(path)]) == 1, scenario
+        assert "kappa: must be below 2^1023" in capsys.readouterr().err, scenario
+        assert not (tmp_path / scenario).exists()
+    for kappa in (math.nextafter(2.0**1023, 0.0), 1e300):
+        assert BeamsplitterParams(0.0, kappa, 0.0, 2).gamma_critical == 2.0 * kappa < math.inf
+    with pytest.raises(ValueError, match="^kappa: must be below 2\\^1023"):
+        BeamsplitterParams(0.0, 1e308, 0.0, 2)
+
+
+def _order_fit_doc(kappa):
+    return {
+        "scenario": "order-fit",
+        "params": {"omega0": 0.0, "kappa": kappa, "gamma": 2.0 * kappa, "n_photons": 4},
     }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    assert main(["spectrum-flow", "--config", str(path)]) == 2
-    assert "spectrum-flow failed" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+
+
+def test_order_fit_default_grid_fits_at_every_kappa():
+    # logspace rounds its end points: the fit refused its own default grid
+    # at 252 of these 601 kappa, first at kappa = 0.0010471285480508996,
+    # where the last point read kappa*z = 99.9999999999999
+    for k in range(-300, 301):
+        kappa = 10.0 ** (k / 100)
+        cfg, errors = validate(json.dumps(_order_fit_doc(kappa)))
+        assert errors == [], kappa
+        grid = cfg.z_grid.to_array()
+        assert grid[0] == 10.0 / kappa and grid[-1] == 100.0 / kappa, kappa
+        trace = trace_evolution(make_input("all_in_a", 4), cfg.params, grid, False)
+        assert fit_ep_order(trace).window == (grid[0], grid[-1]), kappa
+
+
+def test_cli_order_fit_default_grid_at_awkward_kappa(tmp_path, capsys):
+    kappa = 0.0010471285480508996
+    out = _run_cli(tmp_path, "fit", _order_fit_doc(kappa), capsys)
+    report = json.loads((out / "report.json").read_text())
+    assert report["window_z_min"] == 10.0 / kappa and report["window_z_max"] == 100.0 / kappa

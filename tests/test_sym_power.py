@@ -34,6 +34,7 @@ from epbs._sympower import (
     _check_rows,
     _horner_rows,
     _spin_basis,
+    _svd_2x2,
     _svd_rows,
 )
 from epbs.propagator import (
@@ -172,7 +173,8 @@ def g1_core(p, z):
 def svd_rows(n, amps, z, core, out=None):
     """``_svd_rows`` on a state given as amplitudes, prepared as ``_state_rows`` prepares it."""
     x = _sympower._real_matmul(_spin_basis(n).T, amps[:, None])
-    return _svd_rows(n, x, np.linalg.norm(amps), z, core, out)
+    angles, log_s1, log_ratio = _svd_2x2(*core[:4], 0.0)
+    return _svd_rows(n, x, np.linalg.norm(amps), (*core, angles[0], log_s1, log_ratio), out)
 
 
 def column_errors(core, ref):
@@ -637,6 +639,28 @@ def test_flagged_rows_are_the_horner_rows():
     k = int(np.flatnonzero(flagged)[-1])
     ref_li, ref_p = exact_evolve(p, amps, grid[k])
     assert abs(log_i[k] - ref_li) <= 1e-10 and np.abs(occ[k] - ref_p).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [10, 40])
+def test_svd_form_takes_each_cores_own_factors(n):
+    # a batch that mixes regimes, 0.95 Gamma_c with y < 0, Gamma_c and
+    # 1.2 Gamma_c: each z gets the bits it gets in a batch of copies of
+    # itself (the same shape, so the same products).  With one asinh form
+    # per block, the one the lossy cores above threshold need, log I moved
+    # by 2.8e-14 at y < 0 and P at Gamma_c
+    amps = interior_state("dense", n).amplitudes
+    cases = ((0.95, [14.0, 17.5]), (1.0, [0.0, 1.3, 6.0]), (1.2, [0.0, 2.1, 9.0]))
+    parts = [g1_core(params(2.0 * ratio, n), zs) for ratio, zs in cases]
+    assert (parts[0][2] < 0).all() and (parts[2][3][1:] > 0).all()
+    batch = [np.concatenate(a) for a in zip(*parts)]
+    size = batch[0].size
+    occ = np.empty((size, n + 1))
+    log_i, estimate = svd_rows(n, amps, None, batch, occ)
+    for k in range(size):
+        occ_k = np.empty_like(occ)
+        li_k, est_k = svd_rows(n, amps, None, [np.full(size, a[k]) for a in batch], occ_k)
+        assert li_k[k] == log_i[k] and est_k[k] == estimate[k], k
+        assert np.array_equal(occ_k[k], occ[k]), k
 
 
 @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.2])
