@@ -22,10 +22,11 @@ its amplitudes choose:
 
 Each form returns log I per z and writes P, in (z, m) order, into the
 array it is given; ``_check_rows`` holds every block to finiteness and to
-G_N's contraction (unitarity without loss).  ``_core_matrix`` builds G_N's
-matrix with the same SVD form: each basis column k takes the form of
-Sym^N(g diag(1, alpha_k)), whose column k is alpha_k^k times G_N's, and
-carries its own error bound, the caller's rounding of the entries included.
+the decay law ln ||a||^2 - 2 N Gamma z <= log I <= ln ||a||^2 (unitarity
+where Gamma z = 0).  ``_core_matrix`` builds G_N's matrix with the same SVD
+form: each basis column k takes the form of Sym^N(g diag(1, alpha_k)),
+whose column k is alpha_k^k times G_N's, and carries its own error bound,
+the caller's rounding of the entries included.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _spin_basis(n: int) -> np.ndarray:
     """Q: the real orthonormal eigenbasis of 2 J_x on |0) ... |N), eigenvalues -N, -N+2, ..., N.
 
     2 J_x is the tridiagonal matrix with off-diagonal sqrt((m+1)(N-m)), the
-    generator of the lossless beamsplitter exp(-i phi sigma_x) on N
+    generator of the loss-free beamsplitter exp(-i phi sigma_x) on N
     photons; Q is the Wigner small-d matrix at pi/2 up to column signs
     (Feng, Wang, Yang & Jin, PRE 92, 043307 (2015)).  Its columns come in
     ascending order of eigenvalue.
@@ -393,49 +394,48 @@ def _interior_rows(n: int, amps: np.ndarray, x, a_norm: float, z: np.ndarray, co
     return log_i
 
 
-def _check_rows(n: int, z, lossless: bool, log_i, occ, log_norm2: float) -> None:
-    """Raise for the first z whose values are not finite or break an invariant.
+def _check_rows(n: int, z, gz, log_i, occ, log_norm2: float) -> None:
+    """Raise for the first z whose values are not finite or break the decay law.
 
-    ``occ`` is None when no occupations were formed.  A finite P lies in
-    [0, 1], so one sum over all of it is finite exactly when every entry
-    is; the rows are searched only when it is not.  G_N is a contraction
-    for Gamma >= 0 (its anti-Hermitian part -i Gamma (N/2 + J_z) is
-    negative semidefinite) and unitary at Gamma = 0, so log I never
-    exceeds ln ||a||^2 and equals it where ``lossless``.
+    Loss sits in guide b alone (G_N's anti-Hermitian part is -i Gamma n_b,
+    0 <= n_b <= N), so each photon keeps between e^(-2 Gamma z) and all of
+    its weight: log I - ln ||a||^2 lies in [-2 N Gamma z, 0] for each
+    entry's own Gamma z ``gz``.  A non-finite log I lies infinitely (or NaN)
+    far out, and P (``occ``, None if not formed) is finite exactly when its
+    sum is, so the rows are searched only when a check fails.
     """
+    excess = log_i - log_norm2
+    gap = np.maximum(excess, -2.0 * n * gz - excess)
+    occ_finite = occ is None or np.isfinite(occ.sum())
+    if occ_finite and gap.max(initial=-np.inf) <= ERROR_LIMIT:
+        return
     finite = np.isfinite(log_i)
-    if occ is not None and not np.isfinite(occ.sum()):
+    if not occ_finite:
         finite &= np.isfinite(occ).all(axis=1)
     if not finite.all():
         k = np.argmin(finite)
-        raise OverflowGuardError(
-            f"state update leaves double-precision range at "
-            f"z={float(z[k])!r} (N={n}, log I = {log_i[k]})"
-        )
-    excess = log_i - log_norm2
-    if lossless:
-        excess = np.abs(excess, out=excess)
-    if excess.max(initial=-np.inf) > ERROR_LIMIT:
-        k = np.argmax(excess > ERROR_LIMIT)
-        law = "unitary at Gamma = 0" if lossless else "a contraction"
-        raise PrecisionError(
-            float(z[k]),
-            f"log I - ln||a||^2 = {log_i[k] - log_norm2:.3g}, but G_N is {law} (N={n})",
-        )
+        raise OverflowGuardError(f"state update leaves double-precision range at "
+                                 f"z={float(z[k])!r} (N={n}, log I = {log_i[k]})")
+    k = np.argmax(gap > ERROR_LIMIT)
+    law = ("is a contraction" if excess[k] > 0 else "is unitary where Gamma z = 0"
+           if not gz[k] else f"decays by at most 2 N Gamma z = {2.0 * n * gz[k]:.12g}")
+    raise PrecisionError(float(z[k]), f"log I - ln||a||^2 = {excess[k]:.12g} is {gap[k]:.3g} "
+                                      f"out of range: G_N {law} (N={n})")
 
 
-def _state_rows(n: int, amps: np.ndarray, z: np.ndarray, core, lossless: bool, log_norm2: float,
+def _state_rows(n: int, amps: np.ndarray, norm2: float, z: np.ndarray, core,
                 with_occupations: bool):
-    """(log I, P or None) of ``amps`` at each z, by blocks, each checked against ln ||a||^2.
+    """(log I, P or None) of ``amps``, of squared norm ``norm2``, at each z, in blocks.
 
-    Without occupations no (z, N+1) array is allocated.
+    Each block is held to the decay law by its own Gamma z, ``core[4]``;
+    without occupations no (z, N+1) array is allocated.
     """
     if amps[1:n].any():
         x = _real_matmul(_spin_basis(n).T, amps[:, None])
         # every z's 2x2 SVD, formed once per call as Q^T a is; the blocks slice it
         angles, log_s1, log_ratio = _svd_2x2(*core[:4], 0.0)
         core = (*core, angles[0], log_s1, log_ratio)
-        rows = functools.partial(_interior_rows, n, amps, x, np.linalg.norm(amps))
+        rows = functools.partial(_interior_rows, n, amps, x, math.sqrt(norm2))
         block = max(1, _SVD_ENTRIES // (n + 1))
     else:
         rows, block = functools.partial(_edge_rows, n, amps), max(1, _EDGE_ENTRIES // (n + 1))
@@ -446,7 +446,7 @@ def _state_rows(n: int, amps: np.ndarray, z: np.ndarray, core, lossless: bool, l
         pb = None if occ is None else occ[lo:hi]
         cb = core if zb.size == z.size else [a[lo:hi] for a in core]
         log_i[lo:hi] = rows(zb, cb, pb)
-        _check_rows(n, zb, lossless, log_i[lo:hi], pb, log_norm2)
+        _check_rows(n, zb, cb[4], log_i[lo:hi], pb, math.log(norm2))
     return log_i, occ
 
 

@@ -47,8 +47,8 @@ class PrecisionError(SimulationError):
     Raised, naming z, when neither the SVD form's estimate nor the Horner
     bound meets the limit, when the bound of a column of
     ``evolution_operator`` or ``assemble_propagator`` exceeds it, or when log I
-    breaks an invariant of the exact dynamics: G_N is a contraction for
-    Gamma >= 0 and unitary at Gamma = 0.
+    leaves [ln ||a||^2 - 2 N Gamma z, ln ||a||^2], the decay law of loss in
+    guide b alone (a point, unitarity, where Gamma z = 0).
     """
 
     def __init__(self, z: float, reason: str):

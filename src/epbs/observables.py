@@ -280,7 +280,7 @@ def periodicity_check(trace: EvolutionTrace) -> PeriodicityResult:
     2*pi/Delta_lambda because the spectrum is an equidistant real ladder on
     top of a common decay; the reported deviation is measured against that
     value.  Inputs with extra symmetry can genuinely repeat faster (the
-    lossless balanced superposition halves the period) and then the
+    loss-free balanced superposition halves the period) and then the
     detected fundamental differs from 2*pi/Delta_lambda by construction.
 
     Requires gamma < 2*kappa, occupations in the trace, a uniform grid and

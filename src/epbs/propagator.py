@@ -282,8 +282,8 @@ def evolve_grid(
     log I gets back.  Raises ``ValueError`` for a negative or non-finite z,
     a non-finite amplitude or the zero vector, ``OverflowGuardError`` for a
     non-finite computed value, and ``PrecisionError`` where no form is
-    certified to ``ERROR_LIMIT`` or log I breaks the contraction (unitarity
-    at Gamma = 0) of G_N by more than that.
+    certified to ``ERROR_LIMIT`` or log I leaves [ln ||a||^2 - 2 N Gamma z,
+    ln ||a||^2], a point (unitarity) where Gamma z = 0, by more than that.
     """
     n = params.n_photons
     amps = np.asarray(amplitudes, dtype=complex)
@@ -298,8 +298,8 @@ def evolve_grid(
         norm2 = float(np.vdot(amps, amps).real)
     # out-of-range intermediates surface as non-finite values, which the engine refuses
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_i, occ = _state_rows(n, amps, z, _g1(params.kappa, params.gamma, z)[:5],
-                                 params.gamma == 0.0, math.log(norm2), with_occupations)
+        log_i, occ = _state_rows(n, amps, norm2, z, _g1(params.kappa, params.gamma, z)[:5],
+                                 with_occupations)
     if exp:
         # 2 exp ln 2 in two parts, so that it adds a single rounding
         log_i += 2 * exp * _LN2_LO

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigensolverError
+from .errors import EigensolverError, OverflowGuardError
 from .fock_core import BeamsplitterParams, HamiltonianMatrix
 
 __all__ = [
@@ -131,6 +131,7 @@ def eigenvalue_flow(
 
     Real parts exhibit level attraction that closes at gamma = 2*kappa;
     imaginary parts stay degenerate below the transition and split above it.
+    A ladder value past the double range raises ``OverflowGuardError``.
     """
     BeamsplitterParams(omega0, kappa, 0.0, n_photons)  # raises for a bad omega0, kappa or N
     gammas = np.asarray(gamma_grid, dtype=float)
@@ -140,7 +141,15 @@ def eigenvalue_flow(
         raise ValueError("gamma grid values must be finite and >= 0")
     dl = np.array([delta_lambda(kappa, g) for g in gammas.tolist()])
     r = np.arange(n_photons + 1) - n_photons / 2.0
-    rows = (omega0 - 0.5j * gammas[:, None]) * n_photons + r * dl[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = (omega0 - 0.5j * gammas[:, None]) * n_photons + r * dl[:, None]
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        k = np.argmin(finite)
+        raise OverflowGuardError(
+            f"eigenvalue ladder leaves double-precision range at Gamma={float(gammas[k])!r} "
+            f"(N={n_photons})"
+        )
     rows.setflags(write=False)
     return EigenvalueFlow(gammas=gammas, eigenvalues=rows, n_photons=n_photons)
 

@@ -16,7 +16,7 @@ import epbs
 from epbs import _svg
 from epbs.cli import GridSpec, OutputSpec, _json_bytes, main, run, validate
 from epbs.fock_core import build_hamiltonian
-from epbs.observables import trace_evolution
+from epbs.observables import steady_state_onset, trace_evolution
 from epbs.spectral import certify_ep, eigenvalue_flow
 from test_sym_power import exact_evolve
 
@@ -675,6 +675,63 @@ def test_precision_error_exits_2_with_reason(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_lossy_trace_off_unitarity_at_z0_exits_2(tmp_path, capsys, monkeypatch):
+    # G(0) = I, so even a lossy trace is unitary at z = 0; 2e-10 below is refused
+    from epbs import _sympower
+
+    edge_rows = _sympower._edge_rows
+
+    def lowered(*args):
+        return edge_rows(*args) - 2e-10
+
+    monkeypatch.setattr(_sympower, "_edge_rows", lowered)
+    out = tmp_path / "out"
+    doc = base_config("intensity-decay", out, z_grid={"start": 0.0, "stop": 1.0, "count": 3})
+    assert main(["intensity-decay", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "state update at z=0.0 is not accurate" in err and "unitary" in err
+    assert not out.exists()
+
+
+def test_value_below_decay_floor_exits_2(tmp_path, capsys):
+    # each photon keeps at least e^(-2 Gamma z) of its weight, so log I >= -2 N Gamma z;
+    # here the engine's all_in_b value lies 5.3e-7 below that floor at z = 7.5e-12
+    out = tmp_path / "out"
+    doc = base_config("intensity-decay", out, input_state={"kind": "all_in_b"},
+                      z_grid={"start": 0.0, "stop": 1e-11, "count": 5})
+    doc["params"].update(gamma=2e12, n_photons=3000)
+    assert main(["intensity-decay", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "state update at z=7.5e-12 is not accurate" in err and "2 N Gamma z" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega0, n, stop, first_bad", [(1.0, 10, 1e308, 5e307),
+                                                        (1e307, 100, 3.0, 0.0)])
+def test_spectrum_flow_past_double_range_exits_2(tmp_path, capsys, omega0, n, stop, first_bad):
+    # a ladder value (omega0 - i Gamma/2) N + r Delta_lambda past the double range,
+    # formed with no warning, is refused at the first such Gamma
+    out = tmp_path / "out"
+    doc = base_config("spectrum-flow", out, gamma_grid={"start": 0.0, "stop": stop, "count": 3})
+    doc["params"].update(omega0=omega0, n_photons=n)
+    assert main(["spectrum-flow", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"eigenvalue ladder leaves double-precision range at Gamma={first_bad!r} (N={n})" in err
+    assert not out.exists()
+
+
+def test_unwritable_output_exits_3(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("a regular file")
+    cfg_path = write_config(tmp_path, _cfg_for("ep-certify", tmp_path / "unused"))
+    assert main(["ep-certify", "--config", cfg_path, "--out", str(afile / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "epbs: cannot write outputs:" in err and "Not a directory" in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "config.json"]
+    assert afile.read_text() == "a regular file"
+
+
 def test_memory_error_exits_2_with_reason(tmp_path, capsys, monkeypatch):
     # validation puts no bound on N, so a config too large to hold is a
     # failed run, not a traceback; the runner raises rather than allocate
@@ -740,6 +797,30 @@ def test_critical_trace_past_floor_exits_0(tmp_path):
     for row in occ[-5:]:
         ref_p = exact_evolve(p, amps, row[0, 0])[1]
         assert np.abs(row[:, 2] - ref_p).max() <= 1e-10
+
+
+@pytest.mark.parametrize("gamma, stop", [(2.0, 3000.0), (2.4, 100.0)])
+def test_occupation_dynamics_reports_steady_state(tmp_path, gamma, stop):
+    # the report's onset is steady_state_onset's, its argmax that of the trace's
+    # occupations at the first grid point past the onset
+    out = tmp_path / "out"
+    grid = GridSpec(0.0, stop, 401)
+    doc = base_config("occupation-dynamics", out, input_state={"kind": "noon"},
+                      z_grid={"start": grid.start, "stop": grid.stop, "count": grid.count})
+    doc["params"].update(gamma=gamma, n_photons=10)
+    assert main(["occupation-dynamics", "--config", write_config(tmp_path, doc)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    p, state = epbs.BeamsplitterParams(1.0, 1.0, gamma, 10), epbs.make_input("noon", 10)
+    onset = steady_state_onset(state, p, z_max=stop)
+    assert onset is not None and report["steady_onset"] == onset
+    z = grid.to_array()
+    occ = trace_evolution(state, p, z).occupations[min(np.searchsorted(z, onset), z.size - 1)]
+    assert report["steady_argmax_m"] == int(np.argmax(occ))
+    if gamma == 2.0:
+        # at Gamma_c every mode has coalesced into one: P is binomial, peaked at N/2
+        binomial = np.array([math.comb(10, m) for m in range(11)]) / 2.0**10
+        assert np.abs(occ - binomial).max() <= 1e-3
+        assert report["steady_argmax_m"] == 5
 
 
 @pytest.mark.parametrize("where, value", [

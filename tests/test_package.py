@@ -73,6 +73,16 @@ def test_sympower_imports_only_errors_from_the_package():
         if func.__module__ == _sympower.__name__ and "params" in inspect.signature(func).parameters
     ]
     assert takes_params == []
+    # a flag the engine could work out from its cores (such as Gamma == 0) is no option
+    flags = [
+        f"{name}.{arg.name}"
+        for name, func in inspect.getmembers(_sympower, inspect.isfunction)
+        if func.__module__ == _sympower.__name__
+        for arg in inspect.signature(func).parameters.values()
+        if (arg.annotation in (bool, "bool") or isinstance(arg.default, bool))
+        and arg.name != "with_occupations"
+    ]
+    assert flags == []
 
 
 def _names_kappa_or_gamma(node) -> bool:

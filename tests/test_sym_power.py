@@ -737,22 +737,37 @@ def test_invariant_guards_name_z():
     # lossy (Gamma = 1) and lossless rows at N = 3
     z = np.array([0.5, 1.5])
     occ = np.full((2, 4), 0.25)
-    _check_rows(3, z, False, np.array([-0.1, -1.0]), occ, 0.0)
+    _check_rows(3, z, z, np.array([-0.1, -1.0]), occ, 0.0)
     with pytest.raises(PrecisionError, match="contraction") as err:
-        _check_rows(3, z, False, np.array([-0.1, 2e-10]), occ, 0.0)
+        _check_rows(3, z, z, np.array([-0.1, 2e-10]), occ, 0.0)
     assert err.value.z == 1.5
-    _check_rows(3, z, True, np.array([0.0, 5e-11]), occ, 0.0)
+    _check_rows(3, z, 0 * z, np.array([0.0, 5e-11]), occ, 0.0)
     with pytest.raises(PrecisionError, match="unitary") as err:
-        _check_rows(3, z, True, np.array([-2e-10, 0.0]), occ, 0.0)
+        _check_rows(3, z, 0 * z, np.array([-2e-10, 0.0]), occ, 0.0)
     assert err.value.z == 0.5
     # the norm of the amplitudes as given is the reference
-    _check_rows(3, z, False, np.array([math.log(4.0), 0.0]), occ, math.log(4.0))
+    _check_rows(3, z, z, np.array([math.log(4.0), 0.0]), occ, math.log(4.0))
     # a non-finite occupation names its own z, also beside finite log I
     for bad in (math.nan, math.inf):
         occ_bad = occ.copy()
         occ_bad[1, 2] = bad
         with pytest.raises(OverflowGuardError, match="z=1.5"):
-            _check_rows(3, z, False, np.array([-0.1, -1.0]), occ_bad, 0.0)
+            _check_rows(3, z, z, np.array([-0.1, -1.0]), occ_bad, 0.0)
+
+
+def test_decay_law_reads_each_entrys_gamma_z():
+    # each photon keeps at least e^(-2 Gamma z): the floor at N = 3, Gamma z = 1.5
+    # is -9, and an entry with Gamma z = 0 (Gamma = 0, or z = 0) must be unitary
+    z, gz = np.array([0.0, 0.7, 1.5]), np.array([0.0, 0.0, 1.5])
+    with pytest.raises(PrecisionError, match="unitary") as err:
+        _check_rows(3, z, gz, np.array([-2e-10, 0.0, -1.0]), None, 0.0)
+    assert err.value.z == 0.0
+    with pytest.raises(PrecisionError, match="2 N Gamma z = 9") as err:
+        _check_rows(3, z, gz, np.array([0.0, 0.0, -9.1]), None, 0.0)
+    assert err.value.z == 1.5
+    _check_rows(3, z, gz, np.array([0.0, 0.0, -8.9]), None, 0.0)
+    # the floor is relative to ln ||a||^2
+    _check_rows(3, z, gz, np.array([2.0, 2.0, -6.9]), None, 2.0)
 
 
 # ---------------------------------------------------------------------------
