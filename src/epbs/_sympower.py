@@ -1,11 +1,11 @@
 """The Sym^N engine: G_N = Sym^N(g) on states and on basis columns, for 2x2 cores g.
 
-Cores come in, never parameters: real arrays (c, ks, y, log_scale, Gamma
-z), one entry per z, give e^log_scale [[c + y, -i ks], [-i ks, c - y]]
-(unit determinant) and its prefactor's decay.  One cached table per N
-(``_basis_rows``) holds the rows over the basis index m that the forms
-read.  ``_state_rows`` maps a state over a z grid in blocks, in the form
-its amplitudes choose:
+Cores come in, never parameters: real arrays (c, ks, y, log_scale, Gamma z,
+gain), one entry per z, give e^log_scale [[c + y, -i ks], [-i ks, c - y]]
+(unit determinant), the decay law's Gamma z and the log gain 2 log_scale -
+Gamma z that each form adds N times.  ``_basis_rows`` caches one table per
+N of the rows over the basis index m that the forms read.  ``_state_rows``
+maps a state over a z grid in blocks, in the form its amplitudes choose:
 
 - edge: a state on |0) and |N) only maps to a_0 X^N + a_N Y^N, two
   binomial expansions, O(N) per z, in real arithmetic with the magnitudes
@@ -152,7 +152,7 @@ def _edge_rows(n: int, amps: np.ndarray, z: np.ndarray, core, out=None):
     underflow to 0.  A single term needs no sum for log I: its image has
     norm |a| col^N.
     """
-    c, w, y, log_scale, gz = core
+    c, w, y, _, _, log_gain = core
     a0, b = complex(amps[0]), complex(amps[n]) * (1, -1j, -1, 1j)[n % 4]
     # the terms in use: a_0 on the column (u, w), b on (w, t)
     lo, hi = (0 if a0 else 1), (2 if b else 1)
@@ -163,7 +163,7 @@ def _edge_rows(n: int, amps: np.ndarray, z: np.ndarray, core, out=None):
     for row, a in zip(logs, (a0, b)[lo:hi]):
         row += math.log(abs(a))
     top = logs.max(axis=0)
-    gain = 2.0 * top + n * (2.0 * log_scale - gz)
+    gain = 2.0 * top + n * log_gain
     if hi - lo == 1 and out is None:
         return gain
     ratios = np.abs(np.array((p, q)) / col).reshape(2, -1)
@@ -223,7 +223,7 @@ def _real_matmul(mat: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) 
 
 
 def _svd_2x2(c, ks, y, log_scale, log_alpha):
-    """((p_l, p_r), ln s1, ln s2/s1) of each core diag(1, alpha) = B(p_l) diag(s1, s2) B(p_r).
+    """((p_l, p_r), ln max(s1, s2) - log_scale, ln s2/s1) of each core diag(1, alpha) = B diag B.
 
     The cores e^log_scale [[c + y, -i ks], [-i ks, c - y]] have real c, ks,
     y and unit determinant (y >= 0 where log_scale > 0); alpha = e^log_alpha
@@ -234,10 +234,10 @@ def _svd_2x2(c, ks, y, log_scale, log_alpha):
     sign(e) hypot(e, g), 2 p_l, 2 p_r = atan2(h, f) +/- atan2(sign(e) g, |e|),
     ln s1 = ln(alpha) / 2 + t and ln s2/s1 = -2t, t = asinh(r e^log_scale /
     sqrt(alpha)).  Each entry forms t its own way: by asinh where log_scale
-    = 0, else from ln max(s1, s2) = log_scale + ln(|r| + hypot(r, sqrt(alpha)
-    e^-log_scale)), which sums magnitudes and never overflows.  At alpha = 1
-    p_l = p_r = atan2(ks, c) / 2 and t = ln lambda, lambda^(+/-1) the core's
-    singular values.
+    = 0, else from ln max(s1, s2) - log_scale = ln(|r| + hypot(r, sqrt(alpha)
+    e^-log_scale)), which sums magnitudes, never overflows and is returned
+    as it is.  At alpha = 1 p_l = p_r = atan2(ks, c) / 2 and t = ln lambda,
+    lambda^(+/-1) the core's singular values.
     """
     alpha = np.exp(log_alpha)
     plus, minus = 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha)
@@ -246,10 +246,12 @@ def _svd_2x2(c, ks, y, log_scale, log_alpha):
     sign = np.copysign(1.0, e)
     a, b = np.arctan2(h, f), np.arctan2(sign * g, np.abs(e))
     r, half = sign * np.hypot(e, g), 0.5 * log_alpha
-    root = np.exp(half)
-    top = log_scale + np.log(np.abs(r) + np.hypot(r, root * np.exp(-log_scale)))
-    t = np.where(log_scale == 0, np.arcsinh(r / root), sign * (top - half))
-    return 0.5 * np.array((a + b, a - b)), half + t, -2.0 * t
+    root, unscaled = np.exp(half), log_scale == 0
+    net = np.log(np.abs(r) + np.hypot(r, root * np.exp(-log_scale)))
+    t = np.where(unscaled, np.arcsinh(r / root), sign * (log_scale + net - half))
+    log_ratio = -2.0 * t
+    log_max = np.where(unscaled, half + t + np.maximum(log_ratio, 0.0), net)
+    return 0.5 * np.array((a + b, a - b)), log_max, log_ratio
 
 
 def _svd_table(n: int, angles: np.ndarray, log_ratio: np.ndarray):
@@ -293,16 +295,16 @@ def _svd_form(q: np.ndarray, x: np.ndarray, left, right, scaling: np.ndarray):
 def _svd_rows(n: int, x: np.ndarray, a_norm: float, core, out=None):
     """(log I, error estimate) at each z by the SVD form of Sym^N of the core; P goes into ``out``.
 
-    The state is x = Q^T a; ``core`` ends in Gamma z and the ``_svd_2x2``
+    The state is x = Q^T a; ``core`` ends in the log gain and the ``_svd_2x2``
     factors.  The form is normwise backward stable, so 16 (N+1) eps ||a|| /
     ||psi|| estimates the relative error of each image psi; without P the
     form stops early.
     """
-    gz, angle, log_s1, log_ratio = core[4:]
+    log_gain, angle, log_max, log_ratio = core[5:]
     phase, scaling = _svd_table(n, angle, log_ratio)
     psi = _svd_form(_spin_basis(n), x, None if out is None else phase, phase, scaling)
     del phase, scaling
-    log_i, norm = _observe(psi.T, n * (2.0 * (log_s1 + np.maximum(log_ratio, 0.0)) - gz), out)
+    log_i, norm = _observe(psi.T, n * (2.0 * log_max + log_gain), out)
     return log_i, _EST_FACTOR * (n + 1) * a_norm / norm
 
 
@@ -353,7 +355,7 @@ def _horner_rows(n: int, amps: np.ndarray, z: np.ndarray, core):
     relative error of psi.  Subnormal weights (N >= ~2050) add their own
     relative spacing.
     """
-    c, ks, y, log_scale, gz = core[:5]
+    c, ks, y, _, _, log_gain = core[:6]
     u, v, t = c + y, -1j * ks, c - y
     norm = np.maximum(np.hypot(abs(u), abs(v)), np.hypot(abs(v), abs(t)))
     u, v, t = u / norm, v / norm, t / norm
@@ -364,7 +366,7 @@ def _horner_rows(n: int, amps: np.ndarray, z: np.ndarray, core):
     psi = np.empty_like(poly)
     psi.real, psi.imag = poly.real / roots, poly.imag / roots
     occ = np.empty(psi.shape)
-    log_i, psi_norm = _observe(psi, n * (2.0 * (log_scale + np.log(norm)) - gz), occ)
+    log_i, psi_norm = _observe(psi, n * (2.0 * np.log(norm) + log_gain), occ)
     magnitude = _horner(abs(u), abs(v), abs(t), abs(amps * roots)) / roots
     factor = _EST_FACTOR * (n + 1) + 2.0 * np.max(np.spacing(roots) / roots)
     return log_i, occ, factor * np.linalg.norm(magnitude, axis=1) / psi_norm
@@ -433,8 +435,8 @@ def _state_rows(n: int, amps: np.ndarray, norm2: float, z: np.ndarray, core,
     if amps[1:n].any():
         x = _real_matmul(_spin_basis(n).T, amps[:, None])
         # every z's 2x2 SVD, formed once per call as Q^T a is; the blocks slice it
-        angles, log_s1, log_ratio = _svd_2x2(*core[:4], 0.0)
-        core = (*core, angles[0], log_s1, log_ratio)
+        angles, log_max, log_ratio = _svd_2x2(*core[:4], 0.0)
+        core = (*core, angles[0], log_max, log_ratio)
         rows = functools.partial(_interior_rows, n, amps, x, math.sqrt(norm2))
         block = max(1, _SVD_ENTRIES // (n + 1))
     else:
@@ -482,7 +484,7 @@ def _core_matrix(n: int, z: float, rounding: float, c: float, ks: float, y: floa
         # numpy scalars, so that entries beyond the double range give inf, not exceptions
         a, cc = np.float64(u * u + ks * ks), np.float64(ks * ks + t * t)
         log_alpha = np.arcsinh(rows[5] * (abs(ks * y) / np.sqrt(a * cc))) + 0.5 * np.log(a / cc)
-        angles, log_s1, log_ratio = _svd_2x2(c, ks, y, log_scale, log_alpha)
+        angles, log_max, log_ratio = _svd_2x2(c, ks, y, log_scale, log_alpha)
         for lo in range(0, n + 1, width):
             cols = slice(lo, lo + width)
             phase, scaling = _svd_table(n, angles[:, cols], log_ratio[cols])
@@ -493,7 +495,7 @@ def _core_matrix(n: int, z: float, rounding: float, c: float, ks: float, y: floa
         log_size = (0.5 * n + rows[1]) * np.abs(log_alpha) + 0.5 * n * np.abs(log_ratio)
         estimate += log_size * (slack / n) + slack * rounding
         # in two halves, so that only entries beyond the double range overflow
-        half_scale = np.exp(0.5 * (n * (log_s1 + np.maximum(log_ratio, 0.0)) - rows[1] * log_alpha))
+        half_scale = np.exp(0.5 * (n * (log_max + log_scale) - rows[1] * log_alpha))
         core *= half_scale
         core *= half_scale
     if not np.isfinite(core).all():

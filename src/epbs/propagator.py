@@ -12,10 +12,10 @@ with c = cos(theta), s = sin(theta)/(Delta_lambda/2), theta = z*Delta_lambda/2
 critical loss); the core [[u, v], [v, t]] has unit determinant.  A state
 on |m) = |N-m>_a |m>_b is the polynomial P(x, y) = sum_m c_m sqrt(C(N, m))
 x^(N-m) y^m, and G_N maps it to P(u x + v y, v x + t y) times the scalar
-prefactor.  g1 is entire in z, so there are no poles; its scale is kept in
-log space with the decay -Gamma*N*z, so nothing overflows.  ``_g1`` forms
-the core once per call from ``spectral``'s spacing and regime rule, and
-``_sympower`` evaluates Sym^N of it: ``evolve_grid``, the one state entry,
+prefactor.  g1 is entire in z, so there are no poles; its scale and each
+photon's log gain -z ``slow_decay`` are kept in log space, so nothing
+overflows.  ``_g1`` forms the core once per call from ``spectral``'s rules,
+and ``_sympower`` evaluates Sym^N of it: ``evolve_grid``, the one state entry,
 holds amplitudes to one rule and maps them over a z grid without forming
 G_N; ``evolution_operator`` builds the matrix, each column with its own
 bound.  A value not certified to ``ERROR_LIMIT`` raises ``PrecisionError``.
@@ -46,7 +46,7 @@ import numpy as np
 from ._sympower import ERROR_LIMIT, _core_matrix, _state_rows
 from .errors import OverflowGuardError, PoleProximityError, PrecisionError
 from .fock_core import BeamsplitterParams
-from .spectral import classify_regime, delta_lambda
+from .spectral import classify_regime, delta_lambda, slow_decay
 
 __all__ = [
     "WeiNormanParams",
@@ -122,11 +122,11 @@ def _check_z(z, ndim: int) -> np.ndarray:
 
 
 def _g1(kappa: float, gamma: float, z):
-    """(c, kappa s, (Gamma/2) s, log_scale, Gamma z, theta) of g1's core at z, an array or a scalar.
+    """(c, kappa s, (Gamma/2) s, log_scale, Gamma z, gain, theta): g1's core at z, array or scalar.
 
-    theta = z |Delta_lambda|/2; c and s are cos(theta) and sin(theta)/(Delta_lambda/2)
-    below threshold, cosh and sinh above it with their growth e^theta in the
-    log scale, exactly 1 and z at the critical loss, by ``classify_regime``.
+    theta = z |Delta_lambda|/2; c, s are cos(theta), sin(theta)/(Delta_lambda/2) below threshold,
+    cosh and sinh above it with their growth e^theta in the log scale, exactly 1 and z at the
+    critical loss, by ``classify_regime``; gain = 2 log_scale - Gamma z is -z ``slow_decay``.
     """
     regime, half = classify_regime(kappa, gamma), 0.5 * abs(delta_lambda(kappa, gamma))
     theta = half * z
@@ -137,7 +137,8 @@ def _g1(kappa: float, gamma: float, z):
         s = -0.5 * np.expm1(-2.0 * theta) / half
     else:
         c, s, log_scale = 0.0 * z + 1.0, z, 0.0 * z
-    return c, kappa * s, 0.5 * gamma * s, log_scale, gamma * z, theta
+    gain = -slow_decay(kappa, gamma) * z
+    return c, kappa * s, 0.5 * gamma * s, log_scale, gamma * z, gain, theta
 
 
 def _prefactor_exponent(params: BeamsplitterParams, z: float) -> complex:
@@ -298,7 +299,7 @@ def evolve_grid(
         norm2 = float(np.vdot(amps, amps).real)
     # out-of-range intermediates surface as non-finite values, which the engine refuses
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_i, occ = _state_rows(n, amps, norm2, z, _g1(params.kappa, params.gamma, z)[:5],
+        log_i, occ = _state_rows(n, amps, norm2, z, _g1(params.kappa, params.gamma, z)[:6],
                                  with_occupations)
     if exp:
         # 2 exp ln 2 in two parts, so that it adds a single rounding
@@ -320,7 +321,7 @@ def evolution_operator(params: BeamsplitterParams, z: float) -> PropagatorMatrix
     ``ValueError`` for a negative or non-finite z.
     """
     _check_z(z, 0)
-    c, ks, y, log_scale, _, theta = map(float, _g1(params.kappa, params.gamma, z))
+    c, ks, y, log_scale, _, _, theta = map(float, _g1(params.kappa, params.gamma, z))
     core = _core_matrix(params.n_photons, z, theta + 1.0, c, ks, y, log_scale)[0]
     return PropagatorMatrix(
         core=core, prefactor_exponent=_prefactor_exponent(params, z), method=METHOD

@@ -8,10 +8,10 @@ with r = -N/2 .. N/2 in unit steps: an equidistant ladder with complex
 spacing Delta_lambda, formed at any scale by ``delta_lambda`` alone.  Below
 Gamma_c = 2*kappa (``classify_regime`` is the one regime rule) it is real
 and all modes decay at the rate Gamma*N/2; above Gamma_c it is imaginary
-and slow/fast decaying modes split off.  At Gamma_c all N+1 eigenvalues and
-eigenvectors coalesce: M = H - (omega0 - i*kappa)*N*Id is nilpotent of
-index N+1.  ``certify_ep`` gives that verdict exactly, from the regime,
-and reports normalized norms of M's powers beside it.
+and slow/fast decaying modes split off, the slowest at ``slow_decay``'s
+rate.  At Gamma_c all N+1 eigenvalues and eigenvectors coalesce: M = H -
+(omega0 - i*kappa)*N*Id is nilpotent of index N+1.  ``certify_ep`` gives
+that verdict exactly, from the regime, with M's normalized power norms.
 
 A dense nonsymmetric eigensolver provides the independent numerical oracle.
 Near the critical loss the matrix is defective and eigenvalue condition
@@ -54,6 +54,16 @@ def delta_lambda(kappa: float, gamma: float) -> complex:
     kappa_s, gamma_s = math.ldexp(kappa, -exp), math.ldexp(gamma, -exp)
     root = math.ldexp(math.sqrt(abs(4.0 * kappa_s * kappa_s - gamma_s * gamma_s)), exp)
     return complex(0.0, root) if classify_regime(kappa, gamma) == "broken" else complex(root, 0.0)
+
+
+def slow_decay(kappa: float, gamma: float) -> float:
+    """Gamma - Im Delta_lambda, the slowest mode's intensity decay per photon; formed only here.
+
+    Above Gamma_c, 4 kappa^2 / (Gamma + |Delta_lambda|) from halves: no cancellation, no overflow.
+    """
+    if classify_regime(kappa, gamma) != "broken":
+        return gamma
+    return kappa * (2.0 * kappa / (0.5 * gamma + 0.5 * delta_lambda(kappa, gamma).imag))
 
 
 def classify_regime(kappa: float, gamma: float) -> str:
@@ -130,7 +140,7 @@ def eigenvalue_flow(
     """Sweep the analytic spectrum over a grid of dissipation values.
 
     Real parts exhibit level attraction that closes at gamma = 2*kappa;
-    imaginary parts stay degenerate below the transition and split above it.
+    imaginary parts stay degenerate below it and split above, built from ``slow_decay``.
     A ladder value past the double range raises ``OverflowGuardError``.
     """
     BeamsplitterParams(omega0, kappa, 0.0, n_photons)  # raises for a bad omega0, kappa or N
@@ -140,9 +150,11 @@ def eigenvalue_flow(
     if not (np.isfinite(gammas) & (gammas >= 0)).all():
         raise ValueError("gamma grid values must be finite and >= 0")
     dl = np.array([delta_lambda(kappa, g) for g in gammas.tolist()])
-    r = np.arange(n_photons + 1) - n_photons / 2.0
+    r, broken = np.arange(n_photons + 1) - n_photons / 2.0, dl.imag > 0.0
+    slow = np.array([slow_decay(kappa, g) for g in gammas[broken].tolist()]).reshape(-1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = (omega0 - 0.5j * gammas[:, None]) * n_photons + r * dl[:, None]
+        rows.imag[broken] = -0.5 * n_photons * slow - (0.5 * n_photons - r) * dl.imag[broken, None]
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         k = np.argmin(finite)

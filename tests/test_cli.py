@@ -578,6 +578,23 @@ def test_main_success_and_exit_codes(tmp_path, capsys):
     assert main(["order-fit", "--config", cfg_path]) == 2
 
 
+@pytest.mark.parametrize("text, out, extra, message", [
+    ("[1, 2]", "out", [], "config must be a JSON object"),
+    (None, "", [], "output.directory: must be a non-empty string"),
+    (None, "out", ["--param", "params.gamma.x=1"],
+     "--param 'params.gamma.x': gamma is not an object"),
+], ids=["json-array", "empty-directory", "param-into-number"])
+def test_config_shape_errors_exit_1(tmp_path, monkeypatch, capsys, text, out, extra, message):
+    # the default output directory is the working directory: nothing may appear there
+    monkeypatch.chdir(tmp_path)
+    doc = base_config("intensity-decay", out, z_grid={"start": 0.0, "stop": 1.0, "count": 3})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc) if text is None else text)
+    assert main(["intensity-decay", "--config", str(path), *extra]) == 1
+    assert capsys.readouterr().err == f"epbs: config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_main_reads_stdin_and_applies_out_flag(tmp_path, monkeypatch, capsys):
     out = tmp_path / "cli_out"
     doc = _cfg_for("ep-certify", tmp_path / "ignored")

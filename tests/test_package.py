@@ -136,3 +136,17 @@ def test_one_sympower_function_forms_angles():
         in ("arctan2", "arctan")
     }
     assert owners == {"_svd_2x2"}
+
+
+def test_only_the_decay_law_reads_gamma_z():
+    # the forms add each z's log gain, -z slow_decay, which the core carries; forming
+    # it from 2 log_scale - Gamma z cancelled two terms of size Gamma z far above Gamma_c
+    path = ROOT / "src" / "epbs" / "_sympower.py"
+    readers = {
+        top.name
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "gz"
+    }
+    assert readers == {"_check_rows"}

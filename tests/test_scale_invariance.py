@@ -98,7 +98,7 @@ def test_spectrum_and_first_pole_are_scale_invariant(kappa, ratio):
 
 def _branch(kappa, gamma):
     """The branch ``_g1`` took at z = 1/kappa: theta is 0 only at the EP, log_scale > 0 only above."""
-    log_scale, theta = np.asarray(_g1(kappa, gamma, np.float64(1.0 / kappa)))[[3, 5]]
+    log_scale, theta = np.asarray(_g1(kappa, gamma, np.float64(1.0 / kappa)))[[3, 6]]
     if log_scale > 0.0:
         return "broken"
     return "unbroken" if theta > 0.0 else "exceptional"

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +11,7 @@ from epbs.spectral import (
     delta_lambda,
     eigenvalue_flow,
     numeric_spectrum,
+    slow_decay,
 )
 from oracles import pairing_distance
 
@@ -52,6 +54,9 @@ def test_spectrum_ladder_construction(gamma):
     s = analytic_spectrum(p)
     r = np.arange(7) - 3.0
     expected = (0.4 - 0.5j * gamma) * 6 + r * s.delta_lambda
+    if gamma > 1.8:
+        # above Gamma_c the imaginary parts are formed from the slow end, without cancellation
+        expected.imag = -3.0 * slow_decay(0.9, gamma) - (3.0 - r) * s.delta_lambda.imag
     assert np.abs(s.eigenvalues - expected).max() == 0.0
     assert s.gamma_critical == pytest.approx(1.8)
     if gamma < 1.8:
@@ -152,6 +157,20 @@ def test_eigenvalue_flow_examples():
     assert np.all(flow.eigenvalues[3].real == 4.0)
 
 
+@pytest.mark.parametrize("ratio", [10.0, 1e3, 1e6])
+def test_slow_end_of_the_ladder_keeps_its_digits(ratio):
+    # -Gamma N/2 + r Im Delta_lambda cancelled at the slow end: 1.3e-10 relative
+    # at 1e3 Gamma_c and 1.3e-4 at 1e6 Gamma_c against 50 digits
+    n, kappa = 10, 1.0
+    gamma = ratio * 2.0 * kappa
+    got = eigenvalue_flow(1.0, kappa, n, [gamma]).eigenvalues[0].imag
+    with mp.workdps(50):
+        g = mp.mpf(gamma)
+        root = mp.sqrt(g * g - 4 * mp.mpf(kappa) ** 2)
+        want = np.array([float(-g * n / 2 + (k - mp.mpf(n) / 2) * root) for k in range(n + 1)])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 def test_eigenvalue_flow_rejects_bad_grid():
     with pytest.raises(ValueError):
         eigenvalue_flow(1.0, 1.0, 4, [])
@@ -168,13 +187,18 @@ def test_eigenvalue_flow_rejects_non_finite_grid(bad):
 
 @pytest.mark.parametrize("omega0, kappa, n", [(1.0, 1.0, 10), (-0.3, 0.7, 1), (5.1, 2.3, 40)])
 def test_eigenvalue_flow_matches_per_gamma_ladder(omega0, kappa, n):
-    # the closed form evaluated one gamma at a time in Python complex arithmetic
+    # the closed form evaluated one gamma at a time in Python complex arithmetic,
+    # above Gamma_c with Im lambda_r = -(N/2) slow_decay - (N/2 - r) Im Delta_lambda
     gammas = np.concatenate([np.linspace(0.0, 4.0 * kappa, 200), [2.0 * kappa]])
     r = np.arange(n + 1) - n / 2.0
-    want = np.array([
-        (omega0 - 0.5j * g) * n + r * complex(np.sqrt(complex(4.0 * kappa * kappa - g * g)))
-        for g in gammas.tolist()
-    ])
+    want = []
+    for g in gammas.tolist():
+        dl = complex(np.sqrt(complex(4.0 * kappa * kappa - g * g)))
+        row = (omega0 - 0.5j * g) * n + r * dl
+        if dl.imag > 0.0:
+            row.imag = -0.5 * n * slow_decay(kappa, g) - (0.5 * n - r) * dl.imag
+        want.append(row)
+    want = np.array(want)
     got = eigenvalue_flow(omega0, kappa, n, gammas).eigenvalues
     assert np.array_equal(got.view(float), want.view(float))
     assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))

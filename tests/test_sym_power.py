@@ -161,20 +161,20 @@ def test_reference_matches_closed_form_at_one_photon():
 
 def g1_core_matrix(p, z):
     """``_core_matrix`` on g1's entries at z, as ``evolution_operator`` passes them."""
-    c, ks, y, log_scale, _, theta = map(float, _g1(p.kappa, p.gamma, z))
+    c, ks, y, log_scale, _, _, theta = map(float, _g1(p.kappa, p.gamma, z))
     return _core_matrix(p.n_photons, z, theta + 1.0, c, ks, y, log_scale)
 
 
 def g1_core(p, z):
     """g1's core at each z, as the state kernels take it."""
-    return _g1(p.kappa, p.gamma, np.asarray(z, dtype=float))[:5]
+    return _g1(p.kappa, p.gamma, np.asarray(z, dtype=float))[:6]
 
 
 def svd_rows(n, amps, z, core, out=None):
     """``_svd_rows`` on a state given as amplitudes, prepared as ``_state_rows`` prepares it."""
     x = _sympower._real_matmul(_spin_basis(n).T, amps[:, None])
-    angles, log_s1, log_ratio = _svd_2x2(*core[:4], 0.0)
-    return _svd_rows(n, x, np.linalg.norm(amps), (*core, angles[0], log_s1, log_ratio), out)
+    angles, log_max, log_ratio = _svd_2x2(*core[:4], 0.0)
+    return _svd_rows(n, x, np.linalg.norm(amps), (*core, angles[0], log_max, log_ratio), out)
 
 
 def column_errors(core, ref):
@@ -813,3 +813,45 @@ def test_edge_states_beyond_binomial_overflow(n, gamma):
         log_pmf = log_binom + np.multiply.outer(np.log(share), n - m) + log_rest
     occ = evolve_grid(p, make_input("all_in_a", n).amplitudes, grid)[1]
     np.testing.assert_allclose(occ, np.exp(log_pmf), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# far above threshold, where the slowest mode decays at 4 kappa^2 / (Gamma +
+# |Delta_lambda|) per photon, small beside Gamma: log I against 60 digits
+
+FAR_RATIOS = (10.0, 100.0, 1e4)
+
+
+def _edge_log_intensity(p, z, kind):
+    """log I of ``all_in_a`` or ``all_in_b`` at z: N ln ||column||^2 - N Gamma z, in mpmath."""
+    with mp.workdps(60):
+        u, v, t = exact_core_g1(p.kappa, p.gamma, z)
+        a, b = (u, v) if kind == "all_in_a" else (v, t)
+        n, gz = p.n_photons, mp.mpf(p.gamma) * mp.mpf(z)
+        return float(n * (mp.log(abs(a) ** 2 + abs(b) ** 2) - gz))
+
+
+@pytest.mark.parametrize("kind", ["all_in_a", "all_in_b"])
+@pytest.mark.parametrize("n", [100, 1000])
+def test_edge_log_intensity_far_above_threshold(n, kind):
+    # forming N (2 log_scale - Gamma z) cancelled two terms of size N Gamma z:
+    # off by 1.3e-10 at N = 100, 10 Gamma_c and by 1.2e-6 at N = 1000, 1e4 Gamma_c
+    grid = np.logspace(-3, 3, 13)
+    for ratio in FAR_RATIOS:
+        p = params(2.0 * ratio, n)
+        log_i = evolve_grid(p, make_input(kind, n).amplitudes, grid, False)[0]
+        want = [_edge_log_intensity(p, z, kind) for z in grid.tolist()]
+        np.testing.assert_allclose(log_i, want, rtol=0, atol=ERROR_LIMIT, err_msg=f"{ratio=}")
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_dense_log_intensity_far_above_threshold(n):
+    # the SVD form's scale cancelled the same way: off by 1.4e-10 at N = 10,
+    # 100 Gamma_c and by 6.4e-9 at N = 100, 1e4 Gamma_c
+    grid = np.array([0.01, 1.0, 30.0, 1000.0])
+    amps = seeded_state(n, 7).amplitudes
+    for ratio in FAR_RATIOS:
+        p = params(2.0 * ratio, n)
+        log_i = evolve_grid(p, amps, grid, False)[0]
+        want = [exact_evolve(p, amps, z, dps=60)[0] for z in grid.tolist()]
+        np.testing.assert_allclose(log_i, want, rtol=0, atol=ERROR_LIMIT, err_msg=f"{ratio=}")
