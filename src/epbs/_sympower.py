@@ -1,9 +1,8 @@
 """The Sym^N engine: G_N = Sym^N(g) on states and on basis columns, for 2x2 cores g.
 
-Cores come in, never parameters: real arrays (c, ks, y, log_scale, Gamma z,
-gain), one entry per z, give e^log_scale [[c + y, -i ks], [-i ks, c - y]]
-(unit determinant), the decay law's Gamma z and the log gain 2 log_scale -
-Gamma z that each form adds N times.  ``_basis_rows`` caches one table per
+Cores come in, never parameters: ``Core`` records of real arrays, one entry
+per z, read by field name, with ``_svd_2x2``'s factors as an ``Svd`` beside
+them; ``_take`` selects z from either.  ``_basis_rows`` caches one table per
 N of the rows over the basis index m that the forms read.  ``_state_rows``
 maps a state over a z grid in blocks, in the form its amplitudes choose:
 
@@ -31,6 +30,7 @@ the caller's rounding of the entries included.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -61,6 +61,17 @@ _EDGE_ENTRIES = 1 << 15
 # SVD-form scalings below e^_LOG_FLUSH are set to 0: they change an image by
 # far less than its error estimate, and subnormal products slow the GEMMs.
 _LOG_FLUSH = -600.0
+
+# One z per entry: e^log_scale [[c + y, -i ks], [-i ks, c - y]] (real, unit determinant), Gamma z,
+# the log gain 2 log_scale - Gamma z that each form adds N times, theta = z |Delta_lambda| / 2
+Core = collections.namedtuple("Core", "c ks y log_scale gz gain theta")
+# ``_svd_2x2``'s factors of each core: angles (p_l, p_r), ln max(s1, s2) - log_scale, ln s2/s1
+Svd = collections.namedtuple("Svd", "angles log_max log_ratio")
+
+
+def _take(record, sel):
+    """The ``Core`` or ``Svd`` of the z that ``sel`` (a slice or indices) picks from ``record``."""
+    return record._make([a[..., sel] for a in record])
 
 
 @functools.lru_cache(maxsize=16)
@@ -152,7 +163,7 @@ def _edge_rows(n: int, amps: np.ndarray, z: np.ndarray, core, out=None):
     underflow to 0.  A single term needs no sum for log I: its image has
     norm |a| col^N.
     """
-    c, w, y, _, _, log_gain = core
+    c, w, y = core.c, core.ks, core.y
     a0, b = complex(amps[0]), complex(amps[n]) * (1, -1j, -1, 1j)[n % 4]
     # the terms in use: a_0 on the column (u, w), b on (w, t)
     lo, hi = (0 if a0 else 1), (2 if b else 1)
@@ -163,7 +174,7 @@ def _edge_rows(n: int, amps: np.ndarray, z: np.ndarray, core, out=None):
     for row, a in zip(logs, (a0, b)[lo:hi]):
         row += math.log(abs(a))
     top = logs.max(axis=0)
-    gain = 2.0 * top + n * log_gain
+    gain = 2.0 * top + n * core.gain
     if hi - lo == 1 and out is None:
         return gain
     ratios = np.abs(np.array((p, q)) / col).reshape(2, -1)
@@ -222,8 +233,8 @@ def _real_matmul(mat: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
-def _svd_2x2(c, ks, y, log_scale, log_alpha):
-    """((p_l, p_r), ln max(s1, s2) - log_scale, ln s2/s1) of each core diag(1, alpha) = B diag B.
+def _svd_2x2(c, ks, y, log_scale, log_alpha) -> Svd:
+    """``Svd`` (angles (p_l, p_r), log_max, log_ratio) of each core diag(1, alpha) = B diag B.
 
     The cores e^log_scale [[c + y, -i ks], [-i ks, c - y]] have real c, ks,
     y and unit determinant (y >= 0 where log_scale > 0); alpha = e^log_alpha
@@ -251,7 +262,7 @@ def _svd_2x2(c, ks, y, log_scale, log_alpha):
     t = np.where(unscaled, np.arcsinh(r / root), sign * (log_scale + net - half))
     log_ratio = -2.0 * t
     log_max = np.where(unscaled, half + t + np.maximum(log_ratio, 0.0), net)
-    return 0.5 * np.array((a + b, a - b)), log_max, log_ratio
+    return Svd(0.5 * np.array((a + b, a - b)), log_max, log_ratio)
 
 
 def _svd_table(n: int, angles: np.ndarray, log_ratio: np.ndarray):
@@ -292,19 +303,17 @@ def _svd_form(q: np.ndarray, x: np.ndarray, left, right, scaling: np.ndarray):
     return _real_matmul(q, x, out=out)
 
 
-def _svd_rows(n: int, x: np.ndarray, a_norm: float, core, out=None):
+def _svd_rows(n: int, x: np.ndarray, a_norm: float, core, svd, out=None):
     """(log I, error estimate) at each z by the SVD form of Sym^N of the core; P goes into ``out``.
 
-    The state is x = Q^T a; ``core`` ends in the log gain and the ``_svd_2x2``
-    factors.  The form is normwise backward stable, so 16 (N+1) eps ||a|| /
-    ||psi|| estimates the relative error of each image psi; without P the
-    form stops early.
+    The state is x = Q^T a, ``svd`` the cores' ``_svd_2x2`` factors.  The form
+    is normwise backward stable, so 16 (N+1) eps ||a|| / ||psi|| estimates the
+    relative error of each image psi; without P the form stops early.
     """
-    log_gain, angle, log_max, log_ratio = core[5:]
-    phase, scaling = _svd_table(n, angle, log_ratio)
+    phase, scaling = _svd_table(n, svd.angles[0], svd.log_ratio)
     psi = _svd_form(_spin_basis(n), x, None if out is None else phase, phase, scaling)
     del phase, scaling
-    log_i, norm = _observe(psi.T, n * (2.0 * log_max + log_gain), out)
+    log_i, norm = _observe(psi.T, n * (2.0 * svd.log_max + core.gain), out)
     return log_i, _EST_FACTOR * (n + 1) * a_norm / norm
 
 
@@ -355,8 +364,7 @@ def _horner_rows(n: int, amps: np.ndarray, z: np.ndarray, core):
     relative error of psi.  Subnormal weights (N >= ~2050) add their own
     relative spacing.
     """
-    c, ks, y, _, _, log_gain = core[:6]
-    u, v, t = c + y, -1j * ks, c - y
+    u, v, t = core.c + core.y, -1j * core.ks, core.c - core.y
     norm = np.maximum(np.hypot(abs(u), abs(v)), np.hypot(abs(v), abs(t)))
     u, v, t = u / norm, v / norm, t / norm
     half = _basis_rows(n)[2]
@@ -366,23 +374,23 @@ def _horner_rows(n: int, amps: np.ndarray, z: np.ndarray, core):
     psi = np.empty_like(poly)
     psi.real, psi.imag = poly.real / roots, poly.imag / roots
     occ = np.empty(psi.shape)
-    log_i, psi_norm = _observe(psi, n * (2.0 * np.log(norm) + log_gain), occ)
+    log_i, psi_norm = _observe(psi, n * (2.0 * np.log(norm) + core.gain), occ)
     magnitude = _horner(abs(u), abs(v), abs(t), abs(amps * roots)) / roots
     factor = _EST_FACTOR * (n + 1) + 2.0 * np.max(np.spacing(roots) / roots)
     return log_i, occ, factor * np.linalg.norm(magnitude, axis=1) / psi_norm
 
 
-def _interior_rows(n: int, amps: np.ndarray, x, a_norm: float, z: np.ndarray, core, out=None):
+def _interior_rows(n: int, amps: np.ndarray, x, a_norm: float, z: np.ndarray, core, svd, out=None):
     """log I at each z of a state with light on |1) ... |N-1); P goes into ``out``, if given.
 
-    The SVD form runs on every z, from x = Q^T a and the SVDs that end
-    ``core``; the z whose estimate exceeds ``ERROR_LIMIT`` are redone by
+    The SVD form runs on every z, from x = Q^T a and the cores' SVDs
+    ``svd``; the z whose estimate exceeds ``ERROR_LIMIT`` are redone by
     Horner, and refused with ``PrecisionError`` where its bound does too.
     """
-    log_i, estimate = _svd_rows(n, x, a_norm, core, out)
+    log_i, estimate = _svd_rows(n, x, a_norm, core, svd, out)
     flagged = np.flatnonzero(estimate > ERROR_LIMIT)
     if flagged.size:
-        log_i[flagged], occ, bound = _horner_rows(n, amps, z[flagged], [a[flagged] for a in core])
+        log_i[flagged], occ, bound = _horner_rows(n, amps, z[flagged], _take(core, flagged))
         if out is not None:
             out[flagged] = occ
         refused = np.flatnonzero(bound > ERROR_LIMIT)
@@ -429,26 +437,27 @@ def _state_rows(n: int, amps: np.ndarray, norm2: float, z: np.ndarray, core,
                 with_occupations: bool):
     """(log I, P or None) of ``amps``, of squared norm ``norm2``, at each z, in blocks.
 
-    Each block is held to the decay law by its own Gamma z, ``core[4]``;
+    Each block is held to the decay law by its own Gamma z, ``core.gz``;
     without occupations no (z, N+1) array is allocated.
     """
-    if amps[1:n].any():
+    interior = amps[1:n].any()
+    if interior:
         x = _real_matmul(_spin_basis(n).T, amps[:, None])
         # every z's 2x2 SVD, formed once per call as Q^T a is; the blocks slice it
-        angles, log_max, log_ratio = _svd_2x2(*core[:4], 0.0)
-        core = (*core, angles[0], log_max, log_ratio)
-        rows = functools.partial(_interior_rows, n, amps, x, math.sqrt(norm2))
-        block = max(1, _SVD_ENTRIES // (n + 1))
-    else:
-        rows, block = functools.partial(_edge_rows, n, amps), max(1, _EDGE_ENTRIES // (n + 1))
+        svd = _svd_2x2(core.c, core.ks, core.y, core.log_scale, 0.0)
+    block = max(1, (_SVD_ENTRIES if interior else _EDGE_ENTRIES) // (n + 1))
     log_i = np.empty(z.size)
     occ = np.empty((z.size, n + 1)) if with_occupations else None
     for lo in range(0, z.size, block):
-        zb, hi = z[lo : lo + block], lo + block
-        pb = None if occ is None else occ[lo:hi]
-        cb = core if zb.size == z.size else [a[lo:hi] for a in core]
-        log_i[lo:hi] = rows(zb, cb, pb)
-        _check_rows(n, zb, cb[4], log_i[lo:hi], pb, math.log(norm2))
+        zb, sel = z[lo : lo + block], slice(lo, lo + block)
+        pb = None if occ is None else occ[sel]
+        cb = core if zb.size == z.size else _take(core, sel)
+        if interior:
+            sb = svd if cb is core else _take(svd, sel)
+            log_i[sel] = _interior_rows(n, amps, x, math.sqrt(norm2), zb, cb, sb, pb)
+        else:
+            log_i[sel] = _edge_rows(n, amps, zb, cb, pb)
+        _check_rows(n, zb, cb.gz, log_i[sel], pb, math.log(norm2))
     return log_i, occ
 
 
@@ -477,28 +486,28 @@ def _core_matrix(n: int, z: float, rounding: float, c: float, ks: float, y: floa
     """
     if z == 0:
         return np.eye(n + 1, dtype=complex), np.zeros(n + 1)
-    q, core = _spin_basis(n), np.empty((n + 1, n + 1), dtype=complex)
+    q, mat = _spin_basis(n), np.empty((n + 1, n + 1), dtype=complex)
     width = max(1, _SVD_ENTRIES // (n + 1))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rows, u, t = _basis_rows(n), c + y, c - y
         # numpy scalars, so that entries beyond the double range give inf, not exceptions
         a, cc = np.float64(u * u + ks * ks), np.float64(ks * ks + t * t)
         log_alpha = np.arcsinh(rows[5] * (abs(ks * y) / np.sqrt(a * cc))) + 0.5 * np.log(a / cc)
-        angles, log_max, log_ratio = _svd_2x2(c, ks, y, log_scale, log_alpha)
+        svd = _svd_2x2(c, ks, y, log_scale, log_alpha)
         for lo in range(0, n + 1, width):
             cols = slice(lo, lo + width)
-            phase, scaling = _svd_table(n, angles[:, cols], log_ratio[cols])
-            core[:, cols] = _svd_form(q, q[cols].T, phase[:, 0], phase[:, 1], scaling)
-        squares = np.einsum("ij,ij->j", core.view(float), core.view(float))
+            phase, scaling = _svd_table(n, svd.angles[:, cols], svd.log_ratio[cols])
+            mat[:, cols] = _svd_form(q, q[cols].T, phase[:, 0], phase[:, 1], scaling)
+        squares = np.einsum("ij,ij->j", mat.view(float), mat.view(float))
         slack = 2.0 * (n + 1) * _EPS
         estimate = (_EST_FACTOR * (n + 1) + 14.0 * n * _EPS) / np.sqrt(squares[::2] + squares[1::2])
-        log_size = (0.5 * n + rows[1]) * np.abs(log_alpha) + 0.5 * n * np.abs(log_ratio)
+        log_size = (0.5 * n + rows[1]) * np.abs(log_alpha) + 0.5 * n * np.abs(svd.log_ratio)
         estimate += log_size * (slack / n) + slack * rounding
         # in two halves, so that only entries beyond the double range overflow
-        half_scale = np.exp(0.5 * (n * (log_max + log_scale) - rows[1] * log_alpha))
-        core *= half_scale
-        core *= half_scale
-    if not np.isfinite(core).all():
+        half_scale = np.exp(0.5 * (n * (svd.log_max + log_scale) - rows[1] * log_alpha))
+        mat *= half_scale
+        mat *= half_scale
+    if not np.isfinite(mat).all():
         raise OverflowGuardError(
             f"N-photon propagator leaves double-precision range at z={z!r} (N={n})"
         )
@@ -509,4 +518,4 @@ def _core_matrix(n: int, z: float, rounding: float, c: float, ks: float, y: floa
             f"column {k} of the N-photon propagator has error bound {estimate[k]:.1e} "
             f"> {ERROR_LIMIT:g} (N={n})",
         )
-    return core, estimate
+    return mat, estimate

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sympower import ERROR_LIMIT, _core_matrix, _state_rows
+from ._sympower import ERROR_LIMIT, Core, _core_matrix, _state_rows
 from .errors import OverflowGuardError, PoleProximityError, PrecisionError
 from .fock_core import BeamsplitterParams
 from .spectral import classify_regime, delta_lambda, slow_decay
@@ -121,8 +121,8 @@ def _check_z(z, ndim: int) -> np.ndarray:
     return out
 
 
-def _g1(kappa: float, gamma: float, z):
-    """(c, kappa s, (Gamma/2) s, log_scale, Gamma z, gain, theta): g1's core at z, array or scalar.
+def _g1(kappa: float, gamma: float, z) -> Core:
+    """g1's ``Core`` at z, array or scalar, with ks = kappa s and y = (Gamma/2) s.
 
     theta = z |Delta_lambda|/2; c, s are cos(theta), sin(theta)/(Delta_lambda/2) below threshold,
     cosh and sinh above it with their growth e^theta in the log scale, exactly 1 and z at the
@@ -136,9 +136,9 @@ def _g1(kappa: float, gamma: float, z):
         log_scale, c = theta, 0.5 * (1.0 + np.exp(-2.0 * theta))
         s = -0.5 * np.expm1(-2.0 * theta) / half
     else:
-        c, s, log_scale = 0.0 * z + 1.0, z, 0.0 * z
+        c, s, log_scale = 0.0 * z + 1.0, z, theta  # theta = 0 z: no array of its own
     gain = -slow_decay(kappa, gamma) * z
-    return c, kappa * s, 0.5 * gamma * s, log_scale, gamma * z, gain, theta
+    return Core(c, kappa * s, 0.5 * gamma * s, log_scale, gamma * z, gain, theta)
 
 
 def _prefactor_exponent(params: BeamsplitterParams, z: float) -> complex:
@@ -155,15 +155,15 @@ def wei_norman_params(params: BeamsplitterParams, z: float) -> WeiNormanParams:
     exactly 0.
     """
     _check_z(z, 0)
-    c, ks, y, log_scale = _g1(params.kappa, params.gamma, np.float64(z))[:4]
-    u = c + y
+    core = _g1(params.kappa, params.gamma, np.float64(z))
+    u = core.c + core.y
     with np.errstate(over="ignore"):
-        w = float(u * np.exp(log_scale))
+        w = float(u * np.exp(core.log_scale))
     if not math.isfinite(w):
         raise OverflowGuardError(f"w(z) exceeds double-precision range at z={z!r}")
     if w == 0.0:
         raise PoleProximityError(z)
-    f = float(ks / u)
+    f = float(core.ks / u)
     return WeiNormanParams(
         z=float(z),
         f_plus=f,
@@ -299,7 +299,7 @@ def evolve_grid(
         norm2 = float(np.vdot(amps, amps).real)
     # out-of-range intermediates surface as non-finite values, which the engine refuses
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_i, occ = _state_rows(n, amps, norm2, z, _g1(params.kappa, params.gamma, z)[:6],
+        log_i, occ = _state_rows(n, amps, norm2, z, _g1(params.kappa, params.gamma, z),
                                  with_occupations)
     if exp:
         # 2 exp ln 2 in two parts, so that it adds a single rounding
@@ -321,10 +321,11 @@ def evolution_operator(params: BeamsplitterParams, z: float) -> PropagatorMatrix
     ``ValueError`` for a negative or non-finite z.
     """
     _check_z(z, 0)
-    c, ks, y, log_scale, _, _, theta = map(float, _g1(params.kappa, params.gamma, z))
-    core = _core_matrix(params.n_photons, z, theta + 1.0, c, ks, y, log_scale)[0]
+    core = _g1(params.kappa, params.gamma, z)
+    entries = map(float, (core.c, core.ks, core.y, core.log_scale))
+    mat = _core_matrix(params.n_photons, z, float(core.theta) + 1.0, *entries)[0]
     return PropagatorMatrix(
-        core=core, prefactor_exponent=_prefactor_exponent(params, z), method=METHOD
+        core=mat, prefactor_exponent=_prefactor_exponent(params, z), method=METHOD
     )
 
 

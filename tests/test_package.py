@@ -150,3 +150,73 @@ def test_only_the_decay_law_reads_gamma_z():
         if isinstance(node, ast.Name) and node.id == "gz"
     }
     assert readers == {"_check_rows"}
+    # by field name, only the block loop reads a core's Gamma z, to hand it to the decay law
+    field_readers = {
+        top.name
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "gz"
+    }
+    assert field_readers == {"_state_rows"}
+
+
+# g1's core and its SVD factors are records (``_sympower.Core`` and ``Svd``): kernels, helpers
+# and tests read their fields by name, so that adding a field moves no reader
+_RECORD_NAMES = {"core", "cb", "svd"}
+_RECORD_CALLS = {"_g1", "_svd_2x2"}
+
+
+def _makes_record(node) -> bool:
+    """Whether ``node`` is a record itself: one of the names above, or a call that forms one."""
+    if isinstance(node, ast.Name):
+        return node.id in _RECORD_NAMES
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (
+        getattr(func, "id", None) or getattr(func, "attr", None)) in _RECORD_CALLS
+
+
+def _holds_record(node) -> bool:
+    """Whether ``node`` is a record or an expression that contains a call forming one."""
+    return _makes_record(node) or any(
+        isinstance(inner, ast.Call) and _makes_record(inner) for inner in ast.walk(node)
+    )
+
+
+def _by_position(index) -> bool:
+    """Whether a subscript's index is an integer, a slice, or a tuple or list holding one."""
+    if isinstance(index, ast.UnaryOp) and isinstance(index.op, ast.USub):
+        index = index.operand
+    if isinstance(index, (ast.Tuple, ast.List)):
+        return any(_by_position(e) for e in index.elts)
+    return isinstance(index, ast.Slice) or (
+        isinstance(index, ast.Constant) and type(index.value) is int)
+
+
+def _positional_reads(path: pathlib.Path) -> list[str]:
+    """Lines of ``path`` that read a record by position: an integer or slice subscript, a *
+    unpacking, a tuple-target assignment (``map(float, record)`` included) or iteration."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Subscript):
+            hit = _holds_record(node.value) and _by_position(node.slice)
+        elif isinstance(node, ast.Starred):
+            hit = _holds_record(node.value)
+        elif isinstance(node, ast.Assign):
+            value = node.value
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "map":
+                value = value.args[-1]
+            hit = _makes_record(value) and any(
+                isinstance(t, (ast.Tuple, ast.List)) for t in node.targets)
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            hit = _makes_record(node.iter)
+        else:
+            continue
+        if hit:
+            lines.add(node.lineno if hasattr(node, "lineno") else node.iter.lineno)
+    return [f"{path.relative_to(ROOT)}:{line}" for line in sorted(lines)]
+
+
+def test_records_are_read_by_field_name():
+    paths = sorted((ROOT / "src" / "epbs").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert [read for path in paths for read in _positional_reads(path)] == []

@@ -161,20 +161,21 @@ def test_reference_matches_closed_form_at_one_photon():
 
 def g1_core_matrix(p, z):
     """``_core_matrix`` on g1's entries at z, as ``evolution_operator`` passes them."""
-    c, ks, y, log_scale, _, _, theta = map(float, _g1(p.kappa, p.gamma, z))
-    return _core_matrix(p.n_photons, z, theta + 1.0, c, ks, y, log_scale)
+    core = _g1(p.kappa, p.gamma, z)
+    entries = map(float, (core.c, core.ks, core.y, core.log_scale))
+    return _core_matrix(p.n_photons, z, float(core.theta) + 1.0, *entries)
 
 
 def g1_core(p, z):
     """g1's core at each z, as the state kernels take it."""
-    return _g1(p.kappa, p.gamma, np.asarray(z, dtype=float))[:6]
+    return _g1(p.kappa, p.gamma, np.asarray(z, dtype=float))
 
 
 def svd_rows(n, amps, z, core, out=None):
     """``_svd_rows`` on a state given as amplitudes, prepared as ``_state_rows`` prepares it."""
     x = _sympower._real_matmul(_spin_basis(n).T, amps[:, None])
-    angles, log_max, log_ratio = _svd_2x2(*core[:4], 0.0)
-    return _svd_rows(n, x, np.linalg.norm(amps), (*core, angles[0], log_max, log_ratio), out)
+    svd = _svd_2x2(core.c, core.ks, core.y, core.log_scale, 0.0)
+    return _svd_rows(n, x, np.linalg.norm(amps), core, svd, out)
 
 
 def column_errors(core, ref):
@@ -459,8 +460,9 @@ def test_all_in_b_at_large_n_matches_single_column_form(n, gamma):
     p = params(gamma, n)
     grid = np.linspace(0.0, 10.0, 201)
     log_i, occ = evolve_grid(p, make_input("all_in_b", n).amplitudes, grid)
-    c, ks, y, log_scale = _g1(p.kappa, p.gamma, grid)[:4]
-    closed = n * np.log(ks**2 + (c - y) ** 2) + 2 * n * log_scale - gamma * n * grid
+    core = _g1(p.kappa, p.gamma, grid)
+    col = core.ks**2 + (core.c - core.y) ** 2
+    closed = n * np.log(col) + 2 * n * core.log_scale - gamma * n * grid
     np.testing.assert_allclose(log_i, closed, rtol=0, atol=1e-10)
     assert np.isfinite(occ).all()
 
@@ -651,14 +653,14 @@ def test_svd_form_takes_each_cores_own_factors(n):
     amps = interior_state("dense", n).amplitudes
     cases = ((0.95, [14.0, 17.5]), (1.0, [0.0, 1.3, 6.0]), (1.2, [0.0, 2.1, 9.0]))
     parts = [g1_core(params(2.0 * ratio, n), zs) for ratio, zs in cases]
-    assert (parts[0][2] < 0).all() and (parts[2][3][1:] > 0).all()
-    batch = [np.concatenate(a) for a in zip(*parts)]
-    size = batch[0].size
+    assert (parts[0].y < 0).all() and (parts[2].log_scale[1:] > 0).all()
+    batch = _sympower.Core(*map(np.concatenate, zip(*parts)))
+    size = batch.c.size
     occ = np.empty((size, n + 1))
     log_i, estimate = svd_rows(n, amps, None, batch, occ)
     for k in range(size):
         occ_k = np.empty_like(occ)
-        li_k, est_k = svd_rows(n, amps, None, [np.full(size, a[k]) for a in batch], occ_k)
+        li_k, est_k = svd_rows(n, amps, None, _sympower._take(batch, np.full(size, k)), occ_k)
         assert li_k[k] == log_i[k] and est_k[k] == estimate[k], k
         assert np.array_equal(occ_k[k], occ[k]), k
 
@@ -777,9 +779,9 @@ def test_decay_law_reads_each_entrys_gamma_z():
 def _log_closed_forms(p, z):
     """log I of all_in_a, all_in_b and noon from g1's entries, in log space."""
     n = p.n_photons
-    c, ks, y, log_scale = _g1(p.kappa, p.gamma, z)[:4]
-    u, v, t = c + y, -1j * ks, c - y
-    shift = 2 * n * log_scale - p.gamma * n * z
+    core = _g1(p.kappa, p.gamma, z)
+    u, v, t = core.c + core.y, -1j * core.ks, core.c - core.y
+    shift = 2 * n * core.log_scale - p.gamma * n * z
     log_a = n * np.log(abs(u) ** 2 + abs(v) ** 2)
     log_b = n * np.log(abs(v) ** 2 + abs(t) ** 2)
     # <X^N, Y^N> = <X, Y>^N on Sym^N
@@ -802,8 +804,8 @@ def test_edge_states_beyond_binomial_overflow(n, gamma):
         np.testing.assert_allclose(log_i, closed[kind], rtol=1e-12, atol=1e-10)
         np.testing.assert_allclose(occ.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     # all_in_a spreads binomially: P(m) = C(N, m) p^(N-m) (1-p)^m
-    c, ks, y = _g1(p.kappa, p.gamma, grid)[:3]
-    share = (c + y) ** 2 / ((c + y) ** 2 + ks**2)
+    core = _g1(p.kappa, p.gamma, grid)
+    share = (core.c + core.y) ** 2 / ((core.c + core.y) ** 2 + core.ks**2)
     m = np.arange(n + 1)
     log_binom = np.array(
         [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in m]
