@@ -14,7 +14,9 @@ be overridden from the command line with ``--param dotted.key=value``.
 The config dataclasses are its schema: their fields give each object's
 keys, JSON types and defaults, their ``__post_init__`` its invariants, and
 ``make_input`` checks the input state.  ``validate`` reports every fault in
-one pass, unknown keys and a grid or input the scenario does not read too.
+one pass, by one rule for each section: null is absent, a section the scenario
+does not read is an error, and an absent one it reads takes its default or is
+required; with no known scenario each section given is still checked.
 Every run writes a ``manifest.json`` with the normalized config echo, tool
 version, wall time and a sha256 checksum per output file.  Data outputs are
 byte-deterministic for identical configs: CSV numbers are printed with 17
@@ -262,39 +264,32 @@ def validate(
 
     params = _build(BeamsplitterParams, doc.get("params"), "params", errors)
 
-    # without a known scenario every grid given is checked, so that one pass
-    # reports every defect
-    grids = {}
-    for key in ("z_grid", "gamma_grid"):
-        read = spec is None or key == spec.grid
-        if key in doc and not read:
+    # one rule for every section: null is absent; a known scenario reads its table's sections and
+    # output, each given or by default, and any other is "not used"; without one each is checked
+    reads = {**spec.reads, "output": {}} if spec else {}
+    sections = {}
+    for key, cls in (("z_grid", GridSpec), ("gamma_grid", GridSpec),
+                     ("input_state", InputSpec), ("output", OutputSpec)):
+        raw = doc.get(key)
+        if raw is None and key in reads:
+            raw = reads[key]
+            if raw is None:
+                errors.append(f"{key}: required for scenario {name}")
+            elif callable(raw):
+                raw = None if params is None else raw(params)
+        elif raw is not None and spec and key not in reads:
             errors.append(f"{key}: not used by scenario {name}")
-        elif key in doc:
-            grids[key] = _build(GridSpec, doc[key], key, errors)
-        elif read and spec is not None and spec.default_grid is None:
-            errors.append(f"{key}: required for scenario {name}")
-        elif read and spec is not None and params is not None:
-            grids[key] = _build(GridSpec, spec.default_grid(params), key, errors)
-
-    input_spec, raw_input = None, doc.get("input_state")
-    if spec is None or spec.input_kind is None:
-        if "input_state" in doc:
-            errors.append(f"input_state: not used by scenario {name}")
-    elif raw_input is None and spec.input_kind == "custom":
-        errors.append(f"input_state: required for scenario {name}")
-    else:
-        raw = {"kind": spec.input_kind} if raw_input is None else raw_input
-        input_spec = _build(InputSpec, raw, "input_state", errors)
+            raw = None
+        if raw is not None:
+            sections[key] = _build(cls, raw, key, errors)
     # make_input checks the state itself: a named one's rules do not depend
     # on N, and at N=1 it has two entries
+    input_spec = sections.get("input_state")
     if input_spec is not None and (input_spec.amplitudes is None or params is not None):
         try:
             input_spec.to_state(1 if input_spec.amplitudes is None else params.n_photons)
         except ValueError as exc:
             errors.append(f"input_state: {exc}")
-
-    raw_output = doc.get("output")
-    output = _build(OutputSpec, {} if raw_output is None else raw_output, "output", errors)
 
     unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
@@ -302,7 +297,7 @@ def validate(
 
     if errors:
         return None, errors
-    return RunConfig(name, params, input_spec, output=output, **grids), []
+    return RunConfig(name, params, **sections), []
 
 
 # ---------------------------------------------------------------------------
@@ -489,24 +484,26 @@ def _run_custom_evolve(cfg: RunConfig) -> dict[str, Callable[[], bytes]]:
 
 
 class _Scenario(NamedTuple):
-    """How a scenario runs, and what it reads beyond params and output: None reads nothing."""
+    """How a scenario runs, and ``reads``: each section it reads beyond params and output
+    (``z_grid``, ``gamma_grid``, ``input_state``) mapped to its default when absent or null,
+    a JSON object or a function of the params giving one, or to None where it is required."""
 
     runner: Callable[[RunConfig], dict[str, Callable[[], bytes]]]
-    grid: str | None = None  # "z_grid" or "gamma_grid", required unless default_grid gives it
-    input_kind: str | None = None  # the kind when input_state is absent; "custom" requires it
-    default_grid: Callable[[BeamsplitterParams], dict] | None = None
+    reads: dict[str, dict | Callable[[BeamsplitterParams], dict] | None]
 
 
 _SCENARIOS = {
-    "spectrum-flow": _Scenario(_run_spectrum_flow, "gamma_grid"),
-    "ep-certify": _Scenario(_run_ep_certify),
-    "intensity-decay": _Scenario(_run_intensity_decay, "z_grid", "all_in_a"),
+    "spectrum-flow": _Scenario(_run_spectrum_flow, {"gamma_grid": None}),
+    "ep-certify": _Scenario(_run_ep_certify, {}),
+    "intensity-decay": _Scenario(_run_intensity_decay, {
+        "z_grid": None, "input_state": {"kind": "all_in_a"}}),
     # fit_ep_order's kappa*z window, 200 log-spaced points
-    "order-fit": _Scenario(_run_order_fit, "z_grid", "all_in_a", lambda p: {
+    "order-fit": _Scenario(_run_order_fit, {"z_grid": lambda p: {
         "start": _FIT_WINDOW[0] / p.kappa, "stop": _FIT_WINDOW[1] / p.kappa,
-        "count": 200, "spacing": "log"}),
-    "occupation-dynamics": _Scenario(_run_occupation_dynamics, "z_grid", "noon"),
-    "custom-evolve": _Scenario(_run_custom_evolve, "z_grid", "custom"),
+        "count": 200, "spacing": "log"}, "input_state": {"kind": "all_in_a"}}),
+    "occupation-dynamics": _Scenario(_run_occupation_dynamics, {
+        "z_grid": None, "input_state": {"kind": "noon"}}),
+    "custom-evolve": _Scenario(_run_custom_evolve, {"z_grid": None, "input_state": None}),
 }
 SCENARIOS = tuple(_SCENARIOS)
 

@@ -131,7 +131,9 @@ def _g1(kappa: float, gamma: float, z) -> Core:
     regime, half = classify_regime(kappa, gamma), 0.5 * abs(delta_lambda(kappa, gamma))
     theta = half * z
     if regime == "unbroken":
-        c, s, log_scale = np.cos(theta), np.sin(theta) / half, 0.0 * z
+        c, s = np.cos(theta), np.sin(theta) / half
+        # 0 in no z-length array: a read-only stride-0 view of 8 zero bytes (keywords are slower)
+        log_scale = np.ndarray(c.shape, float, bytes(8), 0, (0,) * c.ndim)
     elif regime == "broken":
         log_scale, c = theta, 0.5 * (1.0 + np.exp(-2.0 * theta))
         s = -0.5 * np.expm1(-2.0 * theta) / half

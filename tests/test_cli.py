@@ -165,6 +165,34 @@ def test_validate_null_output_means_defaults():
     assert errors == [] and cfg.output == OutputSpec()
 
 
+# one rule for every section: null is absent; a section a known scenario does not read is
+# "not used"; without a known scenario every section given is checked; an absent section the
+# scenario reads takes its default or is required
+
+@pytest.mark.parametrize("scenario", ["noop", None])
+def test_validate_checks_input_state_without_a_known_scenario(scenario):
+    doc = base_config(scenario, ".", input_state={"kind": "bogus"})
+    if scenario is None:
+        del doc["scenario"]
+    cfg, errors = validate(json.dumps(doc))
+    assert cfg is None
+    assert any(e.startswith("input_state: unknown input kind 'bogus'") for e in errors)
+    assert not any("not used" in e or "scenario None" in e for e in errors)
+
+
+@pytest.mark.parametrize("scenario, key", [("order-fit", "z_grid"), ("ep-certify", "input_state")])
+def test_validate_null_section_is_absent(scenario, key):
+    # order-fit's grid has a default; ep-certify reads no input state
+    doc = _cfg_for(scenario, ".")
+    cfg, errors = validate(json.dumps(doc))
+    assert errors == [] and validate(json.dumps({**doc, key: None})) == (cfg, [])
+
+
+def test_validate_null_required_grid_is_required():
+    doc = {**_cfg_for("intensity-decay", "."), "z_grid": None}
+    assert validate(json.dumps(doc)) == (None, ["z_grid: required for scenario intensity-decay"])
+
+
 @pytest.mark.parametrize("value", [{"a": 1}, ["spectrum-flow"], 3])
 def test_validate_scenario_of_any_json_type(value):
     cfg, errors = validate(json.dumps({**_cfg_for("ep-certify", "."), "scenario": value}))

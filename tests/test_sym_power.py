@@ -481,16 +481,19 @@ def test_edge_blocks_do_not_change_values(monkeypatch):
         assert np.array_equal(li_b, log_i) and np.array_equal(occ_b, occ)
 
 
-def test_intensity_only_trace_allocates_no_occupations():
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 3.0])
+def test_intensity_only_trace_allocates_no_occupations(gamma):
     # a (z, N+1) occupation array would take 32 MB here; with 512-z blocks
     # the former edge form's temporaries alone reached 78 MB.  A single
     # term's log I is closed-form, so the trace allocates no (z, N+1) array,
-    # not even one block of it: ten z-length vectors hold fewer entries
+    # not even one block of it: ten z-length vectors hold fewer entries, in
+    # every regime
     n, size = 2000, 2000
     grid = np.linspace(0.0, 5.0, size)
     tracemalloc.start()
     try:
-        tr = trace_evolution(make_input("all_in_a", n), params(2.0, n), grid, with_occupations=False)
+        tr = trace_evolution(make_input("all_in_a", n), params(gamma, n), grid,
+                             with_occupations=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
